@@ -34,12 +34,20 @@ the fast E_0 path is not provably exact, so every whole-curve consumer
 values. The single-rate ``gallager_dual`` method keeps the classical E_0
 form; the primal oracle quantifies its gap.
 
+Input-optimized exponents need no per-rate search: the maxima over inputs and
+over rho commute, so E_r(R, W) = max_rho [E_0*(rho) - rho R] with
+E_0*(rho) = max_s E_0(rho, s, W), and likewise for E_sp over rho >= 0 (S.
+Arimoto, IEEE Trans. IT, 1976). E_0* and its maximizing laws are computed once
+on the rho lattices by a convex solver whose Frank-Wolfe gap certifies every
+point, then fed through the same envelope as the fixed-input curves.
+
 The strict sphere-packing constraint I(S;V) < R is evaluated on the closed
 set I(S;V) <= R throughout; rate 0 is therefore admitted (the closed set is
 nonempty) while negative rates are rejected.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,13 +56,11 @@ import numpy as np
 from .errors import BudgetError
 from .numerics import (
     DUAL_RHO_MAX,
-    concave_tail_max,
+    concave_dual_max,
     conditional_grid,
-    golden_section_max,
     min_where_constraint_at_most,
     hinge_min_decreasing,
     rate_grid,
-    simplex_grid,
 )
 from .probkit import ConditionalDistribution, Distribution, entropy_bits
 
@@ -119,27 +125,6 @@ class ChannelExponentResult:
     constraint_active: bool = False
 
 
-def _random_coding_dual(r, s, w, xtol=1e-10):
-    g = lambda rho: gallager_e0(rho, s, w) - rho * r
-    rho_star, val = golden_section_max(g, 0.0, 1.0, xtol)
-    return max(0.0, val), rho_star
-
-
-def _sphere_packing_dual(r, s, w, xtol=1e-10):
-    """Returns (value, rho, diverged). Shares its [0,1] stage with the
-    random-coding dual so the two coincide exactly when the optimum is interior."""
-    g = lambda rho: gallager_e0(rho, s, w) - rho * r
-    val_r, rho_r = _random_coding_dual(r, s, w, xtol)
-    if g(1.0 + 1e-6) <= g(1.0):
-        return val_r, rho_r, False
-    val, rho_star, diverged = concave_tail_max(g, xtol)
-    if diverged:
-        return math.inf, None, True
-    if val <= val_r:
-        return val_r, rho_r, False
-    return val, rho_star, False
-
-
 # ---------------------------------------------------------------------------
 # exact fixed-input (constant-composition) Lagrangian
 
@@ -159,7 +144,8 @@ def _cc_e0_on_lattice(
     toward q, for fixed kernel the best q is its output marginal. Alternating
     those steps converges monotonically to the global minimum. Lattice points
     whose value has stabilized are frozen so late sweeps only touch the
-    slowly-contracting high-rho end.
+    slowly-contracting high-rho end. Points still moving after ``max_iter``
+    sweeps raise instead of returning an unconverged upper bound.
     """
     rhos = np.asarray(rhos, dtype=float)
     live = s > 0
@@ -182,6 +168,8 @@ def _cc_e0_on_lattice(
         settled = np.abs(new_vals - vals[active]) < tol
         vals[active] = new_vals
         active = active[~settled]
+    if active.size:
+        raise RuntimeError("fixed-input Lagrangian did not settle on the rho lattice")
     vals[rhos == 0.0] = 0.0
     return np.maximum(vals, 0.0)
 
@@ -199,27 +187,6 @@ def constant_composition_e0(rho: float, s: Distribution, w: ConditionalDistribut
     if rho < 0.0:
         raise ValueError("rho must be nonnegative for the fixed-input Lagrangian")
     return float(_cc_e0_on_lattice(np.array([rho]), s.probs, w.matrix)[0])
-
-
-def _cc_random_coding_dual(r, s, w, xtol=1e-10):
-    g = lambda rho: constant_composition_e0(rho, s, w) - rho * r
-    rho_star, val = golden_section_max(g, 0.0, 1.0, xtol)
-    return max(0.0, val), rho_star
-
-
-def _cc_sphere_packing_dual(r, s, w, xtol=1e-10):
-    """Exact fixed-input sphere-packing value; mirrors :func:`_sphere_packing_dual`
-    including the shared [0,1] stage and the divergence flag."""
-    g = lambda rho: constant_composition_e0(rho, s, w) - rho * r
-    val_r, rho_r = _cc_random_coding_dual(r, s, w, xtol)
-    if g(1.0 + 1e-6) <= g(1.0):
-        return val_r, rho_r, False
-    val, rho_star, diverged = concave_tail_max(g, xtol)
-    if diverged:
-        return math.inf, None, True
-    if val <= val_r:
-        return val_r, rho_r, False
-    return val, rho_star, False
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +235,7 @@ def random_coding_exponent(
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if method == "gallager_dual":
-        val, rho = _random_coding_dual(r, s, w)
+        val, rho, _ = concave_dual_max(lambda rho: gallager_e0(rho, s, w) - rho * r)
         return ChannelExponentResult(rate=r, value=val, method=method, rho=rho)
     if method == "primal_grid":
         grid, d, i = _primal_tables(s, w, grid_step)
@@ -289,7 +256,8 @@ def sphere_packing_exponent(
     if r < 0:
         raise ValueError("rate must be nonnegative: the constraint set would be empty")
     if method == "gallager_dual":
-        val, rho, diverged = _sphere_packing_dual(r, s, w)
+        g = lambda rho: gallager_e0(rho, s, w) - rho * r
+        val, rho, diverged = concave_dual_max(g, tail=True)
         return ChannelExponentResult(rate=r, value=val, method=method, rho=rho, diverged=diverged)
     if method == "primal_grid":
         grid, d, i = _primal_tables(s, w, grid_step)
@@ -377,92 +345,123 @@ def primal_exponent_curves(
 # input optimization, capacity, critical rate
 
 
-def _dual_value_on_grid(r: float, w: ConditionalDistribution, which: str, inputs: np.ndarray):
-    """Vectorized dual exponent for every input law in ``inputs`` at one rate."""
-    wm = w.matrix
-    out = np.empty(len(inputs))
-    e0_unit = np.stack([_e0_on_lattice(_RHO_UNIT, sp, wm) for sp in inputs])
-    vals = e0_unit - _RHO_UNIT[None, :] * r
-    idx = np.argmax(vals, axis=1)
-    out = np.maximum(vals[np.arange(len(inputs)), idx], 0.0)
-    if which == "sphere":
-        for k, sp in enumerate(inputs):
-            if idx[k] == len(_RHO_UNIT) - 1:
-                val, _, diverged = _sphere_packing_dual(r, Distribution(sp), w)
-                out[k] = math.inf if diverged else val
-    return out
+def _line_min(alpha, d, r, hi):
+    """argmin over t in [0, hi] of the convex sum_y (alpha + t d)_y^(1+r), row
+    by row, by bisection on the sign of its derivative."""
+    slope = lambda t: (np.power(np.maximum(alpha + t[:, None] * d, 0.0), r) * d).sum(axis=1)
+    lo, top = np.zeros(len(hi)), hi
+    for _ in range(60):
+        mid = 0.5 * (lo + top)
+        down = slope(mid) < 0.0
+        lo, top = np.where(down, mid, lo), np.where(down, top, mid)
+    return np.where(slope(hi) <= 0.0, hi, 0.5 * (lo + top))
+
+
+def _e0_star_on_lattice(
+    rhos: np.ndarray, w: np.ndarray, max_iter: int = 500
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max over input laws of E_0(rho, S, W) for every rho at once.
+
+    Maximizing E_0 minimizes F(s) = sum_y alpha_y^(1+rho) with
+    alpha = s @ W^(1/(1+rho)), which is convex in s; its gradient is
+    (1+rho) * c with c_x = sum_y W(y|x)^(1/(1+rho)) alpha_y^rho, and s @ c = F.
+    Each sweep moves mass from the worst input in the support to the best
+    input, which alone is exact for two inputs; with more, a Newton step
+    within the face of the support follows, which keeps ill-conditioned rho
+    from stalling. Both steps use an exact line search. A lattice point stops
+    once the Frank-Wolfe gap (1+rho)(F - min c), which bounds F(s) - min F,
+    is at most 1e-12 * F, or at most the rounding floor k (1+rho)^2 eps * F
+    of evaluating it from alpha^rho, which is larger only near the top of
+    the tail. Returns (E_0*, maximizing laws, relative gaps); unsettled
+    points after ``max_iter`` sweeps raise.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    k = w.shape[0]
+    tol = np.maximum(1e-12, k * (1.0 + rhos) ** 2 * np.finfo(float).eps)
+    wpow = np.power(w[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
+    s = np.full((len(rhos), k), 1.0 / k)
+    f = np.ones(len(rhos))
+    gap = np.zeros(len(rhos))
+    active = np.flatnonzero(rhos > 0.0)
+    for _ in range(max_iter):
+        r, wa, sa = rhos[active, None], wpow[active], s[active]
+        alpha = np.einsum("nx,nxy->ny", sa, wa)
+        c = np.einsum("nxy,ny->nx", wa, np.power(alpha, r))
+        f[active] = (sa * c).sum(axis=1)
+        gap[active] = (1.0 + r[:, 0]) * (f[active] - c.min(axis=1)) / f[active]
+        keep = gap[active] > tol[active]
+        active, r, wa, sa, alpha, c = (a[keep] for a in (active, r, wa, sa, alpha, c))
+        if active.size == 0:
+            break
+        rows = np.arange(active.size)
+        i = np.argmax(np.where(sa > 0.0, c, -np.inf), axis=1)
+        j = np.argmin(c, axis=1)
+        t = _line_min(alpha, wa[rows, j] - wa[rows, i], r, sa[rows, i])
+        sa[rows, i] -= t
+        sa[rows, j] += t
+        if k > 2:
+            # inputs holding at most 1e-12 stay with the pairwise step: the
+            # curvature grows like alpha^(rho-1) as their outputs empty, and
+            # the Newton step would stall against them
+            on = sa > 1e-12
+            alpha = np.einsum("nx,nxy->ny", sa, wa)
+            c = np.einsum("nxy,ny->nx", wa, np.power(alpha, r))
+            curv = r * np.power(np.where(alpha > 0.0, alpha, 1.0), r - 1.0)
+            h = np.einsum("nxy,ny,nzy->nxz", wa, curv, wa)
+            h += 1e-12 * h * np.eye(k)  # keeps faces with duplicate rows solvable
+            kkt = np.zeros((active.size, k + 1, k + 1))
+            kkt[:, :k, :k] = np.where(on[:, :, None] & on[:, None, :], h, np.eye(k))
+            kkt[:, :k, k] = kkt[:, k, :k] = on
+            rhs = np.concatenate([-np.where(on, c, 0.0), np.zeros((active.size, 1))], axis=1)
+            d = np.linalg.solve(kkt, rhs[:, :, None])[:, :k, 0]
+            # back onto the sum-zero plane: along c's common mode a rounding
+            # residue in sum(d) would swamp the line search's slope
+            d = np.where(on, d - (d * on).sum(axis=1, keepdims=True) / on.sum(axis=1)[:, None], 0.0)
+            stop = np.where(d < 0.0, sa / np.where(d < 0.0, -d, 1.0), 4.0).min(axis=1)
+            t = _line_min(alpha, np.einsum("nx,nxy->ny", d, wa), r, np.minimum(stop, 4.0))
+            sa = np.maximum(sa + t[:, None] * d, 0.0)
+            sa /= sa.sum(axis=1, keepdims=True)
+        s[active] = sa
+    else:
+        raise RuntimeError("input optimization did not certify its gap on the rho lattice")
+    return np.maximum(-np.log2(f), 0.0), s, gap
+
+
+def _optimal_input_envelope(rates, w: ConditionalDistribution):
+    """Input-optimized (er, esp) read off the E_0* lattices, and the lattices:
+    the unit one, and a memoized thunk for the tail, which only sphere-packing
+    envelopes below the critical rate need."""
+    unit = _e0_star_on_lattice(_RHO_UNIT, w.matrix)
+    tail = functools.cache(lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix))
+    er, esp = _envelope_curves(rates, _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0])
+    return er, esp, unit, tail
+
+
+def _optimal_law(r, value, er_value, unit, tail, k):
+    """Maximizing law at the lattice rho that attains ``value``; values at most
+    1e-12 break the tie toward the uniform law."""
+    if value <= 1e-12:
+        return Distribution.uniform(k)
+    rhos, (e0, laws, _) = (_RHO_UNIT, unit) if value == er_value else (_RHO_TAIL, tail())
+    return Distribution(laws[int(np.argmax(e0 - rhos * r))])
 
 
 def optimize_input(
-    r: float,
-    w: ConditionalDistribution,
-    which: str = "random",
-    coarse_step: float = 0.05,
-    refine_rounds: int = 2,
+    r: float, w: ConditionalDistribution, which: str = "random"
 ) -> tuple[Distribution, float]:
     """Maximize the chosen exponent over input distributions.
 
-    Coarse simplex sweep, then repeated pairwise golden-section transfers of
-    mass between coordinates. Value ties within 1e-12 break toward the
-    uniform distribution.
+    Reads the answer off the certified E_0* lattice: the value is the Legendre
+    envelope at r, the law the maximizer of E_0 at the attaining rho. Values
+    within 1e-12 of zero return the uniform distribution.
     """
     if which not in ("random", "sphere"):
         raise ValueError("which must be 'random' or 'sphere'")
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    k = w.input_size
-    uniform = np.full(k, 1.0 / k)
-    grid = simplex_grid(k, coarse_step)
-    vals = _dual_value_on_grid(r, w, which, grid)
-
-    best_idx = 0
-    for idx in range(1, len(grid)):
-        better = vals[idx] > vals[best_idx] + 1e-12
-        tie = abs(vals[idx] - vals[best_idx]) <= 1e-12 or (
-            math.isinf(vals[idx]) and math.isinf(vals[best_idx])
-        )
-        if better or (
-            tie
-            and np.abs(grid[idx] - uniform).sum() < np.abs(grid[best_idx] - uniform).sum() - 1e-15
-        ):
-            best_idx = idx
-    best = grid[best_idx].copy()
-    best_val = float(vals[best_idx])
-
-    if math.isinf(best_val):
-        return Distribution(best), best_val
-
-    def value_of(sp: np.ndarray) -> float:
-        dist = Distribution(sp)
-        if which == "random":
-            return _random_coding_dual(r, dist, w)[0]
-        val, _, diverged = _sphere_packing_dual(r, dist, w)
-        return math.inf if diverged else val
-
-    for _ in range(refine_rounds):
-        improved = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                pool = best[i] + best[j]
-                if pool <= 0:
-                    continue
-
-                def along(t: float) -> float:
-                    cand = best.copy()
-                    cand[i] = t
-                    cand[j] = pool - t
-                    return value_of(cand)
-
-                t_star, val = golden_section_max(along, 0.0, pool, xtol=1e-9)
-                if val > best_val + 1e-12:
-                    best[i], best[j] = t_star, pool - t_star
-                    best_val = val
-                    improved = True
-                if math.isinf(best_val):
-                    return Distribution(best), best_val
-        if not improved:
-            break
-    return Distribution(best), best_val
+    er, esp, unit, tail = _optimal_input_envelope(np.array([float(r)]), w)
+    value = float(er[0] if which == "random" else esp[0])
+    return _optimal_law(r, value, er[0], unit, tail, w.input_size), value
 
 
 def capacity(w: ConditionalDistribution, tol: float = 1e-9, max_iter: int = 200000) -> float:
@@ -519,23 +518,16 @@ def critical_rate(
     """Smallest grid rate above which the input-optimized random-coding and
     sphere-packing exponents agree within ``agreement_tol`` at every grid rate.
 
-    Grid rates below the certified point where the two curves also touch are
-    reported separately instead of silently extending the interval.
+    Both curves come from :func:`input_optimized_curves`, so every grid rate
+    reads the same certified E_0* lattice. Grid rates below the certified
+    point where the two curves also touch are reported separately instead of
+    silently extending the interval.
     """
     cap = capacity(w)
     if cap <= 1e-12:
         raise ValueError("channel has zero capacity; the exponents are identically zero")
     rates = rate_grid(rate_step, math.log2(w.input_size))
-    symmetric, _ = is_gallager_symmetric(w)
-    if symmetric:
-        s = Distribution.uniform(w.input_size)
-        er, esp = dual_exponent_curves(rates, s, w)
-    else:
-        er = np.empty(len(rates))
-        esp = np.empty(len(rates))
-        for idx, r in enumerate(rates):
-            er[idx] = optimize_input(float(r), w, "random")[1]
-            esp[idx] = optimize_input(float(r), w, "sphere")[1]
+    er, esp = input_optimized_curves(rates, w)
     with np.errstate(invalid="ignore"):
         agree = np.abs(esp - er) <= agreement_tol
     agree |= np.isinf(esp) & np.isinf(er)
@@ -609,31 +601,27 @@ def uniform_input_is_optimal_premise(
     every rate. Returns (holds, offending_rate)."""
     cap = capacity(w)
     rates = rate_grid(rate_step, max(cap - rate_step, rate_step))
-    mid = Distribution(optimize_input(float(rates[len(rates) // 2]), w, "random")[0].probs)
-    for r in rates:
-        best_val = optimize_input(float(r), w, "random")[1]
-        # the candidate input is held fixed, so its value must come from the
-        # exact fixed-input Lagrangian, not the E_0 lower bound
-        fixed_val = _cc_random_coding_dual(float(r), mid, w)[0]
-        if not math.isclose(best_val, fixed_val, rel_tol=0.0, abs_tol=tol):
-            return False, float(r)
+    best, _, unit, tail = _optimal_input_envelope(rates, w)
+    m = len(rates) // 2
+    mid = _optimal_law(rates[m], best[m], best[m], unit, tail, w.input_size)
+    # the candidate input is held fixed, so its values must come from the
+    # exact fixed-input Lagrangian, not the E_0 lower bound
+    fixed, _ = dual_exponent_curves(rates, mid, w)
+    off = np.flatnonzero(np.abs(best - fixed) > tol)
+    if off.size:
+        return False, float(rates[off[0]])
     return True, None
 
 
-def input_optimized_curves(
-    rates: np.ndarray, w: ConditionalDistribution, coarse_step: float = 0.05
-):
+def input_optimized_curves(rates: np.ndarray, w: ConditionalDistribution):
     """(E_r(R, W), E_sp(R, W)) maximized over inputs for every rate.
 
-    Gallager-symmetric channels use the uniform input directly; otherwise
-    each rate runs its own input search.
+    Gallager-symmetric channels use the uniform input directly. Otherwise the
+    two maxima commute, E_r(R) = max_rho [E_0*(rho) - rho R] with
+    E_0*(rho) = max_s E_0(rho, s), so E_0* is computed once with a certified
+    gap on the rho lattices and every rate reads its envelope.
     """
-    symmetric, _ = is_gallager_symmetric(w)
-    if symmetric:
+    rates = np.asarray(rates, dtype=float)
+    if is_gallager_symmetric(w)[0]:
         return dual_exponent_curves(rates, Distribution.uniform(w.input_size), w)
-    er = np.empty(len(rates))
-    esp = np.empty(len(rates))
-    for idx, r in enumerate(rates):
-        er[idx] = optimize_input(float(r), w, "random", coarse_step)[1]
-        esp[idx] = optimize_input(float(r), w, "sphere", coarse_step)[1]
-    return er, esp
+    return _optimal_input_envelope(rates, w)[:2]

@@ -121,7 +121,6 @@ def both_si_bounds(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
-    input_step: float = 0.05,
 ) -> JointBoundResult:
     """Flat bounds: min over R of (source upper exponent + channel exponent).
 
@@ -131,7 +130,7 @@ def both_si_bounds(
     """
     rates = rate_grid(rate_step, math.log2(p.shape[0]))
     _, eu = source_dual_curves(rates, p)
-    er, esp = input_optimized_curves(rates, w, input_step)
+    er, esp = input_optimized_curves(rates, w)
     with np.errstate(invalid="ignore"):
         lower_vals = eu + er
         upper_vals = eu + esp
@@ -155,7 +154,6 @@ def symmetric_flat_bounds(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
-    input_step: float = 0.05,
 ) -> JointBoundResult:
     """Flat bounds guarded by the rate-independent-optimal-input premise.
 
@@ -172,7 +170,7 @@ def symmetric_flat_bounds(
                 f"optimal input law varies with rate (first offence near R = {offending}); "
                 "the flat-bound shortcut does not apply"
             )
-    return both_si_bounds(p, w, rate_step, input_step)
+    return both_si_bounds(p, w, rate_step)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +470,13 @@ def separate_exponent(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
-    input_step: float = 0.05,
 ) -> SeparateCodingResult:
     """Best exponent of a separated scheme: max over the interface rate of
     min(channel random-coding exponent, source lower exponent)."""
     upper_edge = max(math.log2(p.shape[0]), math.log2(w.input_size))
     rates = rate_grid(rate_step, upper_edge)
     el, _ = source_dual_curves(rates, p)
-    er, _ = input_optimized_curves(rates, w, input_step)
+    er, _ = input_optimized_curves(rates, w)
     vals = np.minimum(er, el)
     idx = int(np.argmax(vals))
     value = float(vals[idx])
@@ -500,7 +497,6 @@ def separate_vs_joint(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
-    input_step: float = 0.05,
 ) -> SeparationReport:
     """Compare separate coding against the joint lower bound.
 
@@ -508,8 +504,8 @@ def separate_vs_joint(
     relative to the separate scheme's operating rate; each case comes with
     its own strict-improvement argument, and `margin` quantifies it.
     """
-    flat = both_si_bounds(p, w, rate_step, input_step)
-    sep = separate_exponent(p, w, rate_step, input_step)
+    flat = both_si_bounds(p, w, rate_step)
+    sep = separate_exponent(p, w, rate_step)
     if math.isinf(flat.lower):
         margin = math.inf
     else:

@@ -151,6 +151,25 @@ def concave_tail_max(g, xtol: float = 1e-10):
     return val, x_star, False
 
 
+def concave_dual_max(g, tail: bool = False, xtol: float = 1e-10):
+    """Maximize a concave dual objective g over rho in [0, 1], or over
+    rho >= 0 with ``tail``. Returns (value, argmax, diverged), the value
+    clipped at 0.
+
+    The tail stage runs only when g still climbs at 1, so wherever the optimum
+    lies in [0, 1] both variants return the *same* float; a tail still climbing
+    at DUAL_RHO_MAX reports (inf, None, True).
+    """
+    rho_u, val_u = golden_section_max(g, 0.0, 1.0, xtol)
+    val_u = max(0.0, val_u)
+    if not tail or g(1.0 + 1e-6) <= g(1.0):
+        return val_u, rho_u, False
+    val, rho, diverged = concave_tail_max(g, xtol)
+    if diverged:
+        return math.inf, None, True
+    return (val_u, rho_u, False) if val <= val_u else (val, rho, False)
+
+
 def rate_grid(step: float, upper: float, include_zero: bool = False) -> np.ndarray:
     """Grid of rates k*step covering (0, upper], snapped to 12 decimals.
 

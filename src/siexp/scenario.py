@@ -362,7 +362,7 @@ def curve_table(scenario: Scenario, rate_step: float | None = None) -> str:
     step = scenario.grids.rate_step if rate_step is None else rate_step
     rates = rate_grid(step, math.log2(p.shape[0]))
     el, eu = source_dual_curves(rates, p)
-    er, esp = input_optimized_curves(rates, w, scenario.grids.simplex_step)
+    er, esp = input_optimized_curves(rates, w)
     sum_r = eu + er
     sum_sp = eu + esp
     lines = [",".join(CURVE_COLUMNS)]
@@ -423,9 +423,9 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
         add("critical_rate", f"undefined ({exc})")
 
     if nested:
-        flat = both_si_bounds(p, w, step, g.simplex_step)
+        flat = both_si_bounds(p, w, step)
     else:
-        flat = symmetric_flat_bounds(p, w, step, g.simplex_step)
+        flat = symmetric_flat_bounds(p, w, step)
     add("reliability", flat.reliability_flag or "ok")
     add("flat_lower", format_number(flat.lower))
     add("flat_lower_rate", _fmt_opt(flat.r_star_lower))
@@ -465,7 +465,7 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
             else:
                 add(name, "0" if nested_v == flat_v else "inf")
 
-    sep = separate_vs_joint(p, w, step, g.simplex_step)
+    sep = separate_vs_joint(p, w, step)
     add("separate_exponent", format_number(sep.separate))
     add("separate_rate", _fmt_opt(sep.r_bar))
     add("separation_margin", format_number(sep.margin))
@@ -540,9 +540,9 @@ def reproduce_fig2(rate_step: float = 1e-3) -> str:
     sc = worked_example()
     p = sc.source_joint()
     w = sc.channel_kernel()
-    flat = both_si_bounds(p, w, rate_step, sc.grids.simplex_step)
+    flat = both_si_bounds(p, w, rate_step)
     diag = matching_check(flat, w, sc.tolerances.matching)
-    sep = separate_vs_joint(p, w, rate_step, sc.grids.simplex_step)
+    sep = separate_vs_joint(p, w, rate_step)
     header = [
         f"# flat_lower: {format_number(flat.lower)}",
         f"# flat_lower_rate: {_fmt_opt(flat.r_star_lower)}",

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import _cc_sphere_packing_dual, sphere_packing_exponent
+from .channel_exponents import constant_composition_e0, sphere_packing_exponent
 from .numerics import (
-    concave_tail_max,
+    concave_dual_max,
     conditional_grid,
     golden_section_max,
     hinge_min_increasing,
@@ -109,26 +109,6 @@ def _joint_tables(p: JointDistribution, step: float):
     return flat, d, h_cond
 
 
-def _dual_lower(r: float, p: JointDistribution, xtol: float = 1e-10):
-    g = lambda rho: rho * r - source_gallager_function(rho, p)
-    rho_star, val = golden_section_max(g, 0.0, 1.0, xtol)
-    return max(0.0, val), rho_star
-
-
-def _dual_upper(r: float, p: JointDistribution, xtol: float = 1e-10):
-    """(value, rho, diverged) for the unconstrained-rho dual."""
-    g = lambda rho: rho * r - source_gallager_function(rho, p)
-    val_l, rho_l = _dual_lower(r, p, xtol)
-    if g(1.0 + 1e-6) <= g(1.0):
-        return val_l, rho_l, False
-    val, rho_star, diverged = concave_tail_max(g, xtol)
-    if diverged:
-        return math.inf, None, True
-    if val <= val_l:
-        return val_l, rho_l, False
-    return val, rho_star, False
-
-
 def e_lower(
     r: float,
     p: JointDistribution,
@@ -139,7 +119,7 @@ def e_lower(
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if method == "gallager_dual":
-        val, rho = _dual_lower(r, p)
+        val, rho, _ = concave_dual_max(lambda rho: rho * r - source_gallager_function(rho, p))
         return SourceExponentResult(rate=r, value=val, method=method, rho=rho)
     if method == "primal_grid":
         flat, d, h_cond = _joint_tables(p, grid_step)
@@ -251,7 +231,8 @@ def e_upper_dual(r: float, p: JointDistribution) -> SourceExponentResult:
         raise ValueError("rate must be nonnegative")
     if _at_or_above_lossless_rate(r, _log_alphabet(p)):
         return SourceExponentResult(rate=r, value=math.inf, method="gallager_dual", diverged=True)
-    val, rho, diverged = _dual_upper(r, p)
+    g = lambda rho: rho * r - source_gallager_function(rho, p)
+    val, rho, diverged = concave_dual_max(g, tail=True)
     return SourceExponentResult(
         rate=r,
         value=math.inf if diverged else val,
@@ -340,7 +321,8 @@ def e_upper_fixed_marginal(
         if budget < -1e-12:
             return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
         w = p.conditional_rows()
-        val, rho, diverged = _cc_sphere_packing_dual(max(0.0, budget), q_a, w)
+        g = lambda rho: constant_composition_e0(rho, q_a, w) - rho * max(0.0, budget)
+        val, rho, diverged = concave_dual_max(g, tail=True)
         return SourceExponentResult(
             rate=r,
             value=math.inf if diverged else d_marg + val,
@@ -418,17 +400,8 @@ def independent_si_exponent(
                 float(np.power(p_a.probs, 1.0 / (1.0 + rho)).sum())
             )
 
-        g = lambda rho: rho * r - es(rho)
-        rho_l, val_l = golden_section_max(g, 0.0, 1.0, xtol=1e-10)
-        val_l = max(0.0, val_l)
-        if g(1.0 + 1e-6) <= g(1.0):
-            return SourceExponentResult(rate=r, value=val_l, method=method, rho=rho_l)
-        val, rho_star, diverged = concave_tail_max(g)
-        if diverged:
-            return SourceExponentResult(rate=r, value=math.inf, method=method, diverged=True)
-        if val <= val_l:
-            val, rho_star = val_l, rho_l
-        return SourceExponentResult(rate=r, value=val, method=method, rho=rho_star)
+        val, rho, diverged = concave_dual_max(lambda rho: rho * r - es(rho), tail=True)
+        return SourceExponentResult(rate=r, value=val, method=method, rho=rho, diverged=diverged)
     if method != "primal_grid":
         raise ValueError(f"unknown method {method!r}")
     grid = simplex_grid(p_a.size, grid_step)

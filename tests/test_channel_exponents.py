@@ -11,6 +11,12 @@ import numpy as np
 import pytest
 
 from siexp.channel_exponents import (
+    RHO_MAX,
+    _CC_RHO_TAIL,
+    _RHO_TAIL,
+    _RHO_UNIT,
+    _cc_e0_on_lattice,
+    _e0_star_on_lattice,
     bec,
     bsc,
     capacity,
@@ -26,7 +32,7 @@ from siexp.channel_exponents import (
     sphere_packing_exponent,
     uniform_input_is_optimal_premise,
 )
-from siexp.numerics import rate_grid
+from siexp.numerics import rate_grid, simplex_grid
 from siexp.probkit import ConditionalDistribution, Distribution, mutual_information
 
 # mpmath oracles
@@ -319,3 +325,98 @@ def test_input_optimized_curves_on_asymmetric_channel():
     for i, r in enumerate(rates):
         fixed = random_coding_exponent(float(r), uniform2(), asym).value
         assert er[i] >= fixed - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# input optimization on the certified rho lattice
+
+ASYM_TWO = ((0.9, 0.1), (0.3, 0.7))
+
+
+def test_optimize_input_matches_fine_binary_scan():
+    # A pairwise golden-section search once returned 4.9066e-5 at s = (0.55, 0.45)
+    # here; the true optimum sits near s = (0.527, 0.473) at 5.7742e-5.
+    w = ConditionalDistribution(np.array(ASYM_TWO))
+    r = float(np.linspace(0.01, 0.6, 20)[9])
+    scan = max(
+        random_coding_exponent(r, Distribution(np.array([t, 1.0 - t])), w).value
+        for t in np.linspace(0.0, 1.0, 20001)
+    )
+    assert optimize_input(r, w, "random")[1] == pytest.approx(scan, abs=1e-8)
+
+
+def _fixed_input_duals(laws, w, r, hi):
+    """max over rho in [0, hi] of E_0(rho, s) - rho r for every law s at once,
+    by a golden-section search vectorized over laws (independent of the library)."""
+
+    def g(rho):
+        inner = np.einsum("nx,nxy->ny", laws, np.power(w[None], 1.0 / (1.0 + rho)[:, None, None]))
+        return -np.log2(np.power(inner, (1.0 + rho)[:, None]).sum(axis=1)) - rho * r
+
+    a, b = np.zeros(len(laws)), np.full(len(laws), hi)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    while b[0] - a[0] > 1e-7:
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        left = g(c) >= g(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    return np.maximum(np.maximum(g(0.5 * (a + b)), g(np.full(len(laws), hi))), 0.0)
+
+
+@pytest.mark.parametrize("k, seed", [(3, 5), (4, 6)])
+def test_input_optimized_curves_dominate_simplex_grid(k, seed):
+    w = ConditionalDistribution(np.random.default_rng(seed).dirichlet(np.ones(k), size=k))
+    laws = simplex_grid(k, 0.02)
+    rates = np.array([0.25, 0.5]) * capacity(w)
+    er, esp = input_optimized_curves(rates, w)
+    assert np.all(er <= esp)
+    for idx, r in enumerate(rates):
+        fixed_er = _fixed_input_duals(laws, w.matrix, r, 1.0)
+        fixed_esp = _fixed_input_duals(laws, w.matrix, r, RHO_MAX)
+        assert er[idx] >= fixed_er.max() - 1e-9
+        assert esp[idx] >= fixed_esp.max() - 1e-9
+        # the vectorized search agrees with the library's per-rate dual
+        best = Distribution(laws[np.argmax(fixed_er)])
+        assert fixed_er.max() == pytest.approx(random_coding_exponent(float(r), best, w).value, abs=1e-9)
+        law, value = optimize_input(float(r), w, "random")
+        assert value == er[idx]
+        assert random_coding_exponent(float(r), law, w).value == pytest.approx(value, abs=1e-9)
+    for rhos in (_RHO_UNIT, _RHO_TAIL):
+        assert np.all(_e0_star_on_lattice(rhos, w.matrix)[2] <= 1e-12)
+
+
+# Sparse kernel on which mass transfers between pairs of inputs alone stall
+# for hundreds of sweeps on the tail lattice.
+SPARSE_FOUR = (
+    (0.008, 0.0, 0.616, 0.376),
+    (0.0, 0.012, 0.988, 0.0),
+    (0.459, 0.279, 0.262, 0.0),
+    (0.028, 0.31, 0.314, 0.348),
+)
+CERTIFIED_KERNELS = [np.random.default_rng(seed).dirichlet(np.ones(k), size=k)
+                     for k, seed in ((2, 4), (3, 5), (4, 6))] + [np.array(SPARSE_FOUR)]
+
+
+@pytest.mark.parametrize("w", CERTIFIED_KERNELS, ids=["2x2", "3x3", "4x4", "sparse4x4"])
+def test_e0_star_lattice_certificate(w):
+    for rhos in (_RHO_UNIT, _RHO_TAIL):
+        e0, laws, gap = _e0_star_on_lattice(rhos, w)
+        # 1e-12, or the rounding floor of evaluating the gap near the top of the tail
+        bound = np.maximum(1e-12, w.shape[0] * (1.0 + rhos) ** 2 * np.finfo(float).eps)
+        assert np.all(gap <= bound)
+        np.testing.assert_allclose(laws.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(laws >= 0.0)
+        # recompute the Frank-Wolfe gap from the returned laws
+        wpow = np.power(w[None], (1.0 / (1.0 + rhos))[:, None, None])
+        alpha = np.einsum("nx,nxy->ny", laws, wpow)
+        c = np.einsum("nxy,ny->nx", wpow, np.power(alpha, rhos[:, None]))
+        f = np.power(alpha, 1.0 + rhos[:, None]).sum(axis=1)
+        assert np.all((1.0 + rhos) * (f - c.min(axis=1)) <= 2.0 * bound * f)
+        np.testing.assert_allclose(e0, np.maximum(-np.log2(f), 0.0), rtol=0.0, atol=1e-13)
+
+
+def test_lattice_solvers_raise_when_unconverged():
+    w = np.array(ASYM_TWO)
+    with pytest.raises(RuntimeError):
+        _cc_e0_on_lattice(_CC_RHO_TAIL, np.array([0.3, 0.7]), w, max_iter=2)
+    with pytest.raises(RuntimeError):
+        _e0_star_on_lattice(_RHO_TAIL, np.array(SPARSE_FOUR), max_iter=2)

@@ -6,6 +6,7 @@ import pytest
 
 from siexp.errors import BudgetError
 from siexp.numerics import (
+    concave_dual_max,
     concave_tail_max,
     conditional_grid,
     golden_section_max,
@@ -99,6 +100,23 @@ def test_concave_tail_max():
     # peak near the far end of the doubling schedule
     v, x, diverged = concave_tail_max(lambda r: -((r - 90.0) ** 2))
     assert not diverged and abs(x - 90.0) <= 1e-6
+
+
+def test_concave_dual_max_stages():
+    # interior optimum: both variants return the same float
+    g = lambda r: 0.5 * r - 0.5 * r * r
+    assert concave_dual_max(g) == concave_dual_max(g, tail=True)
+    v, x, diverged = concave_dual_max(g)
+    assert abs(x - 0.5) <= 1e-7 and v == pytest.approx(0.125, abs=1e-14) and not diverged
+    # optimum past 1: the unit stage stops at the boundary, the tail finds it
+    g = lambda r: -((r - 5.0) ** 2) + 25.0
+    v, x, _ = concave_dual_max(g)
+    assert x == 1.0 and v == 9.0
+    v, x, diverged = concave_dual_max(g, tail=True)
+    assert abs(x - 5.0) <= 1e-7 and v == pytest.approx(25.0, abs=1e-12) and not diverged
+    # still climbing at the end of the tail, and negative values clipped to 0
+    assert concave_dual_max(lambda r: r, tail=True) == (math.inf, None, True)
+    assert concave_dual_max(lambda r: -r - 1.0)[0] == 0.0
 
 
 def test_rate_grid():
