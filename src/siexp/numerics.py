@@ -204,15 +204,9 @@ def min_where_constraint_at_least(c: np.ndarray, d: np.ndarray, rates: np.ndarra
 
 
 def min_where_constraint_at_most(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """out[r] = min{ d_i : c_i <= rate } (inf when empty)."""
-    order = np.argsort(c, kind="stable")
-    c_sorted = c[order]
-    prefix = np.minimum.accumulate(d[order])
-    pos = np.searchsorted(c_sorted, rates, side="right") - 1
-    out = np.full(rates.shape, np.inf)
-    inside = pos >= 0
-    out[inside] = prefix[pos[inside]]
-    return out
+    """out[r] = min{ d_i : c_i <= rate } (inf when empty); c_i <= rate is
+    -c_i >= -rate, and negation is exact."""
+    return min_where_constraint_at_least(-c, d, -rates)
 
 
 def hinge_min_increasing(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -236,22 +230,9 @@ def hinge_min_increasing(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.
 
 
 def hinge_min_decreasing(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """out[r] = min_i d_i + max(0, c_i - rate). Decreasing in rate."""
-    order = np.argsort(c, kind="stable")
-    c_sorted = c[order]
-    d_sorted = d[order]
-    prefix_plain = np.minimum.accumulate(d_sorted)
-    with np.errstate(invalid="ignore"):
-        shifted = d_sorted + c_sorted
-    suffix_shift = np.minimum.accumulate(shifted[::-1])[::-1]
-
-    pos = np.searchsorted(c_sorted, rates, side="right")
-    out = np.full(rates.shape, np.inf)
-    has_left = pos - 1 >= 0
-    out[has_left] = prefix_plain[pos[has_left] - 1]
-    inside = pos < len(c_sorted)
-    out[inside] = np.minimum(out[inside], suffix_shift[pos[inside]] - rates[inside])
-    return out
+    """out[r] = min_i d_i + max(0, c_i - rate). Decreasing in rate; the same
+    floats as :func:`hinge_min_increasing` on -c and -rate."""
+    return hinge_min_increasing(-c, d, -rates)
 
 
 def largest_remainder_counts(probs: np.ndarray, n: int) -> np.ndarray:

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import constant_composition_e0, sphere_packing_exponent
+from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _envelope_curves, _primal_tables
+from .channel_exponents import constant_composition_e0, dual_exponent_curves
+from .channel_exponents import sphere_packing_exponent
 from .numerics import (
     concave_dual_max,
     conditional_grid,
@@ -40,9 +42,6 @@ from .probkit import (
     entropy_bits,
     kl_bits,
 )
-
-_RHO_UNIT = np.linspace(0.0, 1.0, 10001)
-_RHO_TAIL = np.geomspace(1.0, 100.0, 4001)
 
 _BOUNDARY_SLACK = 1e-12
 
@@ -245,30 +244,19 @@ def e_upper_dual(r: float, p: JointDistribution) -> SourceExponentResult:
 def source_dual_curves(rates: np.ndarray, p: JointDistribution):
     """(e_lower, e_upper) dual values for every rate at once.
 
-    Mirrors the channel curve evaluator: a unit-interval rho lattice, with a
-    geometric tail consulted only where the unit argmax saturates, and exact
-    e_lower == e_upper floats wherever the optimizer stays inside [0, 1].
+    Shares the channel curves' Legendre envelope: a unit-interval rho
+    lattice, with a geometric tail consulted only where the unit argmax
+    saturates, and exact e_lower == e_upper floats wherever the optimizer
+    stays inside [0, 1].
     """
     rates = np.asarray(rates, dtype=float)
     pm = p.matrix
-    es_unit = _es_on_lattice(_RHO_UNIT, pm)
-    vals_unit = _RHO_UNIT[:, None] * rates[None, :] - es_unit[:, None]
-    best_idx = np.argmax(vals_unit, axis=0)
-    el = np.maximum(vals_unit[best_idx, np.arange(len(rates))], 0.0)
-
-    eu = el.copy()
-    needs_tail = best_idx == len(_RHO_UNIT) - 1
-    if np.any(needs_tail):
-        es_tail = _es_on_lattice(_RHO_TAIL, pm)
-        sub = rates[needs_tail]
-        vals_tail = _RHO_TAIL[:, None] * sub[None, :] - es_tail[:, None]
-        tail_idx = np.argmax(vals_tail, axis=0)
-        tail_val = vals_tail[tail_idx, np.arange(len(sub))]
-        slope_end = (vals_tail[-1] - vals_tail[-2]) / (_RHO_TAIL[-1] - _RHO_TAIL[-2])
-        still_climbing = (tail_idx == len(_RHO_TAIL) - 1) & (slope_end > 1e-12)
-        tail_val = np.where(still_climbing, np.inf, tail_val)
-        eu[needs_tail] = np.maximum(eu[needs_tail], tail_val)
-
+    # rho R - E_s(rho) == -E_s(rho) - rho (-R) as floats, so the channel
+    # envelope of -E_s at the rates -R gives the source curves exactly
+    el, eu = _envelope_curves(
+        -rates, _RHO_UNIT, _RHO_TAIL, -_es_on_lattice(_RHO_UNIT, pm),
+        lambda: -_es_on_lattice(_RHO_TAIL, pm),
+    )
     lossless = rates >= _log_alphabet(p) - _BOUNDARY_SLACK
     eu[lossless] = np.inf
     return el, eu
@@ -357,8 +345,6 @@ def fixed_marginal_dual_curve(
     rates: np.ndarray, p: JointDistribution, q_a: Distribution
 ) -> np.ndarray:
     """Fixed-marginal exponent across a rate vector (dual route)."""
-    from .channel_exponents import dual_exponent_curves
-
     rates = np.asarray(rates, dtype=float)
     out = np.full(len(rates), math.inf)
     d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
@@ -444,17 +430,11 @@ def duality_check(
         raise ValueError(f"rate must lie in [0, H(q_a)] = [0, {h_qa}], got {r}")
 
     na, nb = p_b_given_a.shape
-    kernels = conditional_grid(na, nb, grid_step)
+    kernels, cond_kl, _ = _primal_tables(q_a, p_b_given_a, grid_step)
     joints = q_a.probs[None, :, None] * kernels
     flat = joints.reshape(len(kernels), na * nb)
     h_cond = entropy_bits(flat, axis=1) - entropy_bits(joints.sum(axis=1), axis=1)
     feasible = h_cond >= r - 1e-12
-
-    wm = p_b_given_a.matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        elem = np.where(kernels > 0, kernels * (np.log2(kernels) - np.log2(wm[None])), 0.0)
-    live = q_a.probs > 0
-    cond_kl = elem.sum(axis=2)[:, live] @ q_a.probs[live]
     lhs = float(np.where(feasible, cond_kl, np.inf).min()) if np.any(feasible) else math.inf
 
     channel_rate = max(0.0, h_qa - r)

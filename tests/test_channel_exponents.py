@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from siexp import channel_exponents
 from siexp.channel_exponents import (
     RHO_MAX,
     _CC_RHO_TAIL,
+    _CC_RHO_UNIT,
     _RHO_TAIL,
     _RHO_UNIT,
     _cc_e0_on_lattice,
@@ -33,7 +35,13 @@ from siexp.channel_exponents import (
     uniform_input_is_optimal_premise,
 )
 from siexp.numerics import rate_grid, simplex_grid
-from siexp.probkit import ConditionalDistribution, Distribution, mutual_information
+from siexp.probkit import (
+    ConditionalDistribution,
+    Distribution,
+    JointDistribution,
+    mutual_information,
+)
+from siexp.source_si_exponents import _es_on_lattice, source_dual_curves
 
 # mpmath oracles
 E0_RHO1_UNIF_BSC0025 = 0.60795751247991748236
@@ -420,3 +428,152 @@ def test_lattice_solvers_raise_when_unconverged():
         _cc_e0_on_lattice(_CC_RHO_TAIL, np.array([0.3, 0.7]), w, max_iter=2)
     with pytest.raises(RuntimeError):
         _e0_star_on_lattice(_RHO_TAIL, np.array(SPARSE_FOUR), max_iter=2)
+
+
+# ---------------------------------------------------------------------------
+# fixed-input Lagrangian: Newton solve against alternating minimization
+
+
+def _alternating_oracle(rhos, s, w, tol=1e-13, max_iter=6000):
+    """min over V of D(V||W|S) + rho I(S;V) by plain alternating minimization:
+    tilt the rows toward q, take their output marginal as the next q, and stop
+    each point once its value moves by less than tol."""
+    sl, wl = s[s > 0], w[s > 0]
+    theta = rhos / (1.0 + rhos)
+    wpow = np.power(wl[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
+    q = np.broadcast_to(sl @ wl, (len(rhos), w.shape[1])).copy()
+    vals = np.full(len(rhos), np.inf)
+    active = np.flatnonzero(rhos > 0.0)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        with np.errstate(divide="ignore"):
+            qt = np.where(q[active] > 0.0, np.power(q[active], theta[active, None]), 0.0)
+        tilted = wpow[active] * qt[:, None, :]
+        row = tilted.sum(axis=2)
+        new_vals = -(1.0 + rhos[active]) * (np.log2(row) @ sl)
+        q[active] = np.einsum("x,nxy->ny", sl, tilted / row[:, :, None])
+        settled = np.abs(new_vals - vals[active]) < tol
+        vals[active] = new_vals
+        active = active[~settled]
+    assert active.size == 0
+    vals[rhos == 0.0] = 0.0
+    return np.maximum(vals, 0.0)
+
+
+def _lagrangian_and_gap(rhos, s, w, q):
+    """G(q) = -(1+rho) sum_x s_x log2 sum_y W^(1/(1+rho)) q^(rho/(1+rho)) and its
+    Frank-Wolfe gap q . grad G - min_y grad_y G over the outputs s can reach."""
+    reach = s @ w > 0.0
+    sl, wl, q = s[s > 0], w[s > 0][:, reach], q[:, reach]
+    wpow = np.power(wl[None], (1.0 / (1.0 + rhos))[:, None, None])
+    theta = (rhos / (1.0 + rhos))[:, None]
+    row = np.einsum("nxy,ny->nx", wpow, np.power(q, theta))
+    g = -(1.0 + rhos) * (np.log2(row) * sl).sum(axis=1)
+    # grad_y G = -(rho/ln2) q_y^(theta-1) sum_x s_x W^(1/(1+rho)) / row_x; the
+    # gap is rho/ln2 (max_y q_y * |grad_y G| ln2/rho - 1), since q . grad G = -rho/ln2
+    pull = np.power(q, theta) * np.einsum("nx,nxy->ny", sl / row, wpow) / q
+    return g, rhos / math.log(2.0) * (pull.max(axis=1) - 1.0)
+
+
+ORACLE_PAIRS = [
+    (np.random.default_rng(seed).dirichlet(np.ones(k)),
+     np.random.default_rng(seed + 100).dirichlet(np.ones(m), size=k))
+    for seed, (k, m) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+] + [
+    (np.array([0.4, 0.6]), bec(0.3).matrix),
+    (np.array([0.45, 0.55]), np.array([[1.0, 0.0], [0.3, 0.7]])),
+    (np.array([0.1, 0.2, 0.3, 0.4]), np.array(SPARSE_FOUR)),
+]
+ORACLE_IDS = ["2x2", "2x3", "3x2", "3x3", "4x2", "4x3", "bec", "z", "sparse4x4"]
+
+
+@pytest.mark.parametrize("s, w", ORACLE_PAIRS, ids=ORACLE_IDS)
+def test_cc_lattice_matches_alternating_oracle(s, w):
+    eps = np.finfo(float).eps
+    for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL):
+        vals, q, gap = _cc_e0_on_lattice(rhos, s, w)
+        oracle = _alternating_oracle(rhos, s, w)
+        assert np.all(np.abs(vals - oracle) <= 1e-10)
+        assert np.all(vals <= oracle + 4.0 * eps * np.abs(oracle))
+        np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
+        g, fw = _lagrangian_and_gap(rhos, s, w, q)
+        live = rhos > 0.0
+        np.testing.assert_allclose(vals[live], np.maximum(g[live], 0.0), rtol=0.0, atol=1e-12)
+        tol = 1e-13 * np.maximum(np.abs(vals), 1.0)
+        certified = live & (gap <= tol)
+        if rhos[-1] > 1.0:  # the Newton solve certifies the whole tail lattice
+            assert np.all(certified)
+        # evaluating max_y pull - 1 rounds by a few eps, times rho/ln2
+        rounding = 4.0 * rhos / math.log(2.0) * eps
+        assert np.all(fw[certified] <= (tol + rounding)[certified])
+
+
+def test_cc_lattice_fallback_sweeps_report_their_true_gap(monkeypatch):
+    # with no Newton steps every point falls back to the alternating sweeps
+    monkeypatch.setattr(channel_exponents, "_CC_NEWTON_STEPS", 0)
+    s, w = ORACLE_PAIRS[ORACLE_IDS.index("z")]
+    vals, q, gap = _cc_e0_on_lattice(_CC_RHO_TAIL, s, w)
+    assert np.all(np.abs(vals - _alternating_oracle(_CC_RHO_TAIL, s, w)) <= 1e-10)
+    _, fw = _lagrangian_and_gap(_CC_RHO_TAIL, s, w, q)
+    rounding = 4.0 * _CC_RHO_TAIL / math.log(2.0) * np.finfo(float).eps
+    assert np.all(np.abs(gap - fw) <= rounding)
+    assert np.mean(gap > 1e-13 * np.maximum(np.abs(vals), 1.0)) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# blocked Legendre envelope
+
+
+def _dense_envelope(rates, rho_unit, rho_tail, unit_vals, tail_vals, table):
+    """Envelopes from the whole (rho lattice x rates) table at once, with
+    ``table(rhos, vals, rates)`` the objective each curve maximizes."""
+    vals_unit = table(rho_unit, unit_vals, rates)
+    best_idx = np.argmax(vals_unit, axis=0)
+    low = np.maximum(vals_unit[best_idx, np.arange(len(rates))], 0.0)
+    high = low.copy()
+    needs_tail = best_idx == len(rho_unit) - 1
+    if np.any(needs_tail):
+        sub = rates[needs_tail]
+        vals_tail = table(rho_tail, tail_vals, sub)
+        tail_idx = np.argmax(vals_tail, axis=0)
+        tail_val = vals_tail[tail_idx, np.arange(len(sub))]
+        slope_end = (vals_tail[-1] - vals_tail[-2]) / (rho_tail[-1] - rho_tail[-2])
+        still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
+        tail_val = np.where(still_climbing, np.inf, tail_val)
+        high[needs_tail] = np.maximum(high[needs_tail], tail_val)
+    return low, high
+
+
+def _same_floats(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("block", [7, channel_exponents._RATE_BLOCK])
+def test_blocked_envelope_matches_dense_table(monkeypatch, block):
+    monkeypatch.setattr(channel_exponents, "_RATE_BLOCK", block)
+    rates = np.concatenate([[0.0], np.linspace(0.002, 1.2, 300)])
+    table = lambda rhos, vals, r: vals[:, None] - rhos[:, None] * r[None, :]
+    # rows with disjoint supports: I(S;V) = H(S) for every admissible V, so the
+    # sphere-packing curve diverges below H(S)
+    s, w = np.array([0.45, 0.55]), np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6]])
+    er, esp = dual_exponent_curves(rates, Distribution(s), ConditionalDistribution(w))
+    unit, tail = (_cc_e0_on_lattice(rhos, s, w)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
+    want = _dense_envelope(rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail, table)
+    assert np.isinf(esp).any() and np.isfinite(esp[1:]).any()
+    assert _same_floats(er, want[0]) and _same_floats(esp, want[1])
+    # input-optimized curves over the E_0* lattice
+    w = np.array(ASYM_TWO)
+    er, esp = input_optimized_curves(rates, ConditionalDistribution(w))
+    unit, tail = (_e0_star_on_lattice(rhos, w)[0] for rhos in (_RHO_UNIT, _RHO_TAIL))
+    want = _dense_envelope(rates, _RHO_UNIT, _RHO_TAIL, unit, tail, table)
+    assert _same_floats(er, want[0]) and _same_floats(esp, want[1])
+    # source curves, max over rho of rho R - E_s(rho): the support caps H(A|B)
+    # at 1 bit, so e_upper diverges between 1 and log2(3)
+    p = JointDistribution(np.array([[0.3, 0.0], [0.2, 0.1], [0.0, 0.4]]))
+    el, eu = source_dual_curves(rates, p)
+    unit, tail = (_es_on_lattice(rhos, p.matrix) for rhos in (_RHO_UNIT, _RHO_TAIL))
+    source_table = lambda rhos, es, r: rhos[:, None] * r[None, :] - es[:, None]
+    want = _dense_envelope(rates, _RHO_UNIT, _RHO_TAIL, unit, tail, source_table)
+    assert np.isinf(eu[rates < math.log2(3.0)]).any()
+    assert _same_floats(el, want[0]) and _same_floats(eu, want[1])
