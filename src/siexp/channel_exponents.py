@@ -28,8 +28,8 @@ input of a Gallager-symmetric channel, where every row integral is equal),
 which is why input-optimized quantities computed through E_0 are exact
 while fixed-input dual values can sit slightly below the primal truth.
 :func:`constant_composition_e0` evaluates the exact Lagrangian value, a
-convex minimization over output laws q, by alternating minimization for
-rho < 1 and by Newton steps in q, certified by their Frank-Wolfe gap, beyond.
+convex minimization over output laws q: alternating minimization up to rho = 1,
+Newton steps in q beyond, each Newton value certified by its Frank-Wolfe gap.
 :func:`dual_exponent_curves` uses it whenever the fast E_0 path is not
 provably exact, so every whole-curve consumer (nested bounds, fixed-marginal
 source exponents) sees exact fixed-input values. The single-rate
@@ -74,7 +74,7 @@ _RHO_TAIL = np.geomspace(1.0, RHO_MAX, 4001)
 # quantization there is far below every tolerance that consumes these curves
 _CC_RHO_UNIT = np.linspace(0.0, 1.0, 2001)
 _CC_RHO_TAIL = np.geomspace(1.0, RHO_MAX, 1201)
-# rates per Legendre-envelope block: a block's table is 10001 x 128 floats
+# rates per Legendre-envelope block: a block's table is 128 x 10001 floats
 _RATE_BLOCK = 128
 
 
@@ -352,23 +352,23 @@ def _envelope_curves(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
     into the tail lattice only for rates whose unit argmax saturates at 1.
     Where it does not, the sphere-packing entry is copied from the
     random-coding entry, preserving exact coincidence above the critical rate.
-    Rates go through in blocks of ``_RATE_BLOCK``, so the (lattice x rates)
-    table stays small; each column is the same float as from the whole table."""
+    Rates go through in blocks of ``_RATE_BLOCK``, one table row per rate, so
+    the (rates x lattice) table stays small; every entry is the same float."""
     er, esp = np.empty(len(rates)), np.empty(len(rates))
     tail_vals = functools.cache(tail_vals_fn)
     for lo in range(0, len(rates), _RATE_BLOCK):
         blk = slice(lo, lo + _RATE_BLOCK)
         sub = rates[blk]
-        vals_unit = unit_vals[:, None] - rho_unit[:, None] * sub[None, :]
-        best_idx = np.argmax(vals_unit, axis=0)
-        er[blk] = esp[blk] = np.maximum(vals_unit[best_idx, np.arange(len(sub))], 0.0)
+        vals_unit = unit_vals[None, :] - sub[:, None] * rho_unit[None, :]
+        best_idx = np.argmax(vals_unit, axis=1)
+        er[blk] = esp[blk] = np.maximum(vals_unit[np.arange(len(sub)), best_idx], 0.0)
         needs_tail = best_idx == len(rho_unit) - 1
         if np.any(needs_tail):
             sub = sub[needs_tail]
-            vals_tail = tail_vals()[:, None] - rho_tail[:, None] * sub[None, :]
-            tail_idx = np.argmax(vals_tail, axis=0)
-            tail_val = vals_tail[tail_idx, np.arange(len(sub))]
-            slope_end = (vals_tail[-1] - vals_tail[-2]) / (rho_tail[-1] - rho_tail[-2])
+            vals_tail = tail_vals()[None, :] - sub[:, None] * rho_tail[None, :]
+            tail_idx = np.argmax(vals_tail, axis=1)
+            tail_val = vals_tail[np.arange(len(sub)), tail_idx]
+            slope_end = (vals_tail[:, -1] - vals_tail[:, -2]) / (rho_tail[-1] - rho_tail[-2])
             still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
             tail_val = np.where(still_climbing, np.inf, tail_val)
             esp[blk][needs_tail] = np.maximum(er[blk][needs_tail], tail_val)
