@@ -146,8 +146,7 @@ def _cc_terms(q, wpow, rhos, sl):
 
 
 def _cc_gap(q, q_next, rhos):
-    """Frank-Wolfe gap of G at q in bits, infinite where an output emptied:
-    the gradient is -rho/ln2 * q_next/q, and q @ (q_next/q) = 1."""
+    """Frank-Wolfe gap of G at q in bits, from grad G = -rho/ln2 * q_next/q."""
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = rhos / math.log(2.0) * ((q_next / q).max(axis=1) - 1.0)
     return np.where(np.isnan(gap), np.inf, gap)
@@ -356,18 +355,19 @@ def _envelope_curves(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
     the (rates x lattice) table stays small; every entry is the same float."""
     er, esp = np.empty(len(rates)), np.empty(len(rates))
     tail_vals = functools.cache(tail_vals_fn)
+    table = np.empty((min(_RATE_BLOCK, len(rates)), len(rho_unit)))  # reused by every block
     for lo in range(0, len(rates), _RATE_BLOCK):
         blk = slice(lo, lo + _RATE_BLOCK)
         sub = rates[blk]
-        vals_unit = unit_vals[None, :] - sub[:, None] * rho_unit[None, :]
+        vals_unit = np.multiply(sub[:, None], rho_unit[None, :], out=table[: len(sub)])
+        np.subtract(unit_vals[None, :], vals_unit, out=vals_unit)
         best_idx = np.argmax(vals_unit, axis=1)
         er[blk] = esp[blk] = np.maximum(vals_unit[np.arange(len(sub)), best_idx], 0.0)
         needs_tail = best_idx == len(rho_unit) - 1
         if np.any(needs_tail):
-            sub = sub[needs_tail]
-            vals_tail = tail_vals()[None, :] - sub[:, None] * rho_tail[None, :]
+            vals_tail = tail_vals()[None, :] - sub[needs_tail][:, None] * rho_tail[None, :]
             tail_idx = np.argmax(vals_tail, axis=1)
-            tail_val = vals_tail[np.arange(len(sub)), tail_idx]
+            tail_val = vals_tail[np.arange(len(vals_tail)), tail_idx]
             slope_end = (vals_tail[:, -1] - vals_tail[:, -2]) / (rho_tail[-1] - rho_tail[-2])
             still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
             tail_val = np.where(still_climbing, np.inf, tail_val)
