@@ -146,7 +146,7 @@ def _cc_terms(q, wpow, rhos, sl):
 
 
 def _cc_gap(q, q_next, rhos):
-    """Frank-Wolfe gap of G at q in bits, from grad G = -rho/ln2 * q_next/q."""
+    """Frank-Wolfe gap of G at q in bits, from grad G = -rho/ln2 * q_next/q; inf if q_y = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = rhos / math.log(2.0) * ((q_next / q).max(axis=1) - 1.0)
     return np.where(np.isnan(gap), np.inf, gap)
