@@ -31,6 +31,9 @@ MAX_ALPHABET = 4
 DEFAULT_N_CAP = 8
 DEFAULT_STATE_BUDGET = 2**24
 _TIE_TOL = 1e-12
+# 512 KiB of float scores per block stay in cache across the block's passes;
+# 2**20-cell blocks made the n = 8 sweep loop about 1.6x slower.
+_SWEEP_BLOCK_CELLS = 2**16
 
 
 def _all_sequences(k: int, n: int) -> np.ndarray:
@@ -280,12 +283,21 @@ def _decoder_tables(codebook: Codebook, p: JointDistribution, w: ConditionalDist
     return mi, cond_h, logjoint_ab, logjoint_xy
 
 
-def _winner_and_tie(scores: np.ndarray, tol: float):
-    """argmax over axis 0 plus a tie mask, tolerance-grouped."""
+def _error_mask(scores: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode failures of every candidate along axis 0 (optionally into ``out``).
+
+    A candidate is near when it scores within ``tol`` of the top. A point with
+    more than one near candidate (all of them when every score is -inf) is a
+    tie, an error; otherwise its one near candidate is the argmax, the only
+    candidate decoded correctly.
+    """
     top = scores.max(axis=0)
-    tie = (scores >= top[None] - tol).sum(axis=0) > 1
-    winner = scores.argmax(axis=0)
-    return winner, tie
+    top -= tol
+    out = np.greater_equal(scores, top, out=out)
+    tie = np.count_nonzero(out, axis=0) > 1
+    np.logical_not(out, out=out)
+    out |= tie
+    return out
 
 
 def exact_error_probability(
@@ -296,7 +308,11 @@ def exact_error_probability(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> SimulationResult:
     """Evaluate the exact error probability by enumerating every
-    (source, side, output) triple and weighting decode failures."""
+    (source, side, output) triple and weighting decode failures.
+
+    The side sequences are walked in blocks of about ``_SWEEP_BLOCK_CELLS``
+    (source, side, output) cells, at least one side sequence each, so the
+    score and mask buffers never hold the whole state table."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
     n = codebook.n
@@ -312,21 +328,25 @@ def exact_error_probability(
         )
 
     mi, cond_h, logjoint_ab, logjoint_xy = _decoder_tables(codebook, p, w)
-    if decoder == "mmi":
-        scores = mi[:, None, :] - cond_h[:, :, None]
-        tol = _TIE_TOL
-    else:
-        scores = logjoint_ab[:, :, None] + logjoint_xy[:, None, :]
-        tol = 1e-10
-    winner, tie = _winner_and_tie(scores, tol)
-
-    na_n = logjoint_ab.shape[0]
-    correct = winner == np.arange(na_n)[:, None, None]
-    err = (~correct) | tie[None, :, :]
-
+    tol = _TIE_TOL if decoder == "mmi" else 1e-10
+    na_n, nb_n = logjoint_ab.shape
+    ny_n = logjoint_xy.shape[1]
     pab = np.exp2(logjoint_ab)
     wxy = np.exp2(logjoint_xy)
-    pe = float(np.einsum("ab,ay,aby->", pab, wxy, err.astype(float)))
+    rows = min(nb_n, max(1, _SWEEP_BLOCK_CELLS // (na_n * ny_n)))
+    scores = np.empty((na_n, rows, ny_n))
+    err = np.empty(scores.shape, dtype=bool)
+    pe = 0.0
+    for b0 in range(0, nb_n, rows):
+        blk = slice(b0, min(b0 + rows, nb_n))
+        s, e = scores[:, : blk.stop - b0], err[:, : blk.stop - b0]
+        if decoder == "mmi":
+            np.subtract(mi[:, None, :], cond_h[:, blk, None], out=s)
+        else:
+            np.add(logjoint_ab[:, blk, None], logjoint_xy[:, None, :], out=s)
+        # once masked, the score block holds the mask as floats for the matmul
+        s[...] = _error_mask(s, tol, e)
+        pe += float(np.vdot(pab[:, blk], s @ wxy[:, :, None]))
     pe = min(max(pe, 0.0), 1.0)
     return SimulationResult(
         n=n,
@@ -346,11 +366,25 @@ def monte_carlo_error_probability(
     seed: int = 0,
 ) -> SimulationResult:
     """Estimate the same error probability by sampling the true generative
-    law; useful as an independent check on the exhaustive sweep."""
+    law; useful as an independent check on the exhaustive sweep.
+
+    The decoder tables hold a joint-type count per letter pair for every
+    (source, side) and (codeword, output) sequence pair, |A|^n * max(|B|^n *
+    |A||B|, |Y|^n * |X||Y|) entries, which must fit ``DEFAULT_STATE_BUDGET``;
+    the samples are scored in blocks."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     n = codebook.n
     na, nb = p.shape
+    nx, ny = w.shape
+    table_cells = na**n * max(nb**n * na * nb, ny**n * nx * ny)
+    if table_cells > DEFAULT_STATE_BUDGET:
+        raise BudgetError(
+            f"Monte Carlo decoder tables need {table_cells} entries, budget is "
+            f"{DEFAULT_STATE_BUDGET}; reduce the blocklength"
+        )
     rng = np.random.default_rng(seed)
     pairs = rng.choice(na * nb, size=(samples, n), p=p.matrix.reshape(-1))
     a = pairs // nb
@@ -365,15 +399,18 @@ def monte_carlo_error_probability(
     y_idx = _lex_index(y, w.output_size)
 
     mi, cond_h, logjoint_ab, logjoint_xy = _decoder_tables(codebook, p, w)
-    if decoder == "mmi":
-        scores = mi[:, y_idx] - cond_h[:, b_idx]
-        tol = _TIE_TOL
-    else:
-        scores = logjoint_ab[:, b_idx] + logjoint_xy[:, y_idx]
-        tol = 1e-10
-    winner, tie = _winner_and_tie(scores, tol)
-    err = (winner != a_idx) | tie
-    pe = float(err.mean())
+    tol = _TIE_TOL if decoder == "mmi" else 1e-10
+    cols = max(1, _SWEEP_BLOCK_CELLS // mi.shape[0])
+    errors = 0
+    for s0 in range(0, samples, cols):
+        j = slice(s0, s0 + cols)
+        if decoder == "mmi":
+            scores = mi[:, y_idx[j]] - cond_h[:, b_idx[j]]
+        else:
+            scores = logjoint_ab[:, b_idx[j]] + logjoint_xy[:, y_idx[j]]
+        err = _error_mask(scores, tol)
+        errors += int(np.count_nonzero(err[a_idx[j], np.arange(scores.shape[1])]))
+    pe = errors / samples
     return SimulationResult(
         n=n,
         decoder=decoder,

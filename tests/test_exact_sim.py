@@ -4,14 +4,17 @@ The n = 1 error probabilities are verified against by-hand sums over the
 full (source, side, output) space; they are exact rational values.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from siexp import exact_sim
 from siexp.channel_exponents import bsc
 from siexp.errors import BudgetError
 from siexp.exact_sim import (
     Codebook,
+    _decoder_tables,
     build_codebook,
     codeword_compositions_ok,
     exact_error_probability,
@@ -22,10 +25,19 @@ from siexp.exact_sim import (
 from siexp.probkit import ConditionalDistribution, JointDistribution
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
+# |A| = 3 with a zero entry, over an asymmetric binary channel
+TERNARY_JOINT = ((0.30, 0.00), (0.10, 0.20), (0.15, 0.25))
+ASYM_CHANNEL = ((0.9, 0.1), (0.2, 0.8))
 
 
 def worked_pair():
     return JointDistribution(np.array(WORKED_JOINT)), bsc(0.025)
+
+
+def ternary_pair():
+    return JointDistribution(np.array(TERNARY_JOINT)), ConditionalDistribution(
+        np.array(ASYM_CHANNEL)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +175,64 @@ def test_reference_decoders_match_exact_sweep(decoder):
     assert fast == pytest.approx(brute, abs=1e-12)
 
 
+# at n = 2 every MMI score ties (Pe = 1); n = 3 gives MMI untied decodes
+@pytest.mark.parametrize("n,rule", [(2, "uniform"), (2, "optimized"), (3, "optimized")])
+@pytest.mark.parametrize("decoder", ["mmi", "map"])
+def test_reference_decoders_match_exact_sweep_ternary_source(decoder, n, rule):
+    p, w = ternary_pair()
+    cb = build_codebook(n, p, w, rule, seed=1)
+    brute = _brute_force_pe(cb, p, w, decoder)
+    fast = exact_error_probability(cb, p, w, decoder).error_probability
+    assert fast == pytest.approx(brute, abs=1e-12)
+
+
+def _whole_table_oracle(cb, p, w, decoder):
+    """The sweep over the whole (source, side, output) table that the blocked
+    one replaced: an argmax winner plus a tolerance-grouped tie mask."""
+    mi, cond_h, logjoint_ab, logjoint_xy = _decoder_tables(cb, p, w)
+    if decoder == "mmi":
+        scores = mi[:, None, :] - cond_h[:, :, None]
+        tol = 1e-12
+    else:
+        scores = logjoint_ab[:, :, None] + logjoint_xy[:, None, :]
+        tol = 1e-10
+    top = scores.max(axis=0)
+    tie = (scores >= top[None] - tol).sum(axis=0) > 1
+    winner = scores.argmax(axis=0)
+    err = (winner != np.arange(scores.shape[0])[:, None, None]) | tie[None, :, :]
+    pe = float(np.einsum("ab,ay,aby->", np.exp2(logjoint_ab), np.exp2(logjoint_xy), err.astype(float)))
+    return min(max(pe, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("block", ["default", "one_row", "ragged"])
+@pytest.mark.parametrize("rule", ["uniform", "optimized"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_blocked_sweep_matches_whole_table_oracle(n, rule, block, monkeypatch):
+    p, w = worked_pair()
+    # one block row is |A|^n * |Y|^n cells; three rows never divide |B|^n = 2^n
+    row_cells = (p.shape[0] * w.output_size) ** n
+    cells = {"default": exact_sim._SWEEP_BLOCK_CELLS, "one_row": 1, "ragged": 3 * row_cells}
+    monkeypatch.setattr(exact_sim, "_SWEEP_BLOCK_CELLS", cells[block])
+    for seed in (0, 1, 2):
+        cb = build_codebook(n, p, w, rule, seed)
+        for decoder in ("mmi", "map"):
+            blocked = exact_error_probability(cb, p, w, decoder).error_probability
+            assert abs(blocked - _whole_table_oracle(cb, p, w, decoder)) <= 1e-13
+
+
+def test_exact_sweep_memory_is_bounded_by_blocks():
+    # the whole-table sweep peaked at 292 MiB here
+    p, w = worked_pair()
+    cb = build_codebook(8, p, w, "uniform", seed=0)
+    tracemalloc.start()
+    try:
+        exact_error_probability(cb, p, w, "mmi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # decoder ordering and Monte-Carlo cross-check
 
@@ -188,6 +258,26 @@ def test_monte_carlo_agrees_with_exact(decoder):
     assert abs(mc.error_probability - exact) <= 3.0 * mc.std_error + 1e-12
 
 
+@pytest.mark.parametrize("decoder", ["mmi", "map"])
+def test_monte_carlo_agrees_with_exact_ternary_source(decoder):
+    p, w = ternary_pair()  # 12^3 = 1,728 states at n = 3
+    cb = build_codebook(3, p, w, "uniform", seed=0)
+    exact = exact_error_probability(cb, p, w, decoder).error_probability
+    mc = monte_carlo_error_probability(cb, p, w, decoder, samples=100_000, seed=5)
+    assert abs(mc.error_probability - exact) <= 3.0 * mc.std_error + 1e-12
+
+
+@pytest.mark.parametrize("decoder", ["mmi", "map"])
+def test_monte_carlo_count_does_not_depend_on_blocks(decoder, monkeypatch):
+    p, w = ternary_pair()
+    cb = build_codebook(3, p, w, "uniform", seed=0)
+    whole = monte_carlo_error_probability(cb, p, w, decoder, samples=5_000, seed=2)
+    # 27 source sequences per block column: 7 columns, the last block ragged
+    monkeypatch.setattr(exact_sim, "_SWEEP_BLOCK_CELLS", 7 * 27)
+    blocked = monte_carlo_error_probability(cb, p, w, decoder, samples=5_000, seed=2)
+    assert blocked == whole
+
+
 # ---------------------------------------------------------------------------
 # budgets and validation
 
@@ -204,6 +294,24 @@ def test_exact_sweep_budget_and_validation():
         exact_error_probability(cb, p3, w)
     with pytest.raises(ValueError):
         monte_carlo_error_probability(cb, p, w, decoder="nope")
+
+
+def test_monte_carlo_checks_budget_and_samples_before_allocating():
+    # 4^8 source sequences against 4^8 side or output sequences: the decoder
+    # tables alone would take tens of GiB
+    p = JointDistribution(np.full((4, 4), 1.0 / 16.0))
+    w = ConditionalDistribution(np.full((4, 4), 0.25))
+    cb = build_codebook(8, p, w, "uniform", seed=0)
+    with pytest.raises(BudgetError):
+        monte_carlo_error_probability(cb, p, w, samples=10)
+    # 4^6 * 4^6 sequence pairs alone fit the budget, but with 16 letter-pair
+    # counts each the tables would take about 13 GiB (848 MiB at n = 5)
+    cb = build_codebook(6, p, w, "uniform", seed=0)
+    with pytest.raises(BudgetError):
+        monte_carlo_error_probability(cb, p, w, samples=10)
+    p2, w2 = worked_pair()
+    with pytest.raises(ValueError):
+        monte_carlo_error_probability(build_codebook(2, p2, w2), p2, w2, samples=0)
 
 
 def test_empirical_exponent_definition():
