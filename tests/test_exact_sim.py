@@ -200,7 +200,8 @@ def _whole_table_oracle(cb, p, w, decoder):
     tie = (scores >= top[None] - tol).sum(axis=0) > 1
     winner = scores.argmax(axis=0)
     err = (winner != np.arange(scores.shape[0])[:, None, None]) | tie[None, :, :]
-    pe = float(np.einsum("ab,ay,aby->", np.exp2(logjoint_ab), np.exp2(logjoint_xy), err.astype(float)))
+    pab, wxy = np.exp2(logjoint_ab), np.exp2(logjoint_xy)
+    pe = float(np.einsum("ab,ay,aby->", pab, wxy, err.astype(float)))
     return min(max(pe, 0.0), 1.0)
 
 
