@@ -16,7 +16,6 @@ to both decoders alike.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +36,7 @@ _SWEEP_BLOCK_CELLS = 2**16
 
 
 def _all_sequences(k: int, n: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64)
+    return np.ascontiguousarray(np.indices((k,) * n, dtype=np.int64).reshape(n, -1).T)
 
 
 def _lex_index(seqs: np.ndarray, k: int) -> np.ndarray:
@@ -113,10 +112,13 @@ def build_codebook(
         raise BudgetError(f"alphabets beyond size {MAX_ALPHABET} are out of scope")
 
     a_seqs = _all_sequences(na, n)
-    types = sorted({_sequence_type(row, na) for row in a_seqs})
+    # each source sequence's type (letter counts) and its index among the sorted types
+    a_types = (a_seqs[:, :, None] == np.arange(na)).sum(axis=1)
+    keys = _lex_index(a_types, n + 1)  # base n + 1 keeps the tuple order
+    _, first, type_idx = np.unique(keys, return_index=True, return_inverse=True)
     compositions: dict[tuple[int, ...], tuple[int, ...]] = {}
     targets: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for t in types:
+    for t in map(tuple, a_types[first].tolist()):
         if rule == "uniform":
             base, rem = divmod(n, nx)
             counts = np.array([base + (1 if i < rem else 0) for i in range(nx)])
@@ -127,12 +129,10 @@ def build_codebook(
             counts = largest_remainder_counts(target.probs, n)
         compositions[t] = tuple(int(c) for c in counts)
 
-    rng = np.random.default_rng(seed)
-    codewords = np.empty((len(a_seqs), n), dtype=np.int64)
-    for idx, row in enumerate(a_seqs):
-        counts = compositions[_sequence_type(row, na)]
-        base = np.repeat(np.arange(nx), counts)
-        codewords[idx] = base[rng.permutation(n)]
+    bases = np.array([np.repeat(np.arange(nx), c) for c in compositions.values()])
+    rng = np.random.default_rng(seed)  # one permutation per source sequence, in order
+    perms = np.array([rng.permutation(n) for _ in range(len(a_seqs))])
+    codewords = np.take_along_axis(bases[type_idx], perms, axis=1)
     codewords.flags.writeable = False
     return Codebook(
         n=n,
@@ -251,36 +251,46 @@ def _pair_type_counts(s1: np.ndarray, s2: np.ndarray, k1: int, k2: int) -> np.nd
     return flat.reshape(n1, n2, k1 * k2)
 
 
-def _decoder_tables(codebook: Codebook, p: JointDistribution, w: ConditionalDistribution):
-    n = codebook.n
-    na, nb = p.shape
-    nx, ny = w.shape
-    a_seqs = _all_sequences(na, n)
-    b_seqs = _all_sequences(nb, n)
-    y_seqs = _all_sequences(ny, n)
-
-    t_ab = _pair_type_counts(a_seqs, b_seqs, na, nb) / n
-    t_xy = _pair_type_counts(codebook.codewords, y_seqs, nx, ny) / n
-
-    h_ab = entropy_bits(t_ab, axis=2)
-    h_b = entropy_bits(t_ab.reshape(len(a_seqs), len(b_seqs), na, nb).sum(axis=2), axis=2)
-    cond_h = h_ab - h_b  # (NA, NB)
-
-    h_xy = entropy_bits(t_xy, axis=2)
-    marg = t_xy.reshape(len(a_seqs), len(y_seqs), nx, ny)
-    h_x = entropy_bits(marg.sum(axis=3), axis=2)
-    h_y = entropy_bits(marg.sum(axis=2), axis=2)
-    mi = h_x + h_y - h_xy  # (NA, NY)
-
+def _pair_tables(s1: np.ndarray, matrix: np.ndarray, entropy: str | None):
+    """log2 of the product law ``matrix``^n for every pair of an ``s1`` row and
+    a sequence over the columns of ``matrix`` and, when ``entropy`` is "cond"
+    or "mi", the pair's empirical H(1|2) or I(1;2) in bits. Built in blocks of
+    ``s1`` rows, so no letter-pair count table covers every pair at once."""
+    (k1, k2), n = matrix.shape, s1.shape[1]
+    s2 = _all_sequences(k2, n)
     with np.errstate(divide="ignore"):
-        logp = np.log2(p.matrix).reshape(-1)
-        logw = np.log2(w.matrix).reshape(-1)
-    counts_ab = t_ab * n
-    counts_xy = t_xy * n
-    with np.errstate(invalid="ignore"):  # 0 * -inf in the masked branch
-        logjoint_ab = np.where(counts_ab > 0, counts_ab * logp[None, None, :], 0.0).sum(axis=2)
-        logjoint_xy = np.where(counts_xy > 0, counts_xy * logw[None, None, :], 0.0).sum(axis=2)
-    return mi, cond_h, logjoint_ab, logjoint_xy
+        logm = np.log2(matrix).reshape(-1)
+    rows = max(1, _SWEEP_BLOCK_CELLS // (len(s2) * max(n, k1 * k2)))
+    logjoint = np.empty((len(s1), len(s2)))
+    h = np.empty(logjoint.shape) if entropy else None
+    for r0 in range(0, len(s1), rows):
+        blk = slice(r0, r0 + rows)
+        t = _pair_type_counts(s1[blk], s2, k1, k2) / n
+        counts = t * n  # (c / n) * n, the rounding the tables have always had
+        with np.errstate(invalid="ignore"):  # 0 * -inf in the masked branch
+            logjoint[blk] = np.where(counts > 0, counts * logm, 0.0).sum(axis=2)
+        if entropy:
+            marg = t.reshape(-1, len(s2), k1, k2)
+            h12, h2 = entropy_bits(t, axis=2), entropy_bits(marg.sum(axis=2), axis=2)
+            h1 = entropy_bits(marg.sum(axis=3), axis=2) if entropy == "mi" else None
+            h[blk] = h12 - h2 if h1 is None else h1 + h2 - h12
+    return logjoint, h
+
+
+def _codeword_tables(codebooks, w: ConditionalDistribution, mmi: bool):
+    """(log2 W^n(y|x), I(x; y) for MMI or None) over the distinct codewords x
+    of ``codebooks``, and each codebook's row indices into them."""
+    words = np.concatenate([cb.codewords for cb in codebooks])
+    distinct, inverse = np.unique(words, axis=0, return_inverse=True)
+    tables = _pair_tables(distinct, w.matrix, "mi" if mmi else None)
+    return tables, inverse.reshape(len(codebooks), -1)
+
+
+def _decoder_tables(codebook: Codebook, p: JointDistribution, w: ConditionalDistribution):
+    """One codebook's (mi, cond_h, logjoint_ab, logjoint_xy), gathered from the shared tables."""
+    logjoint_ab, cond_h = _pair_tables(_all_sequences(p.shape[0], codebook.n), p.matrix, "cond")
+    (logjoint_xy, mi), (rows,) = _codeword_tables([codebook], w, True)
+    return mi[rows], cond_h, logjoint_ab, logjoint_xy[rows]
 
 
 def _error_mask(scores: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -294,10 +304,73 @@ def _error_mask(scores: np.ndarray, tol: float, out: np.ndarray | None = None) -
     top = scores.max(axis=0)
     top -= tol
     out = np.greater_equal(scores, top, out=out)
-    tie = np.count_nonzero(out, axis=0) > 1
+    tie = np.add.reduce(out, axis=0, dtype=np.int32) > 1
     np.logical_not(out, out=out)
     out |= tie
     return out
+
+
+# MMI scores mi - cond_h, MAP logjoint_xy + logjoint_ab; (op, tie tolerance)
+_SCORES = {"mmi": (np.subtract, _TIE_TOL), "map": (np.add, 1e-10)}
+
+
+def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab) -> SimulationResult:
+    """One codebook's exact result, walking the side sequences in blocks of
+    about ``_SWEEP_BLOCK_CELLS`` (source, side, output) cells, at least one
+    side sequence each, so the score and mask buffers never hold every state."""
+    op, tol = _SCORES[decoder]
+    (na_n, nb_n), ny_n = ab_tab.shape, x_tab.shape[1]
+    rows = min(nb_n, max(1, _SWEEP_BLOCK_CELLS // (na_n * ny_n)))
+    scores = np.empty((na_n, rows, ny_n))
+    err = np.empty(scores.shape, dtype=bool)
+    pe = 0.0
+    for b0 in range(0, nb_n, rows):
+        blk = slice(b0, min(b0 + rows, nb_n))
+        s, e = scores[:, : blk.stop - b0], err[:, : blk.stop - b0]
+        op(x_tab[:, None, :], ab_tab[:, blk, None], out=s)
+        # once masked, the score block holds the mask as floats for the matmul
+        s[...] = _error_mask(s, tol, e)
+        pe += float(np.vdot(pab[:, blk], s @ wxy[:, :, None]))
+    pe = min(max(pe, 0.0), 1.0)
+    return SimulationResult(n, decoder, pe, _empirical_exponent(pe, n), "exact")
+
+
+def exact_error_probabilities(
+    codebooks: list[Codebook],
+    p: JointDistribution,
+    w: ConditionalDistribution,
+    decoders: tuple[str, ...] = ("mmi", "map"),
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> list[dict[str, SimulationResult]]:
+    """Exact results of codebooks of one blocklength, a {decoder: result} dict each.
+
+    The (source, side) tables are built once, the (codeword, output) tables
+    once over the distinct codewords of all the codebooks if there are at most
+    |A|^n (else per codebook). MMI builds entropy tables, MAP log-joints."""
+    if any(d not in _SCORES for d in decoders):
+        raise ValueError("decoder must be 'mmi' or 'map'")
+    (na, nb), (nx, ny), ns = p.shape, w.shape, {cb.n for cb in codebooks}
+    if len(ns) != 1 or any((cb.source_size, cb.input_size) != (na, nx) for cb in codebooks):
+        raise ValueError("codebooks must share one blocklength and the laws' alphabets")
+    (n,) = ns
+    states = (na * nb * ny) ** n
+    if states > state_budget:
+        raise BudgetError(
+            f"exact sweep needs {states} states, budget is {state_budget}; "
+            "reduce the blocklength or raise the budget explicitly"
+        )
+    mmi = "mmi" in decoders
+    logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
+    pab, results = np.exp2(logjoint_ab), []
+    words = np.unique(np.concatenate([cb.codewords for cb in codebooks]), axis=0)
+    for run in [codebooks] if len(words) <= na**n else [[cb] for cb in codebooks]:
+        (logjoint_xy, mi), rows = _codeword_tables(run, w, mmi)
+        wxy, tabs = np.exp2(logjoint_xy), {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}
+        for r in rows:
+            results.append(
+                {d: _sweep(d, n, tabs[d][0][r], tabs[d][1], wxy[r], pab) for d in decoders}
+            )
+    return results
 
 
 def exact_error_probability(
@@ -307,54 +380,9 @@ def exact_error_probability(
     decoder: str = "mmi",
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> SimulationResult:
-    """Evaluate the exact error probability by enumerating every
-    (source, side, output) triple and weighting decode failures.
-
-    The side sequences are walked in blocks of about ``_SWEEP_BLOCK_CELLS``
-    (source, side, output) cells, at least one side sequence each, so the
-    score and mask buffers never hold the whole state table."""
-    if decoder not in ("mmi", "map"):
-        raise ValueError("decoder must be 'mmi' or 'map'")
-    n = codebook.n
-    na, nb = p.shape
-    nx, ny = w.shape
-    if na != codebook.source_size or nx != codebook.input_size:
-        raise ValueError("codebook alphabets do not match the given laws")
-    states = (na * nb * ny) ** n
-    if states > state_budget:
-        raise BudgetError(
-            f"exact sweep needs {states} states, budget is {state_budget}; "
-            "reduce the blocklength or raise the budget explicitly"
-        )
-
-    mi, cond_h, logjoint_ab, logjoint_xy = _decoder_tables(codebook, p, w)
-    tol = _TIE_TOL if decoder == "mmi" else 1e-10
-    na_n, nb_n = logjoint_ab.shape
-    ny_n = logjoint_xy.shape[1]
-    pab = np.exp2(logjoint_ab)
-    wxy = np.exp2(logjoint_xy)
-    rows = min(nb_n, max(1, _SWEEP_BLOCK_CELLS // (na_n * ny_n)))
-    scores = np.empty((na_n, rows, ny_n))
-    err = np.empty(scores.shape, dtype=bool)
-    pe = 0.0
-    for b0 in range(0, nb_n, rows):
-        blk = slice(b0, min(b0 + rows, nb_n))
-        s, e = scores[:, : blk.stop - b0], err[:, : blk.stop - b0]
-        if decoder == "mmi":
-            np.subtract(mi[:, None, :], cond_h[:, blk, None], out=s)
-        else:
-            np.add(logjoint_ab[:, blk, None], logjoint_xy[:, None, :], out=s)
-        # once masked, the score block holds the mask as floats for the matmul
-        s[...] = _error_mask(s, tol, e)
-        pe += float(np.vdot(pab[:, blk], s @ wxy[:, :, None]))
-    pe = min(max(pe, 0.0), 1.0)
-    return SimulationResult(
-        n=n,
-        decoder=decoder,
-        error_probability=pe,
-        empirical_exponent=_empirical_exponent(pe, n),
-        method="exact",
-    )
+    """Evaluate the exact error probability by enumerating every (source, side,
+    output) triple and weighting decode failures (see exact_error_probabilities)."""
+    return exact_error_probabilities([codebook], p, w, (decoder,), state_budget)[0][decoder]
 
 
 def monte_carlo_error_probability(
@@ -368,10 +396,10 @@ def monte_carlo_error_probability(
     """Estimate the same error probability by sampling the true generative
     law; useful as an independent check on the exhaustive sweep.
 
-    The decoder tables hold a joint-type count per letter pair for every
-    (source, side) and (codeword, output) sequence pair, |A|^n * max(|B|^n *
-    |A||B|, |Y|^n * |X||Y|) entries, which must fit ``DEFAULT_STATE_BUDGET``;
-    the samples are scored in blocks."""
+    The decoder tables count the letter pairs of every (source, side) and
+    (codeword, output) sequence pair, |A|^n * max(|B|^n * |A||B|, |Y|^n *
+    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``; the counts are
+    taken and the samples scored in blocks."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
     if samples < 1:
@@ -398,18 +426,17 @@ def monte_carlo_error_probability(
     y = (u[:, :, None] > cum[x][:, :, :]).sum(axis=2)
     y_idx = _lex_index(y, w.output_size)
 
-    mi, cond_h, logjoint_ab, logjoint_xy = _decoder_tables(codebook, p, w)
-    tol = _TIE_TOL if decoder == "mmi" else 1e-10
-    cols = max(1, _SWEEP_BLOCK_CELLS // mi.shape[0])
+    mmi = decoder == "mmi"
+    logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
+    (logjoint_xy, mi), (rows,) = _codeword_tables([codebook], w, mmi)
+    x_tab, ab_tab = (mi[rows], cond_h) if mmi else (logjoint_xy[rows], logjoint_ab)
+    op, tol = _SCORES[decoder]
+    cols = max(1, _SWEEP_BLOCK_CELLS // na**n)
     errors = 0
     for s0 in range(0, samples, cols):
         j = slice(s0, s0 + cols)
-        if decoder == "mmi":
-            scores = mi[:, y_idx[j]] - cond_h[:, b_idx[j]]
-        else:
-            scores = logjoint_ab[:, b_idx[j]] + logjoint_xy[:, y_idx[j]]
-        err = _error_mask(scores, tol)
-        errors += int(np.count_nonzero(err[a_idx[j], np.arange(scores.shape[1])]))
+        err = _error_mask(op(x_tab[:, y_idx[j]], ab_tab[:, b_idx[j]]), tol)
+        errors += int(np.count_nonzero(err[a_idx[j], np.arange(err.shape[1])]))
     pe = errors / samples
     return SimulationResult(
         n=n,

@@ -42,7 +42,7 @@ from .channel_exponents import (
     is_gallager_symmetric,
 )
 from .errors import ConfigError
-from .exact_sim import build_codebook, exact_error_probability
+from .exact_sim import build_codebook, exact_error_probabilities
 from .joint_bounds import (
     both_si_bounds,
     game_solve,
@@ -498,10 +498,10 @@ def simulate_table(
         "seed,decoder,error_probability,empirical_exponent",
     ]
     results: dict[str, list] = {d: [] for d in decoders}
-    for seed in range(scenario.seed, scenario.seed + seed_count):
-        cb = build_codebook(n, p, w, scenario.sim.rule, seed, scenario.sim.n_cap)
-        for d in decoders:
-            res = exact_error_probability(cb, p, w, d)
+    seeds = range(scenario.seed, scenario.seed + seed_count)
+    codebooks = [build_codebook(n, p, w, scenario.sim.rule, s, scenario.sim.n_cap) for s in seeds]
+    for seed, by_decoder in zip(seeds, exact_error_probabilities(codebooks, p, w, decoders)):
+        for d, res in by_decoder.items():
             results[d].append(res)
             lines.append(
                 f"{seed},{d},{format_number(res.error_probability)},"

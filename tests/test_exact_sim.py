@@ -3,7 +3,10 @@
 The n = 1 error probabilities are verified against by-hand sums over the
 full (source, side, output) space; they are exact rational values.
 """
+import dataclasses
+import hashlib
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -22,12 +25,29 @@ from siexp.exact_sim import (
     mmi_si_decode,
     monte_carlo_error_probability,
 )
+from siexp.exact_sim import exact_error_probabilities
 from siexp.probkit import ConditionalDistribution, JointDistribution
+from siexp.scenario import SimSpec, format_number, simulate_table, worked_example
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
 # |A| = 3 with a zero entry, over an asymmetric binary channel
 TERNARY_JOINT = ((0.30, 0.00), (0.10, 0.20), (0.15, 0.25))
 ASYM_CHANNEL = ((0.9, 0.1), (0.2, 0.8))
+# four inputs and three outputs, for the binary worked source
+WIDE_CHANNEL = ((0.7, 0.1, 0.2), (0.1, 0.7, 0.2), (0.2, 0.2, 0.6), (0.3, 0.3, 0.4))
+# |A| = |B| = |X| = |Y| = 4, both with zero entries
+QUAD_JOINT = (
+    (0.30, 0.05, 0.00, 0.02),
+    (0.05, 0.20, 0.03, 0.00),
+    (0.00, 0.04, 0.10, 0.06),
+    (0.03, 0.02, 0.00, 0.10),
+)
+QUAD_CHANNEL = (
+    (0.70, 0.10, 0.10, 0.10),
+    (0.10, 0.70, 0.10, 0.10),
+    (0.05, 0.05, 0.80, 0.10),
+    (0.20, 0.00, 0.10, 0.70),
+)
 
 
 def worked_pair():
@@ -37,6 +57,18 @@ def worked_pair():
 def ternary_pair():
     return JointDistribution(np.array(TERNARY_JOINT)), ConditionalDistribution(
         np.array(ASYM_CHANNEL)
+    )
+
+
+def wide_pair():
+    return JointDistribution(np.array(WORKED_JOINT)), ConditionalDistribution(
+        np.array(WIDE_CHANNEL)
+    )
+
+
+def quad_pair():
+    return JointDistribution(np.array(QUAD_JOINT)), ConditionalDistribution(
+        np.array(QUAD_CHANNEL)
     )
 
 
@@ -323,3 +355,192 @@ def test_empirical_exponent_definition():
     assert res.empirical_exponent == pytest.approx(
         -math.log2(res.error_probability) / 3.0, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# codebooks and Monte-Carlo counts frozen before the vectorized codebook build
+# and the shared, blocked decoder tables
+
+
+@pytest.mark.parametrize(
+    "pair,n,rule,seed,digest",
+    [
+        (quad_pair, 8, "uniform", 0, "f0bf920f902290bb"),
+        (ternary_pair, 8, "optimized", 1, "19298bcfe88c2fbc"),
+        (wide_pair, 8, "uniform", 5, "e6a4f196594ede7b"),
+        (worked_pair, 8, "optimized", 3, "1679d738c49a30f9"),
+    ],
+)
+def test_codewords_are_frozen(pair, n, rule, seed, digest):
+    # one rng.permutation(n) per source sequence, in lexicographic order
+    p, w = pair()
+    cb = build_codebook(n, p, w, rule, seed)
+    assert hashlib.sha256(cb.codewords.tobytes()).hexdigest()[:16] == digest
+    assert codeword_compositions_ok(cb)
+
+
+@pytest.mark.parametrize(
+    "pair,n,decoder,errors",
+    [
+        (worked_pair, 5, "mmi", 11977),
+        (worked_pair, 5, "map", 2042),
+        (ternary_pair, 4, "mmi", 19848),
+        (ternary_pair, 4, "map", 15793),
+        (wide_pair, 5, "mmi", 16913),
+        (wide_pair, 5, "map", 3595),
+        (quad_pair, 3, "map", 9863),
+    ],
+)
+def test_monte_carlo_error_counts_are_frozen(pair, n, decoder, errors):
+    p, w = pair()
+    cb = build_codebook(n, p, w, "uniform", seed=n)
+    mc = monte_carlo_error_probability(cb, p, w, decoder, samples=20_000, seed=n + 3)
+    assert mc.error_probability == errors / 20_000
+
+
+# ---------------------------------------------------------------------------
+# decoder tables shared across codebooks and decoders
+
+
+def _whole_decoder_tables(cb, p, w):
+    """The table build that the blocked, shared one replaced: every letter-pair
+    count of every sequence pair held at once, one build per codebook."""
+    n = cb.n
+    na, nb = p.shape
+    nx, ny = w.shape
+    a_seqs = exact_sim._all_sequences(na, n)
+    b_seqs = exact_sim._all_sequences(nb, n)
+    y_seqs = exact_sim._all_sequences(ny, n)
+    t_ab = exact_sim._pair_type_counts(a_seqs, b_seqs, na, nb) / n
+    t_xy = exact_sim._pair_type_counts(cb.codewords, y_seqs, nx, ny) / n
+    h_ab = exact_sim.entropy_bits(t_ab, axis=2)
+    h_b = exact_sim.entropy_bits(t_ab.reshape(len(a_seqs), len(b_seqs), na, nb).sum(axis=2), axis=2)
+    marg = t_xy.reshape(len(a_seqs), len(y_seqs), nx, ny)
+    h_x = exact_sim.entropy_bits(marg.sum(axis=3), axis=2)
+    h_y = exact_sim.entropy_bits(marg.sum(axis=2), axis=2)
+    mi = h_x + h_y - exact_sim.entropy_bits(t_xy, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log2(p.matrix).reshape(-1)
+        logw = np.log2(w.matrix).reshape(-1)
+        counts_ab, counts_xy = t_ab * n, t_xy * n
+        logjoint_ab = np.where(counts_ab > 0, counts_ab * logp[None, None, :], 0.0).sum(axis=2)
+        logjoint_xy = np.where(counts_xy > 0, counts_xy * logw[None, None, :], 0.0).sum(axis=2)
+    return mi, h_ab - h_b, logjoint_ab, logjoint_xy
+
+
+@pytest.mark.parametrize("pair", [worked_pair, ternary_pair])
+@pytest.mark.parametrize("rule", ["uniform", "optimized"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_shared_tables_match_per_codebook_tables_bit_for_bit(n, rule, pair):
+    p, w = pair()
+    cbs = [build_codebook(n, p, w, rule, seed) for seed in range(3)]
+    a_seqs = exact_sim._all_sequences(p.shape[0], n)
+    logjoint_ab, cond_h = exact_sim._pair_tables(a_seqs, p.matrix, "cond")
+    (logjoint_xy, mi), rows = exact_sim._codeword_tables(cbs, w, True)
+    # the MAP-only build reads no entropies and gives the same log-joints
+    map_ab, no_cond_h = exact_sim._pair_tables(a_seqs, p.matrix, None)
+    (map_xy, no_mi), map_rows = exact_sim._codeword_tables(cbs, w, False)
+    assert no_cond_h is None and no_mi is None
+    assert map_ab.tobytes() == logjoint_ab.tobytes()
+    assert len(logjoint_xy) == len(np.unique(np.concatenate([cb.codewords for cb in cbs]), axis=0))
+    for cb, r, map_r in zip(cbs, rows, map_rows):
+        shared = (mi[r], cond_h, logjoint_ab, logjoint_xy[r])
+        for got, one, whole in zip(shared, _decoder_tables(cb, p, w), _whole_decoder_tables(cb, p, w)):
+            assert got.tobytes() == one.tobytes() == whole.tobytes()
+        assert map_xy[map_r].tobytes() == logjoint_xy[r].tobytes()
+
+
+def _per_seed_table(sc, n, decoders, seed_count):
+    """``simulate_table`` as one codebook build and one exact sweep per seed
+    and decoder."""
+    p, w = sc.source_joint(), sc.channel_kernel()
+    lines = [f"# n: {n}", f"# rule: {sc.sim.rule}", "seed,decoder,error_probability,empirical_exponent"]
+    results = {d: [] for d in decoders}
+    for seed in range(sc.seed, sc.seed + seed_count):
+        cb = build_codebook(n, p, w, sc.sim.rule, seed, sc.sim.n_cap)
+        for d in decoders:
+            res = exact_error_probability(cb, p, w, d)
+            results[d].append(res)
+            pe, ex = format_number(res.error_probability), format_number(res.empirical_exponent)
+            lines.append(f"{seed},{d},{pe},{ex}")
+    for d in decoders:
+        pes = [r.error_probability for r in results[d]]
+        exps = [r.empirical_exponent for r in results[d]]
+        for label, agg in (("min", min), ("median", statistics.median), ("max", max)):
+            lines.append(f"{label},{d},{format_number(agg(pes))},{format_number(agg(exps))}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("decoders", [("mmi", "map"), ("map",), ("mmi",)])
+def test_simulate_table_builds_the_tables_once(decoders, monkeypatch):
+    builds = []
+    real = exact_sim._pair_tables
+
+    def spy(s1, matrix, entropy):
+        builds.append((matrix.shape, entropy))
+        return real(s1, matrix, entropy)
+
+    monkeypatch.setattr(exact_sim, "_pair_tables", spy)
+    sc = dataclasses.replace(worked_example(), sim=SimSpec(rule="optimized"), seed=3)
+    text = simulate_table(sc, n=5, decoders=decoders, seed_count=4)
+    # one (source, side) and one (codeword, output) build for all 4 seeds;
+    # MMI builds entropy tables, MAP only log-joints
+    mmi = "mmi" in decoders
+    assert builds == [((2, 2), "cond" if mmi else None), ((2, 2), "mi" if mmi else None)]
+    monkeypatch.undo()
+    assert text == _per_seed_table(sc, 5, decoders, 4)
+
+
+@pytest.mark.parametrize("n,seeds,shared", [(3, 2, True), (6, 8, False)])
+def test_codeword_tables_hold_only_distinct_codewords(n, seeds, shared, monkeypatch):
+    # a binary source over a 4-input channel: 4^n input sequences, of which
+    # the codewords use far fewer than the 2^n source sequences
+    p, w = wide_pair()
+    cbs = [build_codebook(n, p, w, "uniform", seed) for seed in range(seeds)]
+    distinct = [len(np.unique(cb.codewords, axis=0)) for cb in cbs]
+    union = len(np.unique(np.concatenate([cb.codewords for cb in cbs]), axis=0))
+    assert (union <= 2**n) == shared
+    rows = []
+    real = exact_sim._pair_tables
+
+    def spy(s1, matrix, entropy):
+        if matrix is w.matrix:
+            rows.append(len(s1))
+        return real(s1, matrix, entropy)
+
+    monkeypatch.setattr(exact_sim, "_pair_tables", spy)
+    batch = exact_error_probabilities(cbs, p, w)
+    monkeypatch.undo()
+    # one build over the union when it fits 2^n rows, else one per codebook
+    assert rows == ([union] if shared else distinct)
+    assert max(rows) <= 2**n < 4**n
+    for cb, res in zip(cbs, batch):
+        for decoder in ("mmi", "map"):
+            single = exact_error_probability(cb, p, w, decoder)
+            assert res[decoder] == single
+
+
+def test_exact_error_probabilities_validation():
+    p, w = worked_pair()
+    cbs = [build_codebook(2, p, w, "uniform", 0), build_codebook(3, p, w, "uniform", 0)]
+    with pytest.raises(ValueError):  # two blocklengths
+        exact_error_probabilities(cbs, p, w)
+    with pytest.raises(ValueError):
+        exact_error_probabilities([], p, w)
+    with pytest.raises(ValueError):
+        exact_error_probabilities(cbs[:1], p, w, ("mmi", "nope"))
+    with pytest.raises(BudgetError):
+        exact_error_probabilities(cbs[:1], p, w, state_budget=10)
+
+
+def test_monte_carlo_table_memory_is_bounded_by_blocks():
+    # the whole-array letter-pair counts took about 848 MiB at this size
+    p, w = quad_pair()
+    cb = build_codebook(5, p, w, "uniform", seed=0)
+    tracemalloc.start()
+    try:
+        monte_carlo_error_probability(cb, p, w, "mmi", samples=1_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20

@@ -1,5 +1,6 @@
 """Tests for config parsing, table/report emission, and the command-line
 driver including its documented exit codes."""
+import hashlib
 import math
 
 import numpy as np
@@ -341,3 +342,29 @@ def test_cli_byte_determinism(tmp_path, capsys):
         assert cli.main(["curves", "--config", cfg, "--rate-step", "0.05"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+# SHA-256 of the `simulate --decoder both` stdout, frozen before the exact
+# sweep shared its decoder tables across seeds and decoders
+TERNARY_CFG = (
+    "source.matrix = 0.30 0.00 ; 0.10 0.20 ; 0.15 0.25\n"
+    "channel.kind = matrix\n"
+    "channel.matrix = 0.9 0.1 ; 0.2 0.8\n"
+)
+SIMULATE_SHA256 = [
+    (WORKED_CFG, "uniform", "8", "8", "2a9d60d096df86416600b4d680559a1b73bbb1c190944b17bc5a21922bcebb7b"),
+    (WORKED_CFG, "optimized", "6", "8", "60deed84a6d6c56e5b5d6dd0e7583430cecbb5c2750be661e10f4cf7628b7efa"),
+    (TERNARY_CFG, "uniform", "5", "4", "dc4655650d8dfa76ef154f651ba3dc08d757465ee55de112b110bfa782fd4b0a"),
+]
+
+
+@pytest.mark.parametrize(
+    "base,rule,n,seeds,digest",
+    SIMULATE_SHA256,
+    ids=["worked-uniform-n8", "worked-optimized-n6", "ternary-uniform-n5"],
+)
+def test_cli_simulate_output_is_frozen(tmp_path, capsys, base, rule, n, seeds, digest):
+    cfg = write(tmp_path, "sim.cfg", base + f"sim.rule = {rule}\n")
+    argv = ["simulate", "--config", cfg, "--n", n, "--seeds", seeds, "--decoder", "both"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
