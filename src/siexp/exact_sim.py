@@ -265,11 +265,11 @@ def _pair_tables(s1: np.ndarray, matrix: np.ndarray, entropy: str | None):
     h = np.empty(logjoint.shape) if entropy else None
     for r0 in range(0, len(s1), rows):
         blk = slice(r0, r0 + rows)
-        t = _pair_type_counts(s1[blk], s2, k1, k2) / n
-        counts = t * n  # (c / n) * n, the rounding the tables have always had
+        counts = _pair_type_counts(s1[blk], s2, k1, k2)
         with np.errstate(invalid="ignore"):  # 0 * -inf in the masked branch
             logjoint[blk] = np.where(counts > 0, counts * logm, 0.0).sum(axis=2)
         if entropy:
+            t = counts / n
             marg = t.reshape(-1, len(s2), k1, k2)
             h12, h2 = entropy_bits(t, axis=2), entropy_bits(marg.sum(axis=2), axis=2)
             h1 = entropy_bits(marg.sum(axis=3), axis=2) if entropy == "mi" else None
