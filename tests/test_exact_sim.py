@@ -20,12 +20,12 @@ from siexp.exact_sim import (
     _decoder_tables,
     build_codebook,
     codeword_compositions_ok,
+    exact_error_probabilities,
     exact_error_probability,
     map_decode,
     mmi_si_decode,
     monte_carlo_error_probability,
 )
-from siexp.exact_sim import exact_error_probabilities
 from siexp.probkit import ConditionalDistribution, JointDistribution
 from siexp.scenario import SimSpec, format_number, simulate_table, worked_example
 
