@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .joint_bounds import best_input_for_marginal
+from .joint_bounds import NestedEvaluator, best_input_for_marginal
 from .numerics import largest_remainder_counts
 from .probkit import ConditionalDistribution, Distribution, JointDistribution, entropy_bits
 
@@ -90,12 +90,27 @@ def build_codebook(
     seed: int = 0,
     n_cap: int = DEFAULT_N_CAP,
 ) -> Codebook:
-    """Draw one codeword per source sequence, uniformly within a type class.
+    """The one-seed case of :func:`build_codebooks`."""
+    return build_codebooks(n, p, w, rule, (seed,), n_cap)[0]
+
+
+def build_codebooks(
+    n: int,
+    p: JointDistribution,
+    w: ConditionalDistribution,
+    rule: str = "uniform",
+    seeds: tuple[int, ...] | range = (0,),
+    n_cap: int = DEFAULT_N_CAP,
+) -> list[Codebook]:
+    """Draw one codeword per source sequence, uniformly within a type class,
+    once per seed.
 
     rule='uniform' uses the balanced input composition for every source type;
     rule='optimized' picks, per source type, the input law maximizing the
     nested lower-bound payoff and rounds it to integer counts by largest
-    remainders (the real-valued target is kept in the metadata).
+    remainders (the real-valued target is kept in the metadata). The
+    compositions depend only on (p, W, n, rule): they are solved once, over
+    one nested evaluator, and every seed draws its codewords from them.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -118,32 +133,35 @@ def build_codebook(
     _, first, type_idx = np.unique(keys, return_index=True, return_inverse=True)
     compositions: dict[tuple[int, ...], tuple[int, ...]] = {}
     targets: dict[tuple[int, ...], tuple[float, ...]] = {}
+    ev = NestedEvaluator(p, w, rate_step=0.01) if rule == "optimized" else None
     for t in map(tuple, a_types[first].tolist()):
-        if rule == "uniform":
-            base, rem = divmod(n, nx)
-            counts = np.array([base + (1 if i < rem else 0) for i in range(nx)])
-        else:
+        target = Distribution.uniform(nx)  # rounds to the balanced composition
+        if rule == "optimized":
             q_a = Distribution(np.array(t, dtype=float) / n)
-            target, _ = best_input_for_marginal(p, w, q_a)
+            target, _ = best_input_for_marginal(p, w, q_a, ev.rate_step, evaluator=ev)
             targets[t] = tuple(float(v) for v in target.probs)
-            counts = largest_remainder_counts(target.probs, n)
-        compositions[t] = tuple(int(c) for c in counts)
+        compositions[t] = tuple(int(c) for c in largest_remainder_counts(target.probs, n))
 
-    bases = np.array([np.repeat(np.arange(nx), c) for c in compositions.values()])
-    rng = np.random.default_rng(seed)  # one permutation per source sequence, in order
-    perms = np.array([rng.permutation(n) for _ in range(len(a_seqs))])
-    codewords = np.take_along_axis(bases[type_idx], perms, axis=1)
-    codewords.flags.writeable = False
-    return Codebook(
-        n=n,
-        source_size=na,
-        input_size=nx,
-        rule=rule,
-        seed=seed,
-        codewords=codewords,
-        compositions=compositions,
-        composition_targets=targets,
-    )
+    bases = np.array([np.repeat(np.arange(nx), c) for c in compositions.values()])[type_idx]
+    codebooks = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)  # one permutation per source sequence, in order
+        perms = np.array([rng.permutation(n) for _ in range(len(a_seqs))])
+        codewords = np.take_along_axis(bases, perms, axis=1)
+        codewords.flags.writeable = False
+        codebooks.append(
+            Codebook(
+                n=n,
+                source_size=na,
+                input_size=nx,
+                rule=rule,
+                seed=seed,
+                codewords=codewords,
+                compositions=dict(compositions),
+                composition_targets=dict(targets),
+            )
+        )
+    return codebooks
 
 
 # ---------------------------------------------------------------------------

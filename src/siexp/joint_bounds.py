@@ -10,6 +10,12 @@ min). When the channel's optimal input is rate-independent the nesting
 collapses onto the flat bounds; `game_solve` measures how far the max/min
 interchange is from exact on a given instance.
 
+The nested bounds, the game and `best_input_for_marginal` read one payoff
+table per Q_A from a `NestedEvaluator`, which solves each channel and source
+curve once. Build one for (p, W, rate step) and pass it as `evaluator=` to
+share its curves across calls; without it every call solves its own, and
+nothing is kept between calls.
+
 Rate-grid conventions: flat bounds scan the open interval (0, log2|A|); the
 nested grids include R = 0 so a degenerate (point-mass) Q_A contributes its
 finite value instead of an artificial infinity. Grid minima report the
@@ -177,20 +183,22 @@ def symmetric_flat_bounds(
 # nested bounds and the inner game
 
 
-def _fine_window(coarse_point: np.ndarray, coarse_step: float, fine_step: float) -> np.ndarray:
-    fine = simplex_grid(len(coarse_point), fine_step)
-    keep = np.abs(fine - coarse_point[None, :]).max(axis=1) <= coarse_step + 1e-12
-    return fine[keep]
+def _fine_window(point: np.ndarray, span: float) -> np.ndarray:
+    """Simplex points at step span / 5 within `span` of `point` in max norm."""
+    fine = simplex_grid(len(point), span / 5.0)
+    return fine[np.abs(fine - point[None, :]).max(axis=1) <= span + 1e-12]
 
 
-class _NestedEvaluator:
-    """Caches the per-input channel curves and per-marginal source curves that
-    the nested optimizations share."""
+class NestedEvaluator:
+    """Per-input channel curves and per-marginal source curves for one source,
+    channel and rate step, solved on first use and kept for the evaluator's
+    lifetime."""
 
-    def __init__(self, p, w, rates):
+    def __init__(self, p: JointDistribution, w: ConditionalDistribution, rate_step: float):
         self.p = p
         self.w = w
-        self.rates = rates
+        self.rate_step = rate_step
+        self.rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
         self._channel: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._source: dict[bytes, np.ndarray] = {}
 
@@ -206,48 +214,69 @@ class _NestedEvaluator:
             self._source[key] = fixed_marginal_dual_curve(self.rates, self.p, Distribution(qa_arr))
         return self._source[key]
 
-    def inner_max_min(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int):
-        """max over s of min over R of (source + channel[which]) for one Q_A."""
-        efm = self.source(qa_arr)
-        best_val, best_s, best_rate = -math.inf, None, None
-        for s_arr in sx_grid:
-            tot = efm + self.channel(s_arr)[which]
-            val, rate = _first_finite_min(self.rates, tot)
-            if val > best_val:
-                best_val, best_s, best_rate = val, s_arr, rate
-        return best_val, best_s, best_rate
+    def payoff(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int) -> np.ndarray:
+        """(|S_X|, |R|) table of source(Q_A) + channel(S_X)[which], where
+        which = 0 is the random-coding and 1 the sphere-packing exponent."""
+        return self.source(qa_arr) + np.vstack([self.channel(s)[which] for s in sx_grid])
 
 
-_EVALUATOR_CACHE: dict[tuple, _NestedEvaluator] = {}
+def _evaluator_for(evaluator, p, w, rate_step) -> NestedEvaluator:
+    """The caller's evaluator, checked against (p, W, rate step), or a fresh one."""
+    if evaluator is None:
+        return NestedEvaluator(p, w, rate_step)
+    if (evaluator.p, evaluator.w, evaluator.rate_step) != (p, w, rate_step):
+        raise ValueError("evaluator was built for another source, channel or rate step")
+    return evaluator
 
 
-def _shared_evaluator(p, w, rates) -> _NestedEvaluator:
-    """Process-level reuse of nested-curve caches across calls that target the
-    same (source, channel, rate grid); the channel curves dominate the cost
-    and depend only on that triple."""
-    key = (
-        p.matrix.shape,
-        p.matrix.tobytes(),
-        w.matrix.shape,
-        w.matrix.tobytes(),
-        rates.tobytes(),
-    )
-    ev = _EVALUATOR_CACHE.get(key)
-    if ev is None:
-        if len(_EVALUATOR_CACHE) >= 8:
-            _EVALUATOR_CACHE.pop(next(iter(_EVALUATOR_CACHE)))
-        ev = _NestedEvaluator(p, w, rates)
-        _EVALUATOR_CACHE[key] = ev
-    return ev
+def _max_min(table: np.ndarray, rates: np.ndarray):
+    """max over rows of min over R: the value, the first maximizing row and
+    its smallest minimizing rate (None when that row is all infinite)."""
+    mins = np.where(np.isfinite(table), table, np.inf).min(axis=1)
+    s_idx = int(np.argmax(mins))
+    val, rate = _first_finite_min(rates, table[s_idx])
+    return val, s_idx, rate
 
 
-def _nested_bound(ev: _NestedEvaluator, qa_grid, sx_grid, which: int):
-    best = (math.inf, None, None, None)
-    for qa_arr in qa_grid:
-        val, s_arr, rate = ev.inner_max_min(qa_arr, sx_grid, which)
-        if val < best[0]:
-            best = (val, qa_arr, s_arr, rate)
-    return best
+def _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax):
+    """min over Q_A of the inner max-min (value, Q_A, S_X, rate) and of the
+    inner min-max (the same fields), and the largest finite inner gap.
+
+    The first pass sweeps the coarse grids. Each refinement level sweeps Q_A
+    windows five times finer around the max-min incumbent (and, with
+    `follow_minmax`, around the min-max one) against the coarse S_X grid plus
+    a finer window around the max-min S_X.
+    """
+    sx_coarse = simplex_grid(ev.w.input_size, sx_step)
+    qa_grid, sx_grid = simplex_grid(ev.p.shape[0], qa_step), sx_coarse
+    qa_span, sx_span = qa_step, sx_step
+    worst_inner = 0.0
+    for level in range(max(0, refinement_levels) + 1):
+        if level:
+            if best_maxmin[1] is None:
+                break
+            centers = [best_maxmin[1]]
+            if follow_minmax and best_minmax[1] is not None:
+                centers.append(best_minmax[1])
+            qa_grid = np.vstack([_fine_window(c, qa_span) for c in centers])
+            sx_grid = np.vstack([sx_coarse, _fine_window(best_maxmin[2], sx_span)])
+            qa_span /= 5.0
+            sx_span /= 5.0
+        best_maxmin = best_minmax = (math.inf, None, None, None)
+        for qa_arr in qa_grid:
+            table = ev.payoff(qa_arr, sx_grid, which)
+            maxmin_qa, s_idx, rate = _max_min(table, ev.rates)
+            col_max = np.max(table, axis=0)
+            r_idx = int(np.argmin(col_max))
+            minmax_qa = float(col_max[r_idx])
+            if math.isfinite(maxmin_qa) and math.isfinite(minmax_qa):
+                worst_inner = max(worst_inner, minmax_qa - maxmin_qa)
+            if maxmin_qa < best_maxmin[0]:
+                best_maxmin = (maxmin_qa, qa_arr, sx_grid[s_idx], rate)
+            if minmax_qa < best_minmax[0]:
+                s_at = int(np.argmax(table[:, r_idx]))
+                best_minmax = (minmax_qa, qa_arr, sx_grid[s_at], float(ev.rates[r_idx]))
+    return best_maxmin, best_minmax, worst_inner
 
 
 def theorem1_bounds(
@@ -257,35 +286,20 @@ def theorem1_bounds(
     qa_step: float = 0.05,
     sx_step: float = 0.05,
     refinement_levels: int = 1,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> JointBoundResult:
     """Nested bounds min_{Q_A} max_{S_X} min_R of (fixed-marginal source
-    exponent + channel exponent), with grid refinement around incumbents."""
-    rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
-    ev = _shared_evaluator(p, w, rates)
-    na = p.shape[0]
-    nx = w.input_size
+    exponent + channel exponent), with grid refinement around incumbents.
 
-    results = []
-    for which in (0, 1):  # random-coding term, then sphere-packing term
-        qa_grid = simplex_grid(na, qa_step)
-        sx_grid = simplex_grid(nx, sx_step)
-        val, qa_best, sx_best, rate_best = _nested_bound(ev, qa_grid, sx_grid, which)
-        qa_span, sx_span = qa_step, sx_step
-        for _ in range(max(0, refinement_levels)):
-            if qa_best is None:
-                break
-            qa_fine = _fine_window(qa_best, qa_span, qa_span / 5.0)
-            sx_fine = (
-                np.vstack([sx_grid, _fine_window(sx_best, sx_span, sx_span / 5.0)])
-                if sx_best is not None
-                else sx_grid
-            )
-            val, qa_best, sx_best, rate_best = _nested_bound(ev, qa_fine, sx_fine, which)
-            qa_span /= 5.0
-            sx_span /= 5.0
-        results.append((val, qa_best, sx_best, rate_best))
-
-    (lower, qa_lo, sx_lo, r_lo), (upper, _, _, r_up) = results
+    Pass an `evaluator` built for (p, w, rate_step) to share its curves with
+    other calls; without one, a fresh evaluator serves this call alone."""
+    ev = _evaluator_for(evaluator, p, w, rate_step)
+    # random-coding term, then sphere-packing term
+    (lower, qa_lo, sx_lo, r_lo), (upper, _, _, r_up) = [
+        _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, False)[0]
+        for which in (0, 1)
+    ]
     flag = _reliability_flag(p, w)
     if flag is None and math.isinf(lower) and math.isinf(upper):
         flag = ALL_INFINITE_FLAG
@@ -310,63 +324,23 @@ def game_solve(
     qa_step: float = 0.05,
     sx_step: float = 0.05,
     refinement_levels: int = 1,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> GameReport:
     """Analyze the inner (S_X, R) game of the nested bound for each Q_A.
 
     Reports min over Q_A of the max-min and of the min-max values; their gap
     is zero exactly when the interchange behind the flat-bound collapse is
     legitimate for this instance. The payoff's order of play always favors
-    min-max, so gap >= 0 up to rounding.
+    min-max, so gap >= 0 up to rounding. `evaluator` is shared as in
+    :func:`theorem1_bounds`.
     """
     if payoff not in ("random", "sphere"):
         raise ValueError("payoff must be 'random' or 'sphere'")
-    which = 0 if payoff == "random" else 1
-    rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
-    ev = _shared_evaluator(p, w, rates)
-    na = p.shape[0]
-    nx = w.input_size
-
-    def sweep(qa_grid, sx_grid):
-        best_maxmin = (math.inf, None, None)
-        best_minmax = (math.inf, None, None, None)
-        worst_inner = 0.0
-        for qa_arr in qa_grid:
-            efm = ev.source(qa_arr)
-            mat = np.vstack([efm + ev.channel(s_arr)[which] for s_arr in sx_grid])
-            mins = np.min(mat, axis=1)
-            s_idx = int(np.argmax(mins))
-            maxmin_qa = float(mins[s_idx])
-            col_max = np.max(mat, axis=0)
-            r_idx = int(np.argmin(col_max))
-            minmax_qa = float(col_max[r_idx])
-            if math.isfinite(maxmin_qa) and math.isfinite(minmax_qa):
-                worst_inner = max(worst_inner, minmax_qa - maxmin_qa)
-            if maxmin_qa < best_maxmin[0]:
-                best_maxmin = (maxmin_qa, qa_arr, sx_grid[s_idx])
-            if minmax_qa < best_minmax[0]:
-                s_at = int(np.argmax(mat[:, r_idx]))
-                best_minmax = (minmax_qa, qa_arr, sx_grid[s_at], float(rates[r_idx]))
-        return best_maxmin, best_minmax, worst_inner
-
-    qa_grid = simplex_grid(na, qa_step)
-    sx_grid = simplex_grid(nx, sx_step)
-    best_maxmin, best_minmax, worst_inner = sweep(qa_grid, sx_grid)
-    qa_span, sx_span = qa_step, sx_step
-    for _ in range(max(0, refinement_levels)):
-        if best_maxmin[1] is None:
-            break
-        windows = [_fine_window(best_maxmin[1], qa_span, qa_span / 5.0)]
-        if best_minmax[1] is not None:
-            windows.append(_fine_window(best_minmax[1], qa_span, qa_span / 5.0))
-        qa_fine = np.vstack(windows)
-        sx_fine = np.vstack([sx_grid, _fine_window(best_maxmin[2], sx_span, sx_span / 5.0)])
-        best_maxmin, best_minmax, worst_fine = sweep(qa_fine, sx_fine)
-        worst_inner = max(worst_inner, worst_fine)
-        qa_span /= 5.0
-        sx_span /= 5.0
-
-    maxmin, qa_mm, sx_mm = best_maxmin
-    minmax, _, sx_star, rate_star = best_minmax
+    ev = _evaluator_for(evaluator, p, w, rate_step)
+    (maxmin, qa_mm, _, _), (minmax, _, sx_star, rate_star), worst_inner = _nested_sweep(
+        ev, qa_step, sx_step, refinement_levels, 0 if payoff == "random" else 1, True
+    )
     gap = minmax - maxmin if (math.isfinite(minmax) and math.isfinite(maxmin)) else (
         0.0 if minmax == maxmin else math.inf
     )
@@ -389,27 +363,26 @@ def best_input_for_marginal(
     rate_step: float = 0.01,
     sx_step: float = 0.05,
     refinement_levels: int = 1,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> tuple[Distribution, float]:
     """Input law maximizing the nested lower-bound payoff for one fixed Q_A.
 
     This is what the simulator's optimized composition rule evaluates per
-    source type before rounding to integer counts.
+    source type before rounding to integer counts. `evaluator` is shared as
+    in :func:`theorem1_bounds`.
     """
-    rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
-    ev = _shared_evaluator(p, w, rates)
+    ev = _evaluator_for(evaluator, p, w, rate_step)
     sx_grid = simplex_grid(w.input_size, sx_step)
-    val, s_best, _ = ev.inner_max_min(q_a.probs, sx_grid, 0)
+    val, s_idx, _ = _max_min(ev.payoff(q_a.probs, sx_grid, 0), ev.rates)
+    s_best = sx_grid[s_idx]
     span = sx_step
-    for _ in range(max(0, refinement_levels)):
-        if s_best is None:
-            break
-        fine = _fine_window(s_best, span, span / 5.0)
-        fine_val, fine_s, _ = ev.inner_max_min(q_a.probs, fine, 0)
+    for _ in range(refinement_levels):
+        fine = _fine_window(s_best, span)
+        fine_val, fine_idx, _ = _max_min(ev.payoff(q_a.probs, fine, 0), ev.rates)
         if fine_val > val:
-            val, s_best = fine_val, fine_s
+            val, s_best = fine_val, fine[fine_idx]
         span /= 5.0
-    if s_best is None:
-        return Distribution.uniform(w.input_size), val
     return Distribution(s_best), val
 
 

@@ -42,8 +42,9 @@ from .channel_exponents import (
     is_gallager_symmetric,
 )
 from .errors import ConfigError
-from .exact_sim import build_codebook, exact_error_probabilities
+from .exact_sim import build_codebooks, exact_error_probabilities
 from .joint_bounds import (
+    NestedEvaluator,
     both_si_bounds,
     game_solve,
     matching_check,
@@ -446,8 +447,11 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
             "cannot improve it",
         )
 
+    # the nested bounds and the game share one evaluator and one set of grids
+    ev = NestedEvaluator(p, w, step)
+    grids = (step, g.simplex_step, g.simplex_step, g.refinement_levels)
     if nested:
-        nb = theorem1_bounds(p, w, step, g.simplex_step, g.simplex_step, g.refinement_levels)
+        nb = theorem1_bounds(p, w, *grids, evaluator=ev)
         add("nested_lower", format_number(nb.lower))
         add("nested_lower_rate", _fmt_opt(nb.r_star_lower))
         add("nested_upper", format_number(nb.upper))
@@ -471,7 +475,7 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
     add("separation_margin", format_number(sep.margin))
     add("separation_case", sep.case)
 
-    game = game_solve(p, w, "random", step, g.simplex_step, g.simplex_step, g.refinement_levels)
+    game = game_solve(p, w, "random", *grids, evaluator=ev)
     add("game_maxmin", format_number(game.maxmin_value))
     add("game_minmax", format_number(game.minmax_value))
     add("game_gap", format_number(game.gap))
@@ -499,7 +503,7 @@ def simulate_table(
     ]
     results: dict[str, list] = {d: [] for d in decoders}
     seeds = range(scenario.seed, scenario.seed + seed_count)
-    codebooks = [build_codebook(n, p, w, scenario.sim.rule, s, scenario.sim.n_cap) for s in seeds]
+    codebooks = build_codebooks(n, p, w, scenario.sim.rule, seeds, scenario.sim.n_cap)
     for seed, by_decoder in zip(seeds, exact_error_probabilities(codebooks, p, w, decoders)):
         for d, res in by_decoder.items():
             results[d].append(res)
