@@ -106,11 +106,12 @@ def test_constant_composition_e0_matches_plain_form_at_uniform_symmetric():
     assert constant_composition_e0(0.0, uniform2(), w) == 0.0
 
 
-def test_constant_composition_e0_dominates_plain_form():
+@pytest.mark.parametrize("k,draws", [(2, 25), (3, 40)])
+def test_constant_composition_e0_dominates_plain_form(k, draws):
     rng = np.random.default_rng(17)
-    for _ in range(25):
-        s = Distribution(np.array([0.2, 0.8]) * 0 + np.sort(rng.dirichlet([1, 1])))
-        m = rng.random((2, 2)) + 0.05
+    for _ in range(draws):
+        s = Distribution(np.sort(rng.dirichlet(np.ones(k))))
+        m = rng.random((k, k)) + 0.05
         w = ConditionalDistribution(m / m.sum(axis=1, keepdims=True))
         rho = float(rng.uniform(0.05, 3.0))
         exact = constant_composition_e0(rho, s, w)

@@ -19,6 +19,7 @@ from siexp.exact_sim import (
     Codebook,
     _decoder_tables,
     build_codebook,
+    build_codebooks,
     codeword_compositions_ok,
     exact_error_probabilities,
     exact_error_probability,
@@ -98,6 +99,21 @@ def test_optimized_codebook_structure():
     for t, target in cb.composition_targets.items():
         assert sum(target) == pytest.approx(1.0, abs=1e-9)
         assert sum(cb.compositions[t]) == 4
+
+
+@pytest.mark.parametrize("rule", ["uniform", "optimized"])
+def test_batch_codebooks_equal_one_seed_builds(rule):
+    p, w = ternary_pair()
+    seeds = (0, 3, 7)
+    batch = build_codebooks(3, p, w, rule, seeds)
+    for seed, cb in zip(seeds, batch):
+        one = build_codebook(3, p, w, rule, seed)
+        assert cb.seed == seed
+        assert cb.codewords.tobytes() == one.codewords.tobytes()
+        assert cb.compositions == one.compositions
+        assert cb.composition_targets == one.composition_targets
+    # each codebook owns its metadata
+    assert batch[0].compositions is not batch[1].compositions
 
 
 def test_codebook_validation():
@@ -246,8 +262,7 @@ def test_blocked_sweep_matches_whole_table_oracle(n, rule, block, monkeypatch):
     row_cells = (p.shape[0] * w.output_size) ** n
     cells = {"default": exact_sim._SWEEP_BLOCK_CELLS, "one_row": 1, "ragged": 3 * row_cells}
     monkeypatch.setattr(exact_sim, "_SWEEP_BLOCK_CELLS", cells[block])
-    for seed in (0, 1, 2):
-        cb = build_codebook(n, p, w, rule, seed)
+    for cb in build_codebooks(n, p, w, rule, (0, 1, 2)):
         for decoder in ("mmi", "map"):
             blocked = exact_error_probability(cb, p, w, decoder).error_probability
             assert abs(blocked - _whole_table_oracle(cb, p, w, decoder)) <= 1e-13
@@ -274,8 +289,7 @@ def test_map_never_worse_than_mmi():
     p, w = worked_pair()
     for n in (2, 3):
         for rule in ("uniform", "optimized"):
-            for seed in range(5):
-                cb = build_codebook(n, p, w, rule, seed)
+            for cb in build_codebooks(n, p, w, rule, range(5)):
                 pe_map = exact_error_probability(cb, p, w, "map").error_probability
                 pe_mmi = exact_error_probability(cb, p, w, "mmi").error_probability
                 assert pe_map <= pe_mmi + 1e-12
@@ -433,7 +447,7 @@ def _whole_decoder_tables(cb, p, w):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_shared_tables_match_per_codebook_tables_bit_for_bit(n, rule, pair):
     p, w = pair()
-    cbs = [build_codebook(n, p, w, rule, seed) for seed in range(3)]
+    cbs = build_codebooks(n, p, w, rule, range(3))
     a_seqs = exact_sim._all_sequences(p.shape[0], n)
     logjoint_ab, cond_h = exact_sim._pair_tables(a_seqs, p.matrix, "cond")
     (logjoint_xy, mi), rows = exact_sim._codeword_tables(cbs, w, True)
@@ -489,6 +503,25 @@ def test_simulate_table_builds_the_tables_once(decoders, monkeypatch):
     assert builds == [((2, 2), "cond" if mmi else None), ((2, 2), "mi" if mmi else None)]
     monkeypatch.undo()
     assert text == _per_seed_table(sc, 5, decoders, 4)
+
+
+def test_simulate_table_solves_the_compositions_once(monkeypatch):
+    solved = []
+    real = exact_sim.best_input_for_marginal
+
+    def spy(p, w, q_a, *args, evaluator):
+        solved.append((tuple(q_a.probs), evaluator))
+        return real(p, w, q_a, *args, evaluator=evaluator)
+
+    monkeypatch.setattr(exact_sim, "best_input_for_marginal", spy)
+    sc = dataclasses.replace(worked_example(), sim=SimSpec(rule="optimized"), seed=3)
+    text = simulate_table(sc, n=5, decoders=("mmi", "map"), seed_count=4)
+    # the six binary source types at n = 5, each solved once for all 4 seeds,
+    # over one evaluator
+    assert len(solved) == len({q for q, _ in solved}) == 6
+    assert len({id(ev) for _, ev in solved}) == 1
+    monkeypatch.undo()
+    assert text == _per_seed_table(sc, 5, ("mmi", "map"), 4)
 
 
 @pytest.mark.parametrize("n,seeds,shared", [(3, 2, True), (6, 8, False)])

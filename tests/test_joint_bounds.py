@@ -8,11 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from siexp import joint_bounds
 from siexp.channel_exponents import bsc, capacity
 from siexp.errors import PremiseViolationError
 from siexp.joint_bounds import (
     UNRELIABLE_FLAG,
+    NestedEvaluator,
     best_input_for_marginal,
     both_si_bounds,
     game_solve,
@@ -25,6 +29,7 @@ from siexp.joint_bounds import (
 from siexp.probkit import ConditionalDistribution, Distribution, JointDistribution, conditional_entropy
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
+ASYM_CHANNEL = ((0.9, 0.1), (0.2, 0.8))
 
 # frozen values for the worked pair (source above, channel bsc(0.025))
 FLAT_VALUE = 0.22158940485709555
@@ -92,6 +97,70 @@ def test_nested_bounds_deterministic_across_calls():
     b = theorem1_bounds(p, w)
     assert a.lower == b.lower and a.upper == b.upper
     assert a.r_star_lower == b.r_star_lower
+
+
+def _nested_calls(p, w, rate_step, evaluator=None):
+    q_a = Distribution(np.array([0.3, 0.7]))
+    return [
+        theorem1_bounds(p, w, rate_step, evaluator=evaluator),
+        game_solve(p, w, "random", rate_step, evaluator=evaluator),
+        game_solve(p, w, "sphere", rate_step, evaluator=evaluator),
+        best_input_for_marginal(p, w, q_a, rate_step, evaluator=evaluator),
+    ]
+
+
+@pytest.mark.parametrize("channel", [bsc(0.025), ConditionalDistribution(np.array(ASYM_CHANNEL))])
+def test_shared_evaluator_gives_the_fresh_results(channel, monkeypatch):
+    p = JointDistribution(np.array(WORKED_JOINT))
+    ev = NestedEvaluator(p, channel, 0.1)
+    shared = _nested_calls(p, channel, 0.1, ev)
+    # dataclass equality compares every field, floats exactly
+    assert shared == _nested_calls(p, channel, 0.1)
+    # the shared evaluator already holds every curve these calls need
+    solved = []
+    real = joint_bounds.dual_exponent_curves
+    monkeypatch.setattr(
+        joint_bounds, "dual_exponent_curves", lambda *a: solved.append(a) or real(*a)
+    )
+    assert _nested_calls(p, channel, 0.1, ev) == shared
+    assert solved == []
+
+
+def test_evaluator_for_another_instance_is_refused():
+    p, w = worked_pair()
+    ev = NestedEvaluator(p, w, 0.1)
+    other_p = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))
+    for args in ((other_p, w, 0.1), (p, bsc(0.05), 0.1), (p, w, 0.05)):
+        with pytest.raises(ValueError, match="evaluator"):
+            theorem1_bounds(*args, evaluator=ev)
+        with pytest.raises(ValueError, match="evaluator"):
+            game_solve(args[0], args[1], "random", args[2], evaluator=ev)
+        with pytest.raises(ValueError, match="evaluator"):
+            best_input_for_marginal(args[0], args[1], Distribution.uniform(2), args[2], evaluator=ev)
+    # best_input_for_marginal's default rate step is 0.01, not the evaluator's
+    with pytest.raises(ValueError, match="evaluator"):
+        best_input_for_marginal(p, w, Distribution.uniform(2), evaluator=ev)
+
+
+_entries = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    st.lists(_entries, min_size=4, max_size=4),
+    st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=2, max_size=2),
+)
+def test_nested_bounds_and_game_are_ordered_on_random_pairs(source, channel):
+    m = np.array(channel)
+    assume(sum(source) > 0.05 and np.all(m.sum(axis=1) > 0.05))
+    p = JointDistribution(np.array(source).reshape(2, 2) / sum(source))
+    w = ConditionalDistribution(m / m.sum(axis=1, keepdims=True))
+    # a fresh evaluator per call, on coarse grids without refinement
+    grid = dict(rate_step=0.05, qa_step=0.1, sx_step=0.1, refinement_levels=0)
+    nested = theorem1_bounds(p, w, **grid)
+    assert nested.lower <= nested.upper
+    game = game_solve(p, w, "random", **grid)
+    assert game.minmax_value >= game.maxmin_value - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -292,15 +292,17 @@ def test_duality_check_on_worked_example():
         duality_check(0.3, Distribution.uniform(3), w)
 
 
-def test_duality_check_random_instances():
+@pytest.mark.parametrize("k,grid_step", [(2, 0.01), (3, 0.1)])
+def test_duality_check_random_instances(k, grid_step):
     rng = np.random.default_rng(37)
     for _ in range(5):
         qa0 = float(rng.uniform(0.2, 0.8))
-        q_a = Distribution(np.array([qa0, 1.0 - qa0]))
-        m = rng.random((2, 2)) + 0.1 + 2.0 * np.eye(2)  # informative kernel
+        rest = (1.0 - qa0) * rng.dirichlet(np.ones(k - 1)) if k > 2 else [1.0 - qa0]
+        q_a = Distribution(np.array([qa0, *rest]))
+        m = rng.random((k, k)) + 0.1 + 2.0 * np.eye(k)  # informative kernel
         w = ConditionalDistribution(m / m.sum(axis=1, keepdims=True))
         h_qa = entropy(q_a)
         hc = conditional_entropy(compose(q_a, w))
         r = float(hc + (h_qa - hc) * rng.uniform(0.2, 0.8))
-        rep = duality_check(r, q_a, w, grid_step=0.01)
+        rep = duality_check(r, q_a, w, grid_step=grid_step)
         assert rep.abs_diff <= 1e-2
