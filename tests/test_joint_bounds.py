@@ -119,9 +119,12 @@ def test_shared_evaluator_gives_the_fresh_results(channel, monkeypatch):
     # the shared evaluator already holds every curve these calls need
     solved = []
     real = joint_bounds.dual_exponent_curves
-    monkeypatch.setattr(
-        joint_bounds, "dual_exponent_curves", lambda *a: solved.append(a) or real(*a)
-    )
+
+    def spy(*args):
+        solved.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(joint_bounds, "dual_exponent_curves", spy)
     assert _nested_calls(p, channel, 0.1, ev) == shared
     assert solved == []
 
@@ -268,3 +271,18 @@ def test_unreliable_flag_when_conditional_entropy_exceeds_capacity():
     assert flat.lower == 0.0
     nested = theorem1_bounds(p, noisy, rate_step=0.01, qa_step=0.1, sx_step=0.1)
     assert nested.reliability_flag == UNRELIABLE_FLAG
+
+
+def test_nested_ties_keep_the_first_input_law_and_smallest_rate():
+    # over bsc(0.4) every input law reaches payoff 0, so all S_X rows tie:
+    # the first grid law and the smallest minimizing rate are reported
+    p, _ = worked_pair()
+    noisy = bsc(0.4)
+    ev = NestedEvaluator(p, noisy, 0.1)
+    first_law = Distribution(np.array([0.0, 1.0]))
+    nested = theorem1_bounds(p, noisy, 0.1, 0.1, 0.1, evaluator=ev)
+    assert (nested.lower, nested.s_x_star, nested.r_star_lower) == (0.0, first_law, 0.1)
+    game = game_solve(p, noisy, "random", 0.1, 0.1, 0.1, evaluator=ev)
+    assert (game.maxmin_value, game.s_x_star, game.rate_star) == (0.0, first_law, 0.1)
+    best = best_input_for_marginal(p, noisy, Distribution.uniform(2), 0.1, 0.1, evaluator=ev)
+    assert best == (first_law, 0.0)
