@@ -74,7 +74,8 @@ _RHO_TAIL = np.geomspace(1.0, RHO_MAX, 4001)
 # quantization there is far below every tolerance that consumes these curves
 _CC_RHO_UNIT = np.linspace(0.0, 1.0, 2001)
 _CC_RHO_TAIL = np.geomspace(1.0, RHO_MAX, 1201)
-# rates per Legendre-envelope block: a block's table is 128 x 10001 floats
+# rates per block of the envelope's dense fallback: a block's table is at
+# most 128 x 10001 floats
 _RATE_BLOCK = 128
 
 
@@ -198,7 +199,8 @@ def _cc_e0_on_lattice(
         r, wa, qa = rhos[active], nw[active], nq[active]
         g, q_next, v = _cc_terms(qa, wa, r, sl)
         vals[active], gap[active] = g, _cc_gap(qa, q_next, r)
-        keep = gap[active] > tol * np.maximum(np.abs(g), 1.0)
+        # a point whose q_next loses an output mass leaves Newton for the sweeps
+        keep = (gap[active] > tol * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
         active, r, wa, qa, g, q_next, v = (a[keep] for a in (active, r, wa, qa, g, q_next, v))
         if active.size == 0 or it == steps:
             break
@@ -346,32 +348,82 @@ def sphere_packing_exponent(
 # whole-curve evaluation
 
 
+def _lattice_argmax(rates, rhos, vals):
+    """(first argmax, max) over k of the table entry fl(vals[k] - fl(rate *
+    rhos[k])) for every rate: the same index and float as arg-maxing the whole
+    (rates x lattice) table, from a few entries per rate.
+
+    While the lattice slopes of ``vals`` decrease by more than their rounding
+    error, they decrease in exact arithmetic too. For a rate above every later
+    slope, vals - rate * rho is then unimodal in exact arithmetic, and the
+    slopes locate its peak. The table is evaluated on 2W + 1 points around the
+    peak and one outer neighbour on each side. When both neighbours sit below
+    the window's maximum by more than two entries' rounding bound, the peak
+    lies strictly between them, so every entry outside the window is below
+    that maximum too. Every other rate falls back to :func:`_dense_argmax`."""
+    w, n = 2, len(rhos)
+    eps = np.finfo(float).eps
+    idx, best = np.empty(len(rates), dtype=np.intp), np.empty(len(rates))
+    fast = np.zeros(len(rates), dtype=bool)
+    if n > 2 * w and np.all(np.isfinite(vals)):
+        slopes = np.diff(vals) / np.diff(rhos)
+        # each slope is within three roundings, 2 eps relative, of the exact one
+        err = 2.0 * eps * np.abs(slopes) + np.finfo(float).tiny
+        m = np.argmin(np.append(slopes[:-1] - slopes[1:] > err[:-1] + err[1:], False))
+        fast = rates > np.max(slopes[m + 1 :] + err[m + 1 :], initial=-np.inf)
+        r = rates[fast]
+        peak = np.searchsorted(-slopes[: m + 1], -r)  # the number of steps that climb
+        lo = np.clip(peak - w, 0, n - 2 * w - 1)
+        cols = np.clip(lo[:, None] + np.arange(-1, 2 * w + 2), 0, n - 1)
+        table = vals[cols] - r[:, None] * rhos[cols]
+        inner = table[:, 1:-1]
+        k = np.argmax(inner, axis=1)
+        top = inner[np.arange(len(r)), k]
+        outer = np.maximum(
+            np.where(lo > 0, table[:, 0], -np.inf), np.where(lo + 2 * w + 1 < n, table[:, -1], -np.inf)
+        )
+        # an entry rounds by at most eps/2 (|vals| + 2 |rate rho|); the margin
+        # is twice the sum of two entries' bounds
+        ok = outer < top - 2.0 * eps * (np.abs(vals).max() + 2.0 * np.abs(r) * rhos[-1])
+        fast[fast] = ok
+        idx[fast], best[fast] = lo[ok] + k[ok], top[ok]
+    dense = np.flatnonzero(~fast)
+    if dense.size:
+        idx[dense], best[dense] = _dense_argmax(rates[dense], rhos, vals)
+    return idx, best
+
+
+def _dense_argmax(rates, rhos, vals):
+    """:func:`_lattice_argmax` from the whole table, ``_RATE_BLOCK`` rows at a time."""
+    idx, best = np.empty(len(rates), dtype=np.intp), np.empty(len(rates))
+    for lo in range(0, len(rates), _RATE_BLOCK):
+        blk = slice(lo, lo + _RATE_BLOCK)
+        table = np.multiply(rates[blk, None], rhos[None, :])
+        np.subtract(vals[None, :], table, out=table)
+        idx[blk] = np.argmax(table, axis=1)
+        best[blk] = table[np.arange(len(table)), idx[blk]]
+    return idx, best
+
+
 def _envelope_curves(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
     """Legendre envelopes over a precomputed unit-interval lattice, extending
     into the tail lattice only for rates whose unit argmax saturates at 1.
     Where it does not, the sphere-packing entry is copied from the
     random-coding entry, preserving exact coincidence above the critical rate.
-    Rates go through in blocks of ``_RATE_BLOCK``, one table row per rate, so
-    the (rates x lattice) table stays small; every entry is the same float."""
-    er, esp = np.empty(len(rates)), np.empty(len(rates))
-    tail_vals = functools.cache(tail_vals_fn)
-    table = np.empty((min(_RATE_BLOCK, len(rates)), len(rho_unit)))  # reused by every block
-    for lo in range(0, len(rates), _RATE_BLOCK):
-        blk = slice(lo, lo + _RATE_BLOCK)
-        sub = rates[blk]
-        vals_unit = np.multiply(sub[:, None], rho_unit[None, :], out=table[: len(sub)])
-        np.subtract(unit_vals[None, :], vals_unit, out=vals_unit)
-        best_idx = np.argmax(vals_unit, axis=1)
-        er[blk] = esp[blk] = np.maximum(vals_unit[np.arange(len(sub)), best_idx], 0.0)
-        needs_tail = best_idx == len(rho_unit) - 1
-        if np.any(needs_tail):
-            vals_tail = tail_vals()[None, :] - sub[needs_tail][:, None] * rho_tail[None, :]
-            tail_idx = np.argmax(vals_tail, axis=1)
-            tail_val = vals_tail[np.arange(len(vals_tail)), tail_idx]
-            slope_end = (vals_tail[:, -1] - vals_tail[:, -2]) / (rho_tail[-1] - rho_tail[-2])
-            still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
-            tail_val = np.where(still_climbing, np.inf, tail_val)
-            esp[blk][needs_tail] = np.maximum(er[blk][needs_tail], tail_val)
+    Each argmax is :func:`_lattice_argmax`, so every value is the float the
+    whole (rates x lattice) table gives."""
+    idx, best = _lattice_argmax(rates, rho_unit, unit_vals)
+    er = np.maximum(best, 0.0)
+    esp = er.copy()
+    needs_tail = idx == len(rho_unit) - 1
+    if np.any(needs_tail):
+        sub, tail_vals = rates[needs_tail], tail_vals_fn()
+        tail_idx, tail_val = _lattice_argmax(sub, rho_tail, tail_vals)
+        end = tail_vals[-2:] - sub[:, None] * rho_tail[-2:]
+        slope_end = (end[:, 1] - end[:, 0]) / (rho_tail[-1] - rho_tail[-2])
+        still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
+        tail_val = np.where(still_climbing, np.inf, tail_val)
+        esp[needs_tail] = np.maximum(er[needs_tail], tail_val)
     return er, esp
 
 

@@ -37,8 +37,8 @@ from .channel_exponents import (
     is_gallager_symmetric,
     uniform_input_is_optimal_premise,
 )
-from .errors import PremiseViolationError
-from .numerics import rate_grid, simplex_grid
+from .errors import BudgetError, PremiseViolationError
+from .numerics import GRID_POINT_BUDGET, grid_resolution, rate_grid, simplex_grid
 from .probkit import (
     ConditionalDistribution,
     Distribution,
@@ -184,8 +184,24 @@ def symmetric_flat_bounds(
 
 
 def _fine_window(point: np.ndarray, span: float) -> np.ndarray:
-    """Simplex points at step span / 5 within `span` of `point` in max norm."""
-    fine = simplex_grid(len(point), span / 5.0)
+    """Simplex points at step span / 5 within `span` of `point` in max norm.
+
+    Only the integer box around `point` is enumerated, in lexicographic
+    order, so the points and their order are those of the whole
+    ``simplex_grid(len(point), span / 5)`` filtered to the window."""
+    res = grid_resolution(span / 5.0)
+    lo = np.clip(np.floor((point[:-1] - span) * res) - 1, 0, res).astype(int)
+    hi = np.clip(np.ceil((point[:-1] + span) * res) + 1, 0, res).astype(int)
+    sizes = (hi - lo + 1).tolist()
+    n_points = math.prod(sizes)
+    if n_points > GRID_POINT_BUDGET:
+        raise BudgetError(
+            f"refinement window over {len(point)} cells needs {n_points} points, "
+            f"budget is {GRID_POINT_BUDGET}"
+        )
+    head = np.indices(sizes).reshape(len(sizes), n_points).T + lo
+    counts = np.column_stack([head, res - head.sum(axis=1)])
+    fine = counts[counts[:, -1] >= 0].astype(float) / res
     return fine[np.abs(fine - point[None, :]).max(axis=1) <= span + 1e-12]
 
 

@@ -25,6 +25,7 @@ from siexp import (
     bsc,
     both_si_bounds,
     build_codebook,
+    build_codebooks,
     cli,
     conditional_entropy,
     dual_exponent_curves,
@@ -432,8 +433,13 @@ def test_7_exact_simulator_monte_carlo_and_decoder_ordering():
 
     map_ok = True
     exponents: list[float] = []
-    for seed in range(20):
-        cb = build_codebook(6, p, w, rule="optimized", seed=seed)
+    # one composition solve for all 20 seeds; the batch draws the codebooks
+    # the per-seed builder draws
+    books = build_codebooks(6, p, w, "optimized", range(20))
+    one = build_codebook(6, p, w, rule="optimized", seed=19)
+    assert books[19].codewords.tobytes() == one.codewords.tobytes()
+    assert books[19].compositions == one.compositions
+    for cb in books:
         mmi = exact_error_probability(cb, p, w, decoder="mmi")
         map_res = exact_error_probability(cb, p, w, decoder="map")
         map_ok = map_ok and map_res.error_probability <= mmi.error_probability

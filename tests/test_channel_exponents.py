@@ -5,12 +5,15 @@ Frozen reference numbers come from independent mpmath computations (40
 digits): closed forms where available, otherwise high-precision ternary
 search on the one-dimensional convex/concave subproblems.
 """
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siexp import channel_exponents
+from siexp import channel_exponents, source_si_exponents
 from siexp.channel_exponents import (
     RHO_MAX,
     _CC_RHO_TAIL,
@@ -18,6 +21,7 @@ from siexp.channel_exponents import (
     _RHO_TAIL,
     _RHO_UNIT,
     _cc_e0_on_lattice,
+    _e0_on_lattice,
     _e0_star_on_lattice,
     bec,
     bsc,
@@ -522,6 +526,16 @@ def test_cc_lattice_fallback_sweeps_report_their_true_gap(monkeypatch):
     assert np.mean(gap > 1e-13 * np.maximum(np.abs(vals), 1.0)) > 0.5
 
 
+def test_cc_lattice_leaves_newton_where_an_output_mass_vanishes():
+    # output 1 is reached only from the input of mass 1/33, and the optimal q
+    # empties it at large rho: its mass in q_next once rounded to zero, and the
+    # Newton step divided by it
+    s = np.array([16.0, 16.0, 1.0]) / 33.0
+    w = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    vals = _cc_e0_on_lattice(_CC_RHO_TAIL, s, w)[0]
+    assert np.all(np.abs(vals - _alternating_oracle(_CC_RHO_TAIL, s, w)) <= 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # blocked Legendre envelope
 
@@ -550,31 +564,158 @@ def _same_floats(got, want):
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _channel_table(rhos, vals, r):
+    return vals[:, None] - rhos[:, None] * r[None, :]
+
+
+def _source_table(rhos, es, r):
+    return rhos[:, None] * r[None, :] - es[:, None]
+
+
+def _matches_dense(got, rates, rho_unit, rho_tail, unit, tail, table=_channel_table):
+    """``got`` equals the dense oracle float for float; the oracle runs on 128
+    rates at a time, which keeps its tables small and leaves its floats alone."""
+    for lo in range(0, len(rates), 128):
+        blk = slice(lo, lo + 128)
+        want = _dense_envelope(rates[blk], rho_unit, rho_tail, unit, tail, table)
+        if not (_same_floats(got[0][blk], want[0]) and _same_floats(got[1][blk], want[1])):
+            return False
+    return True
+
+
+def _dense_rows(monkeypatch):
+    """Spy on the envelope's dense fallback: a list of the rates it was given."""
+    seen = []
+    dense = channel_exponents._dense_argmax
+
+    def spy(rates, rhos, vals):
+        seen.append(rates.copy())
+        return dense(rates, rhos, vals)
+
+    monkeypatch.setattr(channel_exponents, "_dense_argmax", spy)
+    return seen
+
+
 @pytest.mark.parametrize("block", [7, channel_exponents._RATE_BLOCK])
 def test_blocked_envelope_matches_dense_table(monkeypatch, block):
     monkeypatch.setattr(channel_exponents, "_RATE_BLOCK", block)
+    dense_rows = _dense_rows(monkeypatch)
     rates = np.concatenate([[0.0], np.linspace(0.002, 1.2, 300)])
-    table = lambda rhos, vals, r: vals[:, None] - rhos[:, None] * r[None, :]
     # rows with disjoint supports: I(S;V) = H(S) for every admissible V, so the
     # sphere-packing curve diverges below H(S)
     s, w = np.array([0.45, 0.55]), np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6]])
-    er, esp = dual_exponent_curves(rates, Distribution(s), ConditionalDistribution(w))
+    got = dual_exponent_curves(rates, Distribution(s), ConditionalDistribution(w))
     unit, tail = (_cc_e0_on_lattice(rhos, s, w)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
-    want = _dense_envelope(rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail, table)
-    assert np.isinf(esp).any() and np.isfinite(esp[1:]).any()
-    assert _same_floats(er, want[0]) and _same_floats(esp, want[1])
+    assert np.isinf(got[1]).any() and np.isfinite(got[1][1:]).any()
+    assert _matches_dense(got, rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
     # input-optimized curves over the E_0* lattice
     w = np.array(ASYM_TWO)
-    er, esp = input_optimized_curves(rates, ConditionalDistribution(w))
+    got = input_optimized_curves(rates, ConditionalDistribution(w))
     unit, tail = (_e0_star_on_lattice(rhos, w)[0] for rhos in (_RHO_UNIT, _RHO_TAIL))
-    want = _dense_envelope(rates, _RHO_UNIT, _RHO_TAIL, unit, tail, table)
-    assert _same_floats(er, want[0]) and _same_floats(esp, want[1])
+    assert _matches_dense(got, rates, _RHO_UNIT, _RHO_TAIL, unit, tail)
     # source curves, max over rho of rho R - E_s(rho): the support caps H(A|B)
     # at 1 bit, so e_upper diverges between 1 and log2(3)
     p = JointDistribution(np.array([[0.3, 0.0], [0.2, 0.1], [0.0, 0.4]]))
-    el, eu = source_dual_curves(rates, p)
+    got = source_dual_curves(rates, p)
     unit, tail = (_es_on_lattice(rhos, p.matrix) for rhos in (_RHO_UNIT, _RHO_TAIL))
-    source_table = lambda rhos, es, r: rhos[:, None] * r[None, :] - es[:, None]
-    want = _dense_envelope(rates, _RHO_UNIT, _RHO_TAIL, unit, tail, source_table)
-    assert np.isinf(eu[rates < math.log2(3.0)]).any()
-    assert _same_floats(el, want[0]) and _same_floats(eu, want[1])
+    assert np.isinf(got[1][rates < math.log2(3.0)]).any()
+    assert _matches_dense(got, rates, _RHO_UNIT, _RHO_TAIL, unit, tail, _source_table)
+    # the uniform input on bsc(0.025): 1,001 rates on the 10,001-point E_0 lattice
+    dense_rows.clear()
+    s, w = uniform2(), bsc(0.025)
+    bsc_rates = np.linspace(0.0, 1.0, 1001)
+    unit, tail = (_e0_on_lattice(rhos, s.probs, w.matrix) for rhos in (_RHO_UNIT, _RHO_TAIL))
+    got = dual_exponent_curves(bsc_rates, s, w)
+    assert _matches_dense(got, bsc_rates, _RHO_UNIT, _RHO_TAIL, unit, tail)
+    # rate 0, rates equal to lattice slopes (ties), all in no order
+    slopes = np.diff(unit) / np.diff(_RHO_UNIT)
+    mixed = np.random.default_rng(3).permutation(np.concatenate([[0.0], slopes[::40], bsc_rates]))
+    got = dual_exponent_curves(mixed, s, w)
+    assert _matches_dense(got, mixed, _RHO_UNIT, _RHO_TAIL, unit, tail)
+    assert not dense_rows
+    # an input on one letter: the curve is zero up to rounding, and rate 0 ties
+    # every lattice point, so it takes the dense fallback
+    s = np.array([1.0, 0.0])
+    got = dual_exponent_curves(bsc_rates, Distribution(s), w)
+    unit, tail = (_cc_e0_on_lattice(rhos, s, w.matrix)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
+    assert _matches_dense(got, bsc_rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
+    assert len(dense_rows) == 1 and np.array_equal(dense_rows.pop(), [0.0])
+    # the zero entry of CC_KERNEL caps the fixed-input Lagrangian, so its tail
+    # flattens at large rho and rates below the flat top's slopes fall back
+    s, w = cc_pair()
+    tiny = np.concatenate([[0.0, 1e-14, 1e-13, 1e-12], bsc_rates[1:]])
+    got = dual_exponent_curves(tiny, s, w)
+    unit, tail = (_cc_e0_on_lattice(rhos, s.probs, w.matrix)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
+    assert _matches_dense(got, tiny, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
+    assert dense_rows and all(np.all(r <= 1e-12) for r in dense_rows)
+
+
+def test_envelope_reads_few_lattice_points_on_concave_curves(monkeypatch):
+    # a certificate too strict would send these curves back to the dense table
+    dense_rows = _dense_rows(monkeypatch)
+    rates = rate_grid(1e-3, 1.0, include_zero=True)
+    # the worked pair's channel: the E_0 lattice of the uniform input
+    dual_exponent_curves(rates, uniform2(), bsc(0.025))
+    # a strictly concave constant-composition curve
+    dual_exponent_curves(rates, Distribution(np.array([0.3, 0.7])), bsc(0.025))
+    assert len(rates) == 1001 and not dense_rows
+
+
+_weight = st.floats(0.0, 1.0)
+
+
+def _stochastic(rows, cols):
+    """Row-stochastic (rows, cols) arrays from entries in [0, 1], zeros included."""
+    return (
+        st.lists(_weight, min_size=rows * cols, max_size=rows * cols)
+        .map(lambda v: np.array(v).reshape(rows, cols))
+        .filter(lambda m: np.all(m.sum(axis=1) > 0.05))
+        .map(lambda m: m / m.sum(axis=1, keepdims=True))
+    )
+
+
+# (input law, channel) pairs on 2x2 and 3x3 channels, and 2x2 and 3x2 joints
+_channel_pairs = st.sampled_from([2, 3]).flatmap(
+    lambda k: st.tuples(_stochastic(1, k).map(lambda m: m[0]), _stochastic(k, k))
+)
+_source_joints = st.sampled_from([2, 3]).flatmap(
+    lambda k: _stochastic(1, 2 * k).map(lambda m: m.reshape(k, 2))
+)
+_PROPERTY_RATES = np.linspace(0.0, 1.6, 161)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_channel_pairs, _source_joints)
+def test_envelope_matches_dense_table_on_random_instances(pair, joint):
+    envelope, calls = channel_exponents._envelope_curves, []
+
+    def recording(rates, rho_unit, rho_tail, unit, tail_fn):
+        tail_fn = functools.cache(tail_fn)
+        out = envelope(rates, rho_unit, rho_tail, unit, tail_fn)
+        # copies: source_dual_curves marks its lossless rates in place
+        calls.append(((out[0].copy(), out[1].copy()), rates, rho_unit, rho_tail, unit, tail_fn()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel_exponents, "_envelope_curves", recording)
+        mp.setattr(source_si_exponents, "_envelope_curves", recording)
+        dual_exponent_curves(_PROPERTY_RATES, Distribution(pair[0]), ConditionalDistribution(pair[1]))
+        source_dual_curves(_PROPERTY_RATES, JointDistribution(joint / joint.sum()))
+    assert len(calls) == 2
+    for call in calls:
+        assert _matches_dense(*call)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_channel_pairs)
+def test_dual_curves_are_ordered_convex_and_nonincreasing(pair):
+    rates = _PROPERTY_RATES
+    er, esp = dual_exponent_curves(rates, Distribution(pair[0]), ConditionalDistribution(pair[1]))
+    # each table entry E(rho) - rho R rounds by about eps (|E| + R rho), with
+    # rho up to RHO_MAX: the tolerance is four such roundings per value
+    tol = 4.0 * np.finfo(float).eps * (np.abs(er) + rates * RHO_MAX)
+    assert np.all(er <= esp + tol)
+    for e in (er, esp):
+        e = np.where(np.isfinite(e), e, np.nan)  # nan compares false, silently
+        assert not np.any(np.diff(e) > tol[1:] + tol[:-1])
+        assert not np.any(np.diff(e, 2) < -(tol[2:] + 2.0 * tol[1:-1] + tol[:-2]))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from siexp import joint_bounds
 from siexp.channel_exponents import bsc, capacity
-from siexp.errors import PremiseViolationError
+from siexp.errors import BudgetError, PremiseViolationError
 from siexp.joint_bounds import (
     UNRELIABLE_FLAG,
     NestedEvaluator,
@@ -26,6 +26,7 @@ from siexp.joint_bounds import (
     symmetric_flat_bounds,
     theorem1_bounds,
 )
+from siexp.numerics import simplex_grid
 from siexp.probkit import ConditionalDistribution, Distribution, JointDistribution, conditional_entropy
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
@@ -146,6 +147,27 @@ def test_evaluator_for_another_instance_is_refused():
 
 
 _entries = st.floats(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [(0.5, 0.5), (0.95, 0.05), (1.0, 0.0), (0.35, 0.3, 0.35), (0.0, 0.05, 0.95),
+     (0.25, 0.25, 0.25, 0.25), (0.0, 0.9, 0.05, 0.05)],
+)
+def test_fine_window_equals_the_filtered_simplex(center):
+    point = np.array(center)
+    for span in (0.05, 0.01) if len(point) < 4 else (0.05,):
+        fine = simplex_grid(len(point), span / 5.0)
+        want = fine[np.abs(fine - point[None, :]).max(axis=1) <= span + 1e-12]
+        assert np.array_equal(joint_bounds._fine_window(point, span), want)
+
+
+def test_fine_window_needs_no_whole_simplex():
+    # the whole simplex at step 0.002 over four letters has 21M points
+    with pytest.raises(BudgetError):
+        simplex_grid(4, 0.002)
+    window = joint_bounds._fine_window(np.full(4, 0.25), 0.01)
+    assert len(window) == 891 and np.all(np.abs(window - 0.25) <= 0.01 + 1e-12)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
