@@ -362,29 +362,30 @@ def _lattice_argmax(rates, rhos, vals):
     lies strictly between them, so every entry outside the window is below
     that maximum too. Every other rate falls back to :func:`_dense_argmax`."""
     w, n = 2, len(rhos)
-    eps = np.finfo(float).eps
+    fi = np.finfo(float)
     idx, best = np.empty(len(rates), dtype=np.intp), np.empty(len(rates))
     fast = np.zeros(len(rates), dtype=bool)
-    if n > 2 * w and np.all(np.isfinite(vals)):
-        slopes = np.diff(vals) / np.diff(rhos)
+    if n > 2 * w and np.isfinite(vals).all():
+        slopes = (vals[1:] - vals[:-1]) / (rhos[1:] - rhos[:-1])
         # each slope is within three roundings, 2 eps relative, of the exact one
-        err = 2.0 * eps * np.abs(slopes) + np.finfo(float).tiny
-        m = np.argmin(np.append(slopes[:-1] - slopes[1:] > err[:-1] + err[1:], False))
+        err = 2.0 * fi.eps * np.abs(slopes) + fi.tiny
+        certified = slopes[:-1] - slopes[1:] > err[:-1] + err[1:]
+        m = len(certified) if certified.all() else certified.argmin()
         fast = rates > np.max(slopes[m + 1 :] + err[m + 1 :], initial=-np.inf)
         r = rates[fast]
         peak = np.searchsorted(-slopes[: m + 1], -r)  # the number of steps that climb
-        lo = np.clip(peak - w, 0, n - 2 * w - 1)
-        cols = np.clip(lo[:, None] + np.arange(-1, 2 * w + 2), 0, n - 1)
-        table = vals[cols] - r[:, None] * rhos[cols]
-        inner = table[:, 1:-1]
-        k = np.argmax(inner, axis=1)
-        top = inner[np.arange(len(r)), k]
-        outer = np.maximum(
-            np.where(lo > 0, table[:, 0], -np.inf), np.where(lo + 2 * w + 1 < n, table[:, -1], -np.inf)
-        )
+        # window starts in a lattice padded with -inf, so the outer neighbours
+        # of a window at either end lose every comparison
+        lo = np.minimum(np.maximum(peak - w, 0), n - 2 * w - 1)
+        cols = lo[:, None] + np.arange(2 * w + 3)
+        padded = np.concatenate(([-np.inf], vals, [-np.inf])), np.concatenate(([0.0], rhos, [0.0]))
+        table = padded[0][cols] - r[:, None] * padded[1][cols]
+        k = np.argmax(table[:, 1:-1], axis=1)
+        top = table[np.arange(len(r)), k + 1]
         # an entry rounds by at most eps/2 (|vals| + 2 |rate rho|); the margin
         # is twice the sum of two entries' bounds
-        ok = outer < top - 2.0 * eps * (np.abs(vals).max() + 2.0 * np.abs(r) * rhos[-1])
+        margin = 2.0 * fi.eps * (np.abs(vals).max() + 2.0 * np.abs(r) * rhos[-1])
+        ok = np.maximum(table[:, 0], table[:, -1]) < top - margin
         fast[fast] = ok
         idx[fast], best[fast] = lo[ok] + k[ok], top[ok]
     dense = np.flatnonzero(~fast)
