@@ -374,8 +374,8 @@ def _lattice_argmax(rates, rhos, vals):
         fast = rates > np.max(slopes[m + 1 :] + err[m + 1 :], initial=-np.inf)
         r = rates[fast]
         peak = np.searchsorted(-slopes[: m + 1], -r)  # the number of steps that climb
-        # window starts in a lattice padded with -inf, so the outer neighbours
-        # of a window at either end lose every comparison
+        # windows index a copy of the lattice padded with -inf at both ends,
+        # so the outer neighbour past either end loses every comparison
         lo = np.minimum(np.maximum(peak - w, 0), n - 2 * w - 1)
         cols = lo[:, None] + np.arange(2 * w + 3)
         padded = np.concatenate(([-np.inf], vals, [-np.inf])), np.concatenate(([0.0], rhos, [0.0]))

@@ -433,8 +433,8 @@ def test_7_exact_simulator_monte_carlo_and_decoder_ordering():
 
     map_ok = True
     exponents: list[float] = []
-    # one composition solve for all 20 seeds; the batch draws the codebooks
-    # the per-seed builder draws
+    # one composition solve for all 20 seeds; the batch draws the same
+    # codebooks as one build_codebook call per seed
     books = build_codebooks(6, p, w, "optimized", range(20))
     one = build_codebook(6, p, w, rule="optimized", seed=19)
     assert books[19].codewords.tobytes() == one.codewords.tobytes()
