@@ -137,13 +137,21 @@ class ChannelExponentResult:
 _CC_NEWTON_STEPS = 30
 
 
-def _cc_terms(q, wpow, rhos, sl):
+def _cc_value(q, wpow, rhos, sl):
     """The Lagrangian G(q) in bits at output laws q, one row per lattice point,
-    with the best kernel for each q and that kernel's output law."""
+    with the tilted channel and its row sums. A live input none of whose
+    outputs q reaches (its row sum underflows to 0) makes G(q) infinite."""
     tilted = wpow * np.power(q, (rhos / (1.0 + rhos))[:, None])[:, None, :]
     row = tilted.sum(axis=2)
+    with np.errstate(divide="ignore"):
+        return -(1.0 + rhos) * (np.log2(row) @ sl), tilted, row
+
+
+def _cc_terms(q, wpow, rhos, sl):
+    """:func:`_cc_value` with the best kernel for each q and that kernel's output law."""
+    g, tilted, row = _cc_value(q, wpow, rhos, sl)
     kernel = tilted / row[:, :, None]
-    return -(1.0 + rhos) * (np.log2(row) @ sl), np.einsum("x,nxy->ny", sl, kernel), kernel
+    return g, np.einsum("x,nxy->ny", sl, kernel), kernel
 
 
 def _cc_gap(q, q_next, rhos):
@@ -219,7 +227,7 @@ def _cc_e0_on_lattice(
         t, todo = np.ones(active.size), np.arange(active.size)
         for _ in range(40):
             q_t = qa[todo] * np.exp(t[todo, None] * delta[todo])
-            g_t = _cc_terms(q_t / q_t.sum(axis=1, keepdims=True), wa[todo], r[todo], sl)[0]
+            g_t = _cc_value(q_t / q_t.sum(axis=1, keepdims=True), wa[todo], r[todo], sl)[0]
             ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=1)
             if (todo := todo[~ok]).size == 0:
                 break
@@ -406,26 +414,44 @@ def _dense_argmax(rates, rhos, vals):
     return idx, best
 
 
-def _envelope_curves(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
-    """Legendre envelopes over a precomputed unit-interval lattice, extending
-    into the tail lattice only for rates whose unit argmax saturates at 1.
-    Where it does not, the sphere-packing entry is copied from the
-    random-coding entry, preserving exact coincidence above the critical rate.
-    Each argmax is :func:`_lattice_argmax`, so every value is the float the
-    whole (rates x lattice) table gives."""
+def _lazy_envelope(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
+    """Legendre envelopes over a precomputed unit-interval lattice, with the
+    sphere-packing tail as a deferred step. Returns er, the mask of rates
+    whose unit argmax saturates at 1, and a thunk for the tail lattice's
+    envelope at those rates (inf while it still climbs), which
+    :func:`_with_tail` raises er to: there esp = max(er, tail), so er <= esp
+    float for float. Off the mask esp is er, preserving exact coincidence
+    above the critical rate. Each argmax is :func:`_lattice_argmax`, so every
+    value is the float the whole (rates x lattice) table gives."""
     idx, best = _lattice_argmax(rates, rho_unit, unit_vals)
     er = np.maximum(best, 0.0)
-    esp = er.copy()
     needs_tail = idx == len(rho_unit) - 1
-    if np.any(needs_tail):
-        sub, tail_vals = rates[needs_tail], tail_vals_fn()
+    sub = rates[needs_tail]
+
+    def tail():
+        tail_vals = tail_vals_fn()
         tail_idx, tail_val = _lattice_argmax(sub, rho_tail, tail_vals)
         end = tail_vals[-2:] - sub[:, None] * rho_tail[-2:]
         slope_end = (end[:, 1] - end[:, 0]) / (rho_tail[-1] - rho_tail[-2])
         still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
-        tail_val = np.where(still_climbing, np.inf, tail_val)
-        esp[needs_tail] = np.maximum(er[needs_tail], tail_val)
-    return er, esp
+        return np.where(still_climbing, np.inf, tail_val)
+
+    return er, needs_tail, tail
+
+
+def _with_tail(values, mask, tail):
+    """A copy of values raised to tail() on mask. Rounding is monotone, so
+    raising c + er to c + tail gives c + max(er, tail) bit for bit."""
+    out = values.copy()
+    if mask.any():
+        out[mask] = np.maximum(out[mask], tail())
+    return out
+
+
+def _envelope_curves(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
+    """(er, esp) of :func:`_lazy_envelope`, the tail solved at once."""
+    er, needs_tail, tail = _lazy_envelope(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn)
+    return er, _with_tail(er, needs_tail, tail)
 
 
 def _uniform_on_symmetric(s: Distribution, w: ConditionalDistribution) -> bool:
@@ -441,6 +467,17 @@ def _uniform_on_symmetric(s: Distribution, w: ConditionalDistribution) -> bool:
         return False
 
 
+def _fixed_input_lattices(s: Distribution, w: ConditionalDistribution):
+    """(unit lattice, tail lattice, unit values, thunk for the tail values) of
+    the fixed-input curves of :func:`dual_exponent_curves`."""
+    if _uniform_on_symmetric(s, w):
+        unit = _e0_on_lattice(_RHO_UNIT, s.probs, w.matrix)
+        return _RHO_UNIT, _RHO_TAIL, unit, lambda: _e0_on_lattice(_RHO_TAIL, s.probs, w.matrix)
+    unit = _cc_e0_on_lattice(_CC_RHO_UNIT, s.probs, w.matrix)[0]
+    tail = lambda: _cc_e0_on_lattice(_CC_RHO_TAIL, s.probs, w.matrix)[0]
+    return _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail
+
+
 def dual_exponent_curves(rates: np.ndarray, s: Distribution, w: ConditionalDistribution):
     """Exact random-coding and sphere-packing values at a fixed input for
     every rate at once. Returns (er, esp) arrays.
@@ -450,14 +487,7 @@ def dual_exponent_curves(rates: np.ndarray, s: Distribution, w: ConditionalDistr
     Lagrangian lattice, so the curves are true exponents rather than E_0
     lower bounds.
     """
-    rates = np.asarray(rates, dtype=float)
-    if _uniform_on_symmetric(s, w):
-        unit = _e0_on_lattice(_RHO_UNIT, s.probs, w.matrix)
-        tail = lambda: _e0_on_lattice(_RHO_TAIL, s.probs, w.matrix)
-        return _envelope_curves(rates, _RHO_UNIT, _RHO_TAIL, unit, tail)
-    unit = _cc_e0_on_lattice(_CC_RHO_UNIT, s.probs, w.matrix)[0]
-    tail = lambda: _cc_e0_on_lattice(_CC_RHO_TAIL, s.probs, w.matrix)[0]
-    return _envelope_curves(rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
+    return _envelope_curves(np.asarray(rates, dtype=float), *_fixed_input_lattices(s, w))
 
 
 def primal_exponent_curves(
@@ -567,6 +597,19 @@ def _optimal_input_envelope(rates, w: ConditionalDistribution):
     return er, esp, unit, tail
 
 
+def _input_optimized_lattices(w: ConditionalDistribution):
+    """(unit lattice, tail lattice, unit values, memoized thunk for the tail
+    values) that :func:`input_optimized_curves` reads: E_0 of the uniform
+    input on a Gallager-symmetric channel, E_0* otherwise. Envelopes of
+    several rate grids over one channel can share them."""
+    if is_gallager_symmetric(w)[0]:
+        uniform = Distribution.uniform(w.input_size)
+        rho_unit, rho_tail, unit, tail = _fixed_input_lattices(uniform, w)
+        return rho_unit, rho_tail, unit, functools.cache(tail)
+    tail = functools.cache(lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix)[0])
+    return _RHO_UNIT, _RHO_TAIL, _e0_star_on_lattice(_RHO_UNIT, w.matrix)[0], tail
+
+
 def _optimal_law(r, value, er_value, unit, tail, k):
     """Maximizing law at the lattice rho that attains ``value``; values at most
     1e-12 break the tie toward the uniform law."""
@@ -642,8 +685,18 @@ class CriticalRateResult:
     earlier_coincidences: tuple[float, ...] = ()
 
 
+def _check_evaluator(evaluator, w: ConditionalDistribution, rate_step: float) -> None:
+    """Refuse an evaluator built for another channel or rate step."""
+    if evaluator is not None and (evaluator.w, evaluator.rate_step) != (w, rate_step):
+        raise ValueError("evaluator was built for another channel or rate step")
+
+
 def critical_rate(
-    w: ConditionalDistribution, rate_step: float = 1e-3, agreement_tol: float = 1e-6
+    w: ConditionalDistribution,
+    rate_step: float = 1e-3,
+    agreement_tol: float = 1e-6,
+    *,
+    evaluator=None,
 ) -> CriticalRateResult:
     """Smallest grid rate above which the input-optimized random-coding and
     sphere-packing exponents agree within ``agreement_tol`` at every grid rate.
@@ -651,13 +704,19 @@ def critical_rate(
     Both curves come from :func:`input_optimized_curves`, so every grid rate
     reads the same certified E_0* lattice. Grid rates below the certified
     point where the two curves also touch are reported separately instead of
-    silently extending the interval.
+    silently extending the interval. An ``evaluator``
+    (:class:`siexp.joint_bounds.NestedEvaluator`) built for this channel and
+    rate step lends its lattices; one built for another raises ValueError.
     """
+    _check_evaluator(evaluator, w, rate_step)
     cap = capacity(w)
     if cap <= 1e-12:
         raise ValueError("channel has zero capacity; the exponents are identically zero")
     rates = rate_grid(rate_step, math.log2(w.input_size))
-    er, esp = input_optimized_curves(rates, w)
+    if evaluator is None:
+        er, esp = input_optimized_curves(rates, w)
+    else:
+        er, esp = evaluator.input_optimized_curves(rates)
     with np.errstate(invalid="ignore"):
         agree = np.abs(esp - er) <= agreement_tol
     agree |= np.isinf(esp) & np.isinf(er)
@@ -751,7 +810,4 @@ def input_optimized_curves(rates: np.ndarray, w: ConditionalDistribution):
     E_0*(rho) = max_s E_0(rho, s), so E_0* is computed once with a certified
     gap on the rho lattices and every rate reads its envelope.
     """
-    rates = np.asarray(rates, dtype=float)
-    if is_gallager_symmetric(w)[0]:
-        return dual_exponent_curves(rates, Distribution.uniform(w.input_size), w)
-    return _optimal_input_envelope(rates, w)[:2]
+    return _envelope_curves(np.asarray(rates, dtype=float), *_input_optimized_lattices(w))

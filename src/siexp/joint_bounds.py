@@ -12,9 +12,16 @@ interchange is from exact on a given instance.
 
 The nested bounds, the game and `best_input_for_marginal` read one payoff
 table per Q_A from a `NestedEvaluator`, which solves each channel and source
-curve once. Build one for (p, W, rate step) and pass it as `evaluator=` to
-share its curves across calls; without it every call solves its own, and
-nothing is kept between calls.
+curve once, and the flat bounds and separate coding read its
+input-optimized lattices. Build one for (p, W, rate step) and pass it as
+`evaluator=` to share its curves across calls; without it every call solves
+its own, and nothing is kept between calls.
+
+Every sphere-packing curve is first known by its random-coding values, which
+equal it wherever the unit-interval envelope peaks below rho = 1 and bound it
+from below, float for float, elsewhere. A curve's tail lattice is solved only
+when a reduction over the payoff table could pick one of the entries it
+bounds, so the reductions return what the fully solved table gives.
 
 Rate-grid conventions: flat bounds scan the open interval (0, log2|A|); the
 nested grids include R = 0 so a degenerate (point-mass) Q_A contributes its
@@ -30,10 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_exponents import (
+    _check_evaluator,
+    _envelope_curves,
+    _fixed_input_lattices,
+    _input_optimized_lattices,
+    _lazy_envelope,
+    _with_tail,
     capacity,
     critical_rate,
-    dual_exponent_curves,
-    input_optimized_curves,
     is_gallager_symmetric,
     uniform_input_is_optimal_premise,
 )
@@ -45,7 +56,7 @@ from .probkit import (
     JointDistribution,
     conditional_entropy,
 )
-from .source_si_exponents import fixed_marginal_dual_curve, source_dual_curves
+from .source_si_exponents import _lazy_fixed_marginal_curve, source_dual_curves
 
 UNRELIABLE_FLAG = "conditional entropy is at or above capacity; reliable transmission fails"
 ALL_INFINITE_FLAG = "source exponent infinite across the whole rate range"
@@ -127,16 +138,18 @@ def both_si_bounds(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> JointBoundResult:
     """Flat bounds: min over R of (source upper exponent + channel exponent).
 
     Valid whether or not the encoder sees the side information; the two
     channel exponents give the achievable (random-coding) and converse
-    (sphere-packing) ends.
+    (sphere-packing) ends. `evaluator` is shared as in :func:`theorem1_bounds`.
     """
     rates = rate_grid(rate_step, math.log2(p.shape[0]))
     _, eu = source_dual_curves(rates, p)
-    er, esp = input_optimized_curves(rates, w)
+    er, esp = _evaluator_for(evaluator, p, w, rate_step).input_optimized_curves(rates)
     with np.errstate(invalid="ignore"):
         lower_vals = eu + er
         upper_vals = eu + esp
@@ -160,13 +173,15 @@ def symmetric_flat_bounds(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> JointBoundResult:
     """Flat bounds guarded by the rate-independent-optimal-input premise.
 
     Gallager symmetry certifies the premise structurally; otherwise a numeric
     sweep checks that one input law is optimal at every rate, and the call is
     refused if some rate disagrees. The computation itself is the same code
-    path as :func:`both_si_bounds`.
+    path as :func:`both_si_bounds`, which receives `evaluator`.
     """
     symmetric, _ = is_gallager_symmetric(w)
     if not symmetric:
@@ -176,7 +191,7 @@ def symmetric_flat_bounds(
                 f"optimal input law varies with rate (first offence near R = {offending}); "
                 "the flat-bound shortcut does not apply"
             )
-    return both_si_bounds(p, w, rate_step)
+    return both_si_bounds(p, w, rate_step, evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -205,35 +220,89 @@ def _fine_window(point: np.ndarray, span: float) -> np.ndarray:
     return fine[np.abs(fine - point[None, :]).max(axis=1) <= span + 1e-12]
 
 
+class _Curve:
+    """A curve that equals `values` off `pending` and is bounded below by it,
+    float for float, on `pending` until :meth:`resolve` solves `tail` and
+    raises it there (:func:`_with_tail`)."""
+
+    def __init__(self, values: np.ndarray, pending: np.ndarray, tail):
+        self.values, self.pending = values, pending
+        self._tail = tail if pending.any() else None
+
+    def resolve(self) -> None:
+        if self._tail is not None:
+            self.values, self._tail = _with_tail(self.values, self.pending, self._tail), None
+            self.pending = np.zeros_like(self.pending)
+
+
+class _Payoff:
+    """The (|S_X|, |R|) payoff source(Q_A) + channel(S_X) from the curves'
+    current values: an entry is exact unless one of its two curves is
+    pending there, and a lower bound on the exact entry otherwise."""
+
+    def __init__(self, source: _Curve, rows: list[_Curve]):
+        self.source, self.rows = source, rows
+        self._update()
+
+    def _update(self) -> None:
+        # summed in place: no second table-sized temporary
+        self.table = np.vstack([c.values for c in self.rows])
+        self.table += self.source.values
+        self.pending = np.vstack([c.pending for c in self.rows])
+        self.pending |= self.source.pending
+        self.pending &= np.isfinite(self.table)
+
+    def resolve(self, s_idx: int, cols: np.ndarray) -> None:
+        """Solve the source's tail if it is pending in `cols`, else row
+        s_idx's channel tail."""
+        curve = self.source if self.source.pending[cols].any() else self.rows[s_idx]
+        curve.resolve()
+        self._update()
+
+
 class NestedEvaluator:
-    """Per-input channel curves and per-marginal source curves for one source,
-    channel and rate step, solved on first use and kept for the evaluator's
-    lifetime."""
+    """Per-input channel curves, per-marginal source curves and the
+    input-optimized lattices for one source, channel and rate step, solved on
+    first use and kept for the evaluator's lifetime."""
 
     def __init__(self, p: JointDistribution, w: ConditionalDistribution, rate_step: float):
         self.p = p
         self.w = w
         self.rate_step = rate_step
         self.rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
-        self._channel: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._source: dict[bytes, np.ndarray] = {}
+        self._channel: dict[bytes, tuple[_Curve, _Curve]] = {}
+        self._source: dict[bytes, _Curve] = {}
+        self._optimized = None
 
-    def channel(self, s_arr: np.ndarray):
+    def input_optimized_curves(self, rates: np.ndarray):
+        """`input_optimized_curves(rates, w)`, from lattices solved once."""
+        if self._optimized is None:
+            self._optimized = _input_optimized_lattices(self.w)
+        return _envelope_curves(np.asarray(rates, dtype=float), *self._optimized)
+
+    def channel(self, s_arr: np.ndarray) -> tuple[_Curve, _Curve]:
+        """The random-coding and sphere-packing curves at input law s_arr."""
         key = s_arr.tobytes()
         if key not in self._channel:
-            self._channel[key] = dual_exponent_curves(self.rates, Distribution(s_arr), self.w)
+            lattices = _fixed_input_lattices(Distribution(s_arr), self.w)
+            er, needs_tail, tail = _lazy_envelope(self.rates, *lattices)
+            exact = np.zeros_like(needs_tail)
+            self._channel[key] = (_Curve(er, exact, None), _Curve(er, needs_tail, tail))
         return self._channel[key]
 
-    def source(self, qa_arr: np.ndarray):
+    def source(self, qa_arr: np.ndarray) -> _Curve:
+        """The fixed-marginal source curve at Q_A = qa_arr."""
         key = qa_arr.tobytes()
         if key not in self._source:
-            self._source[key] = fixed_marginal_dual_curve(self.rates, self.p, Distribution(qa_arr))
+            self._source[key] = _Curve(
+                *_lazy_fixed_marginal_curve(self.rates, self.p, Distribution(qa_arr))
+            )
         return self._source[key]
 
-    def payoff(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int) -> np.ndarray:
-        """(|S_X|, |R|) table of source(Q_A) + channel(S_X)[which], where
-        which = 0 is the random-coding and 1 the sphere-packing exponent."""
-        return self.source(qa_arr) + np.vstack([self.channel(s)[which] for s in sx_grid])
+    def payoff(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int) -> _Payoff:
+        """Payoff source(Q_A) + channel(S_X)[which] over the rows of sx_grid,
+        where which = 0 is the random-coding and 1 the sphere-packing exponent."""
+        return _Payoff(self.source(qa_arr), [self.channel(s)[which] for s in sx_grid])
 
 
 def _evaluator_for(evaluator, p, w, rate_step) -> NestedEvaluator:
@@ -245,18 +314,53 @@ def _evaluator_for(evaluator, p, w, rate_step) -> NestedEvaluator:
     return evaluator
 
 
-def _max_min(table: np.ndarray, rates: np.ndarray):
+def _max_min(pay: _Payoff, rates: np.ndarray):
     """max over rows of min over R: the value, the first maximizing row and
-    its smallest minimizing rate (None when that row is all infinite)."""
-    mins = np.where(np.isfinite(table), table, np.inf).min(axis=1)
+    its smallest minimizing rate (None when that row is all infinite).
+
+    A row's min lies between the min of its current entries and the min of
+    its exact ones. Tails are solved while some row that could still be the
+    first maximizer has a pending entry at or below its exact min."""
+    while True:
+        table, pending = pay.table, pay.pending
+        mins = np.where(np.isfinite(table), table, np.inf).min(axis=1)
+        exact_mins = np.where(pending, np.inf, table).min(axis=1)
+        live = exact_mins >= mins.max()
+        open_ = pending & (table <= exact_mins[:, None]) & live[:, None]
+        rows = np.flatnonzero(open_.any(axis=1))
+        if rows.size == 0:
+            break
+        s_idx = rows[np.argmax(exact_mins[rows])]
+        pay.resolve(s_idx, open_[s_idx])
     s_idx = int(np.argmax(mins))
     val, rate = _first_finite_min(rates, table[s_idx])
     return val, s_idx, rate
 
 
+def _min_max(pay: _Payoff):
+    """min over R of max over rows: the value, the first minimizing rate's
+    index and the first row attaining that column's max.
+
+    A column's max is known once none of its entries is pending, or one is
+    infinite. Tails are solved while some column whose max is not known has
+    a current max at or below the least known one."""
+    while True:
+        table, pending = pay.table, pay.pending
+        col_max = np.max(table, axis=0)
+        unknown = pending.any(axis=0) & np.isfinite(col_max)
+        cols = np.flatnonzero(unknown & (col_max <= np.where(unknown, np.inf, col_max).min()))
+        if cols.size == 0:
+            break
+        rows = np.flatnonzero(pending[:, cols[0]])
+        pay.resolve(rows[np.argmax(table[rows, cols[0]])], cols[:1])
+    r_idx = int(np.argmin(col_max))
+    return float(col_max[r_idx]), r_idx, int(np.argmax(table[:, r_idx]))
+
+
 def _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax):
-    """min over Q_A of the inner max-min (value, Q_A, S_X, rate) and of the
-    inner min-max (the same fields), and the largest finite inner gap.
+    """min over Q_A of the inner max-min (value, Q_A, S_X, rate) and, with
+    `follow_minmax`, of the inner min-max (the same fields) and the largest
+    finite inner gap.
 
     The first pass sweeps the coarse grids. Each refinement level sweeps Q_A
     windows five times finer around the max-min incumbent (and, with
@@ -280,17 +384,16 @@ def _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax)
             sx_span /= 5.0
         best_maxmin = best_minmax = (math.inf, None, None, None)
         for qa_arr in qa_grid:
-            table = ev.payoff(qa_arr, sx_grid, which)
-            maxmin_qa, s_idx, rate = _max_min(table, ev.rates)
-            col_max = np.max(table, axis=0)
-            r_idx = int(np.argmin(col_max))
-            minmax_qa = float(col_max[r_idx])
-            if math.isfinite(maxmin_qa) and math.isfinite(minmax_qa):
-                worst_inner = max(worst_inner, minmax_qa - maxmin_qa)
+            pay = ev.payoff(qa_arr, sx_grid, which)
+            maxmin_qa, s_idx, rate = _max_min(pay, ev.rates)
             if maxmin_qa < best_maxmin[0]:
                 best_maxmin = (maxmin_qa, qa_arr, sx_grid[s_idx], rate)
+            if not follow_minmax:
+                continue
+            minmax_qa, r_idx, s_at = _min_max(pay)
+            if math.isfinite(maxmin_qa) and math.isfinite(minmax_qa):
+                worst_inner = max(worst_inner, minmax_qa - maxmin_qa)
             if minmax_qa < best_minmax[0]:
-                s_at = int(np.argmax(table[:, r_idx]))
                 best_minmax = (minmax_qa, qa_arr, sx_grid[s_at], float(ev.rates[r_idx]))
     return best_maxmin, best_minmax, worst_inner
 
@@ -410,6 +513,8 @@ def matching_check(
     result: JointBoundResult,
     w: ConditionalDistribution,
     matching_tol: float = 1e-4,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> MatchingDiagnostics:
     """Decide whether the two bounds pin the exponent down.
 
@@ -418,6 +523,8 @@ def matching_check(
     above the channel's critical rate (within one grid step), where the
     random-coding and sphere-packing exponents provably coincide; in that
     regime the exponent also equals the one with encoder side information.
+    `evaluator`, built for W and the result's rate step, is passed to
+    :func:`critical_rate`.
     """
     lower, upper = result.lower, result.upper
     if math.isinf(lower) and math.isinf(upper):
@@ -428,9 +535,11 @@ def matching_check(
         gap = upper - lower
         matched = abs(gap) <= matching_tol
 
+    # refused here: a zero-capacity channel's ValueError is caught below
+    _check_evaluator(evaluator, w, result.rate_step)
     rc: float | None
     try:
-        rc = critical_rate(w, result.rate_step).rate
+        rc = critical_rate(w, result.rate_step, evaluator=evaluator).rate
     except ValueError:
         rc = None
 
@@ -459,13 +568,16 @@ def separate_exponent(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> SeparateCodingResult:
     """Best exponent of a separated scheme: max over the interface rate of
-    min(channel random-coding exponent, source lower exponent)."""
+    min(channel random-coding exponent, source lower exponent). `evaluator`
+    is shared as in :func:`theorem1_bounds`."""
     upper_edge = max(math.log2(p.shape[0]), math.log2(w.input_size))
     rates = rate_grid(rate_step, upper_edge)
     el, _ = source_dual_curves(rates, p)
-    er, _ = input_optimized_curves(rates, w)
+    er, _ = _evaluator_for(evaluator, p, w, rate_step).input_optimized_curves(rates)
     vals = np.minimum(er, el)
     idx = int(np.argmax(vals))
     value = float(vals[idx])
@@ -486,15 +598,19 @@ def separate_vs_joint(
     p: JointDistribution,
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
+    *,
+    evaluator: NestedEvaluator | None = None,
 ) -> SeparationReport:
     """Compare separate coding against the joint lower bound.
 
     The case label records where the joint bound's minimizing rate falls
     relative to the separate scheme's operating rate; each case comes with
-    its own strict-improvement argument, and `margin` quantifies it.
+    its own strict-improvement argument, and `margin` quantifies it. The
+    flat bound and the separate scheme share `evaluator`, or a fresh one.
     """
-    flat = both_si_bounds(p, w, rate_step)
-    sep = separate_exponent(p, w, rate_step)
+    ev = _evaluator_for(evaluator, p, w, rate_step)
+    flat = both_si_bounds(p, w, rate_step, evaluator=ev)
+    sep = separate_exponent(p, w, rate_step, evaluator=ev)
     if math.isinf(flat.lower):
         margin = math.inf
     else:

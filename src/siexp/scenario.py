@@ -418,22 +418,24 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
     add("capacity", format_number(capacity(w)))
     symmetric, _ = is_gallager_symmetric(w)
     add("gallager_symmetric", _fmt_bool(symmetric))
+    # every bound below reads its curves from one evaluator
+    ev = NestedEvaluator(p, w, step)
     try:
-        add("critical_rate", format_number(critical_rate(w, step).rate))
+        add("critical_rate", format_number(critical_rate(w, step, evaluator=ev).rate))
     except (ValueError, RuntimeError) as exc:
         add("critical_rate", f"undefined ({exc})")
 
     if nested:
-        flat = both_si_bounds(p, w, step)
+        flat = both_si_bounds(p, w, step, evaluator=ev)
     else:
-        flat = symmetric_flat_bounds(p, w, step)
+        flat = symmetric_flat_bounds(p, w, step, evaluator=ev)
     add("reliability", flat.reliability_flag or "ok")
     add("flat_lower", format_number(flat.lower))
     add("flat_lower_rate", _fmt_opt(flat.r_star_lower))
     add("flat_upper", format_number(flat.upper))
     add("flat_upper_rate", _fmt_opt(flat.r_star_upper))
 
-    diag = matching_check(flat, w, tol.matching)
+    diag = matching_check(flat, w, tol.matching, evaluator=ev)
     add("matched", _fmt_bool(diag.matched))
     add("matching_gap", format_number(diag.gap))
     add("complete_characterization", _fmt_bool(diag.complete_characterization))
@@ -447,8 +449,6 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
             "cannot improve it",
         )
 
-    # the nested bounds and the game share one evaluator and one set of grids
-    ev = NestedEvaluator(p, w, step)
     grids = (step, g.simplex_step, g.simplex_step, g.refinement_levels)
     if nested:
         nb = theorem1_bounds(p, w, *grids, evaluator=ev)
@@ -469,7 +469,7 @@ def report(scenario: Scenario, nested: bool = False, rate_step: float | None = N
             else:
                 add(name, "0" if nested_v == flat_v else "inf")
 
-    sep = separate_vs_joint(p, w, step)
+    sep = separate_vs_joint(p, w, step, evaluator=ev)
     add("separate_exponent", format_number(sep.separate))
     add("separate_rate", _fmt_opt(sep.r_bar))
     add("separation_margin", format_number(sep.margin))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _envelope_curves, _primal_tables
-from .channel_exponents import constant_composition_e0, dual_exponent_curves
+from .channel_exponents import _fixed_input_lattices, _lazy_envelope, _with_tail
+from .channel_exponents import constant_composition_e0
 from .channel_exponents import sphere_packing_exponent
 from .numerics import (
     concave_dual_max,
@@ -341,24 +342,32 @@ def e_upper_fixed_marginal(
     )
 
 
+def _lazy_fixed_marginal_curve(rates: np.ndarray, p: JointDistribution, q_a: Distribution):
+    """:func:`fixed_marginal_dual_curve` with its tail deferred: a lower bound,
+    the mask where only the tail can raise it, and a thunk for the curve on
+    that mask. The bound is d_marg + E_r at the rates H(q_a) - R, the curve
+    d_marg + E_sp."""
+    rates = np.asarray(rates, dtype=float)
+    out = np.full(len(rates), math.inf)
+    pending = np.zeros(len(rates), dtype=bool)
+    d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
+    h_qa = float(entropy_bits(q_a.probs))
+    valid = (rates < _log_alphabet(p) - _BOUNDARY_SLACK) & (h_qa - rates >= -1e-12)
+    if math.isinf(d_marg) or not np.any(valid):
+        return out, pending, None
+    channel_rates = np.maximum(h_qa - rates[valid], 0.0)
+    er, pending[valid], tail = _lazy_envelope(
+        channel_rates, *_fixed_input_lattices(q_a, p.conditional_rows())
+    )
+    out[valid] = d_marg + er
+    return out, pending, lambda: d_marg + tail()
+
+
 def fixed_marginal_dual_curve(
     rates: np.ndarray, p: JointDistribution, q_a: Distribution
 ) -> np.ndarray:
     """Fixed-marginal exponent across a rate vector (dual route)."""
-    rates = np.asarray(rates, dtype=float)
-    out = np.full(len(rates), math.inf)
-    d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
-    if math.isinf(d_marg):
-        return out
-    h_qa = float(entropy_bits(q_a.probs))
-    log_a = _log_alphabet(p)
-    valid = (rates < log_a - _BOUNDARY_SLACK) & (h_qa - rates >= -1e-12)
-    if not np.any(valid):
-        return out
-    channel_rates = np.maximum(h_qa - rates[valid], 0.0)
-    _, esp = dual_exponent_curves(channel_rates, q_a, p.conditional_rows())
-    out[valid] = d_marg + esp
-    return out
+    return _with_tail(*_lazy_fixed_marginal_curve(rates, p, q_a))
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,17 @@ def test_cc_lattice_leaves_newton_where_an_output_mass_vanishes():
     assert np.all(np.abs(vals - _alternating_oracle(_CC_RHO_TAIL, s, w)) <= 1e-10)
 
 
+def test_cc_lattice_trial_step_survives_an_unreachable_input():
+    # the input of mass 1e-30 reaches only output 0; an Armijo trial step that
+    # underflows q_0 leaves that input's tilted row all zero, where the trial
+    # once formed the kernel 0/0 (warnings are errors in this suite)
+    s = np.array([0.0588235294, 0.941176471, 1e-30])
+    s /= s.sum()
+    w = np.array([[2.0 / 3.0, 0.0, 1.0 / 3.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    vals = _cc_e0_on_lattice(_CC_RHO_TAIL, s, w)[0]
+    assert np.all(np.abs(vals - _alternating_oracle(_CC_RHO_TAIL, s, w)) <= 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # blocked Legendre envelope
 

@@ -4,6 +4,7 @@ diagnostics, separate-coding comparison, and the inner min-max game.
 Frozen references were produced by independent mpmath/one-dimensional-search
 computations on the worked source-channel pair.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from siexp import joint_bounds
-from siexp.channel_exponents import bsc, capacity
+from siexp import channel_exponents, joint_bounds
+from siexp.channel_exponents import bsc, capacity, critical_rate
 from siexp.errors import BudgetError, PremiseViolationError
 from siexp.joint_bounds import (
     UNRELIABLE_FLAG,
@@ -28,6 +29,7 @@ from siexp.joint_bounds import (
 )
 from siexp.numerics import simplex_grid
 from siexp.probkit import ConditionalDistribution, Distribution, JointDistribution, conditional_entropy
+from siexp.scenario import report, worked_example
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
 ASYM_CHANNEL = ((0.9, 0.1), (0.2, 0.8))
@@ -119,15 +121,157 @@ def test_shared_evaluator_gives_the_fresh_results(channel, monkeypatch):
     assert shared == _nested_calls(p, channel, 0.1)
     # the shared evaluator already holds every curve these calls need
     solved = []
-    real = joint_bounds.dual_exponent_curves
-
-    def spy(*args):
-        solved.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(joint_bounds, "dual_exponent_curves", spy)
+    for name in ("_lazy_envelope", "_lazy_fixed_marginal_curve"):
+        real = getattr(joint_bounds, name)
+        spy = lambda *args, real=real: solved.append(args) or real(*args)
+        monkeypatch.setattr(joint_bounds, name, spy)
     assert _nested_calls(p, channel, 0.1, ev) == shared
     assert solved == []
+
+
+def _resolve_tails_up_front(monkeypatch):
+    """Make every evaluator solve each curve's tail when it builds the curve."""
+    channel, source = NestedEvaluator.channel, NestedEvaluator.source
+
+    def eager_channel(self, s_arr):
+        curves = channel(self, s_arr)
+        curves[1].resolve()
+        return curves
+
+    def eager_source(self, qa_arr):
+        curve = source(self, qa_arr)
+        curve.resolve()
+        return curve
+
+    monkeypatch.setattr(NestedEvaluator, "channel", eager_channel)
+    monkeypatch.setattr(NestedEvaluator, "source", eager_source)
+
+
+LAZY_TAIL_CASES = {
+    # the worked source over the two benchmark channels, at benchmark-like steps
+    "worked-bsc": (WORKED_JOINT, ((0.975, 0.025), (0.025, 0.975)), 0.01, 0.05),
+    "worked-asym": (WORKED_JOINT, ASYM_CHANNEL, 0.05, 0.05),
+    "ternary-input": (WORKED_JOINT, ((0.9, 0.1), (0.5, 0.5), (0.15, 0.85)), 0.05, 0.1),
+    # no output is reachable from every input: E_sp is infinite at low rates
+    "zero-entries": (
+        ((0.3, 0.1), (0.2, 0.4)), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)), 0.05, 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LAZY_TAIL_CASES))
+def test_lazy_tails_give_the_fully_solved_results(case, monkeypatch):
+    joint, channel, rate_step, sx_step = LAZY_TAIL_CASES[case]
+    p, w = JointDistribution(np.array(joint)), ConditionalDistribution(np.array(channel))
+    grids = (rate_step, 0.1, sx_step, 1)
+    q_a = Distribution(np.array([0.3, 0.7]))
+
+    def calls(ev):
+        return [
+            theorem1_bounds(p, w, *grids, evaluator=ev),
+            game_solve(p, w, "random", *grids, evaluator=ev),
+            game_solve(p, w, "sphere", *grids, evaluator=ev),
+            best_input_for_marginal(p, w, q_a, rate_step, sx_step, evaluator=ev),
+        ]
+
+    lazy_ev = NestedEvaluator(p, w, rate_step)
+    lazy = calls(lazy_ev)
+    curves = [esp for _, esp in lazy_ev._channel.values()] + list(lazy_ev._source.values())
+    # the lazy run left some tail unsolved, so the comparison is not vacuous
+    assert any(c.pending.any() for c in curves)
+    _resolve_tails_up_front(monkeypatch)
+    eager_ev = NestedEvaluator(p, w, rate_step)
+    # dataclass equality compares every field, floats exactly
+    assert calls(eager_ev) == lazy
+    if case == "zero-entries":
+        assert any(np.isinf(esp.values).any() for _, esp in eager_ev._channel.values())
+
+
+# small integers tie often, which exercises the first-index rules
+_tie_values = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_lazy_reductions_match_the_solved_table(data):
+    n_rates = data.draw(st.integers(1, 5))
+    vector = lambda elements: st.lists(elements, min_size=n_rates, max_size=n_rates).map(np.array)
+    specs = []
+    for _ in range(data.draw(st.integers(2, 5))):
+        lower, pending = data.draw(vector(_tie_values)), data.draw(vector(st.booleans()))
+        raised = np.where(pending, lower + data.draw(vector(_tie_values)), lower)
+        specs.append((lower, pending, raised))
+    # rows may share a curve, as duplicate S_X rows do
+    rows = data.draw(st.lists(st.integers(1, len(specs) - 1), min_size=1, max_size=4))
+    rates = np.arange(n_rates) * 0.1
+
+    def payoff(solved):
+        curves = [joint_bounds._Curve(lo, pend, lambda t=t[pend]: t) for lo, pend, t in specs]
+        for c in curves if solved else ():
+            c.resolve()
+        return joint_bounds._Payoff(curves[0], [curves[i] for i in rows])
+
+    lazy, solved = payoff(False), payoff(True)
+    assert joint_bounds._max_min(lazy, rates) == joint_bounds._max_min(solved, rates)
+    val, r_idx, s_at = joint_bounds._min_max(solved)
+    # the game reduces one payoff by its max-min, then its min-max
+    for pay in (lazy, payoff(False)):
+        got = joint_bounds._min_max(pay)
+        assert got[:2] == (val, r_idx)
+        # the row is read only when the min-max is finite
+        assert got[2] == s_at or math.isinf(val)
+
+
+def test_flat_helpers_share_the_evaluator_and_refuse_another():
+    p, w = worked_pair()
+    asym = ConditionalDistribution(np.array(ASYM_CHANNEL))
+    ev = NestedEvaluator(p, asym, 0.1)
+    flat = both_si_bounds(p, asym, 0.1, evaluator=ev)
+    assert flat == both_si_bounds(p, asym, 0.1)
+    assert matching_check(flat, asym, evaluator=ev) == matching_check(flat, asym)
+    assert critical_rate(asym, 0.1, evaluator=ev) == critical_rate(asym, 0.1)
+    assert separate_exponent(p, asym, 0.1, evaluator=ev) == separate_exponent(p, asym, 0.1)
+    assert separate_vs_joint(p, asym, 0.1, evaluator=ev) == separate_vs_joint(p, asym, 0.1)
+    other_p = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))
+    for args in ((other_p, asym, 0.1), (p, w, 0.1), (p, asym, 0.05)):
+        for helper in (both_si_bounds, separate_exponent, separate_vs_joint):
+            with pytest.raises(ValueError, match="evaluator"):
+                helper(*args, evaluator=ev)
+    for channel, step in ((w, 0.1), (asym, 0.05)):
+        with pytest.raises(ValueError, match="evaluator"):
+            critical_rate(channel, step, evaluator=ev)
+        with pytest.raises(ValueError, match="evaluator"):
+            matching_check(dataclasses.replace(flat, rate_step=step), channel, evaluator=ev)
+
+
+def test_asymmetric_report_solves_e0_star_once_per_lattice(monkeypatch):
+    sc = dataclasses.replace(worked_example(), channel_kind="matrix", channel_param=None,
+                             channel_matrix=ASYM_CHANNEL)
+    lattices = []
+    real = channel_exponents._e0_star_on_lattice
+
+    def spy(rhos, w, *args):
+        lattices.append(len(rhos))
+        return real(rhos, w, *args)
+
+    monkeypatch.setattr(channel_exponents, "_e0_star_on_lattice", spy)
+    report(sc, nested=True, rate_step=0.1)
+    assert sorted(lattices) == [len(channel_exponents._RHO_TAIL), len(channel_exponents._RHO_UNIT)]
+
+
+def test_worked_report_solves_fewer_tails_than_it_holds(monkeypatch):
+    held, solved = [], []
+
+    class Spy(joint_bounds._Curve):
+        def __init__(self, values, pending, tail):
+            super().__init__(values, pending, tail)
+            if self._tail is not None:
+                held.append(self)
+                self._tail = lambda: solved.append(self) or tail()
+
+    monkeypatch.setattr(joint_bounds, "_Curve", Spy)
+    report(worked_example(), nested=True, rate_step=1e-3)
+    assert 0 < len(solved) < len(held)
 
 
 def test_evaluator_for_another_instance_is_refused():

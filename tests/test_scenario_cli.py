@@ -368,3 +368,25 @@ def test_cli_simulate_output_is_frozen(tmp_path, capsys, base, rule, n, seeds, d
     argv = ["simulate", "--config", cfg, "--n", n, "--seeds", seeds, "--decoder", "both"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the `report --nested` stdout, frozen before the nested evaluator
+# deferred its tail lattices and shared its input-optimized lattices
+ASYM_NESTED_CFG = (
+    "source.preset = worked_example\n"
+    "channel.kind = matrix\n"
+    "channel.matrix = 0.9 0.1 ; 0.2 0.8\n"
+)
+REPORT_NESTED_SHA256 = [
+    (WORKED_CFG, "0.001", "bc13955c25d8db07341af6cb75c7de67a602ddd4159066c0a3e231891a76cca2"),
+    (ASYM_NESTED_CFG, "0.1", "5279c9cec7184702ff00a44a3231243c953d48bd7b37c557164a72fe4bd458ee"),
+]
+
+
+@pytest.mark.parametrize(
+    "base,step,digest", REPORT_NESTED_SHA256, ids=["worked-bsc-0.001", "asym-matrix-0.1"]
+)
+def test_cli_report_nested_output_is_frozen(tmp_path, capsys, base, step, digest):
+    cfg = write(tmp_path, "report.cfg", base)
+    assert cli.main(["report", "--config", cfg, "--nested", "--rate-step", step]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
