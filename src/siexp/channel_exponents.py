@@ -587,27 +587,33 @@ def _e0_star_on_lattice(
     return np.maximum(-np.log2(f), 0.0), s, gap
 
 
-def _optimal_input_envelope(rates, w: ConditionalDistribution):
-    """Input-optimized (er, esp) read off the E_0* lattices, and the lattices:
-    the unit one, and a memoized thunk for the tail, which only sphere-packing
-    envelopes below the critical rate need."""
+def _e0_star_lattices(w: ConditionalDistribution):
+    """The certified E_0* lattices of W: what :func:`_envelope_curves` reads
+    (unit lattice, tail lattice, unit values, thunk for the tail values), then
+    the unit solve (values, laws, gaps) and a memoized thunk for the tail
+    solve, which only sphere-packing envelopes below the critical rate need."""
     unit = _e0_star_on_lattice(_RHO_UNIT, w.matrix)
     tail = functools.cache(lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix))
-    er, esp = _envelope_curves(rates, _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0])
-    return er, esp, unit, tail
+    return (_RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0]), unit, tail
+
+
+def _optimal_input_envelope(rates, w: ConditionalDistribution):
+    """Input-optimized (er, esp) read off the E_0* lattices, and the unit
+    solve and tail thunk of :func:`_e0_star_lattices`."""
+    lattices, unit, tail = _e0_star_lattices(w)
+    return (*_envelope_curves(rates, *lattices), unit, tail)
 
 
 def _input_optimized_lattices(w: ConditionalDistribution):
-    """(unit lattice, tail lattice, unit values, memoized thunk for the tail
-    values) that :func:`input_optimized_curves` reads: E_0 of the uniform
-    input on a Gallager-symmetric channel, E_0* otherwise. Envelopes of
-    several rate grids over one channel can share them."""
+    """The lattices :func:`input_optimized_curves` reads, as
+    :func:`_envelope_curves` takes them, with a memoized tail: E_0 of the
+    uniform input on a Gallager-symmetric channel, E_0* otherwise. Envelopes
+    of several rate grids over one channel can share them."""
     if is_gallager_symmetric(w)[0]:
         uniform = Distribution.uniform(w.input_size)
         rho_unit, rho_tail, unit, tail = _fixed_input_lattices(uniform, w)
         return rho_unit, rho_tail, unit, functools.cache(tail)
-    tail = functools.cache(lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix)[0])
-    return _RHO_UNIT, _RHO_TAIL, _e0_star_on_lattice(_RHO_UNIT, w.matrix)[0], tail
+    return _e0_star_lattices(w)[0]
 
 
 def _optimal_law(r, value, er_value, unit, tail, k):
@@ -685,12 +691,6 @@ class CriticalRateResult:
     earlier_coincidences: tuple[float, ...] = ()
 
 
-def _check_evaluator(evaluator, w: ConditionalDistribution, rate_step: float) -> None:
-    """Refuse an evaluator built for another channel or rate step."""
-    if evaluator is not None and (evaluator.w, evaluator.rate_step) != (w, rate_step):
-        raise ValueError("evaluator was built for another channel or rate step")
-
-
 def critical_rate(
     w: ConditionalDistribution,
     rate_step: float = 1e-3,
@@ -706,9 +706,11 @@ def critical_rate(
     point where the two curves also touch are reported separately instead of
     silently extending the interval. An ``evaluator``
     (:class:`siexp.joint_bounds.NestedEvaluator`) built for this channel and
-    rate step lends its lattices; one built for another raises ValueError.
+    rate step lends its lattices; one built for another raises
+    :class:`siexp.errors.EvaluatorMismatchError`.
     """
-    _check_evaluator(evaluator, w, rate_step)
+    if evaluator is not None:
+        evaluator.check(w, rate_step)
     cap = capacity(w)
     if cap <= 1e-12:
         raise ValueError("channel has zero capacity; the exponents are identically zero")

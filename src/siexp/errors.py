@@ -19,3 +19,7 @@ class BudgetError(SiexpError):
 
 class PremiseViolationError(SiexpError):
     """A precondition of a fast path does not hold for the given instance."""
+
+
+class EvaluatorMismatchError(SiexpError, ValueError):
+    """A shared evaluator was built for another source, channel or rate step."""

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_exponents import (
-    _check_evaluator,
     _envelope_curves,
     _fixed_input_lattices,
     _input_optimized_lattices,
@@ -48,7 +47,7 @@ from .channel_exponents import (
     is_gallager_symmetric,
     uniform_input_is_optimal_premise,
 )
-from .errors import BudgetError, PremiseViolationError
+from .errors import BudgetError, EvaluatorMismatchError, PremiseViolationError
 from .numerics import GRID_POINT_BUDGET, grid_resolution, rate_grid, simplex_grid
 from .probkit import (
     ConditionalDistribution,
@@ -274,6 +273,14 @@ class NestedEvaluator:
         self._source: dict[bytes, _Curve] = {}
         self._optimized = None
 
+    def check(self, w: ConditionalDistribution, rate_step: float, p=None) -> None:
+        """Refuse a call for another channel or rate step, or for another
+        source p when the caller has one."""
+        if (self.w, self.rate_step) != (w, rate_step) or (p is not None and self.p != p):
+            raise EvaluatorMismatchError(
+                "evaluator was built for another source, channel or rate step"
+            )
+
     def input_optimized_curves(self, rates: np.ndarray):
         """`input_optimized_curves(rates, w)`, from lattices solved once."""
         if self._optimized is None:
@@ -309,8 +316,7 @@ def _evaluator_for(evaluator, p, w, rate_step) -> NestedEvaluator:
     """The caller's evaluator, checked against (p, W, rate step), or a fresh one."""
     if evaluator is None:
         return NestedEvaluator(p, w, rate_step)
-    if (evaluator.p, evaluator.w, evaluator.rate_step) != (p, w, rate_step):
-        raise ValueError("evaluator was built for another source, channel or rate step")
+    evaluator.check(w, rate_step, p)
     return evaluator
 
 
@@ -535,11 +541,11 @@ def matching_check(
         gap = upper - lower
         matched = abs(gap) <= matching_tol
 
-    # refused here: a zero-capacity channel's ValueError is caught below
-    _check_evaluator(evaluator, w, result.rate_step)
     rc: float | None
     try:
         rc = critical_rate(w, result.rate_step, evaluator=evaluator).rate
+    except EvaluatorMismatchError:
+        raise
     except ValueError:
         rc = None
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from siexp import channel_exponents, joint_bounds
 from siexp.channel_exponents import bsc, capacity, critical_rate
-from siexp.errors import BudgetError, PremiseViolationError
+from siexp.errors import BudgetError, EvaluatorMismatchError, PremiseViolationError
 from siexp.joint_bounds import (
     UNRELIABLE_FLAG,
     NestedEvaluator,
@@ -119,12 +119,14 @@ def test_shared_evaluator_gives_the_fresh_results(channel, monkeypatch):
     shared = _nested_calls(p, channel, 0.1, ev)
     # dataclass equality compares every field, floats exactly
     assert shared == _nested_calls(p, channel, 0.1)
-    # the shared evaluator already holds every curve these calls need
+    # the shared evaluator already holds every curve and tail these calls
+    # need; every lattice, unit or tail, channel or source, is solved by one
+    # of these, looked up when the solve runs
     solved = []
-    for name in ("_lazy_envelope", "_lazy_fixed_marginal_curve"):
-        real = getattr(joint_bounds, name)
+    for name in ("_cc_e0_on_lattice", "_e0_on_lattice", "_e0_star_on_lattice"):
+        real = getattr(channel_exponents, name)
         spy = lambda *args, real=real: solved.append(args) or real(*args)
-        monkeypatch.setattr(joint_bounds, name, spy)
+        monkeypatch.setattr(channel_exponents, name, spy)
     assert _nested_calls(p, channel, 0.1, ev) == shared
     assert solved == []
 
@@ -235,12 +237,16 @@ def test_flat_helpers_share_the_evaluator_and_refuse_another():
     other_p = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))
     for args in ((other_p, asym, 0.1), (p, w, 0.1), (p, asym, 0.05)):
         for helper in (both_si_bounds, separate_exponent, separate_vs_joint):
-            with pytest.raises(ValueError, match="evaluator"):
+            with pytest.raises(EvaluatorMismatchError, match="evaluator"):
                 helper(*args, evaluator=ev)
-    for channel, step in ((w, 0.1), (asym, 0.05)):
-        with pytest.raises(ValueError, match="evaluator"):
+    # a zero-capacity channel's ValueError is caught by matching_check, the
+    # refusal is not
+    useless = ConditionalDistribution(np.full((2, 2), 0.5))
+    assert matching_check(flat, useless).critical_rate is None
+    for channel, step in ((w, 0.1), (asym, 0.05), (useless, 0.1)):
+        with pytest.raises(EvaluatorMismatchError, match="evaluator"):
             critical_rate(channel, step, evaluator=ev)
-        with pytest.raises(ValueError, match="evaluator"):
+        with pytest.raises(EvaluatorMismatchError, match="evaluator"):
             matching_check(dataclasses.replace(flat, rate_step=step), channel, evaluator=ev)
 
 
