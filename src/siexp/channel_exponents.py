@@ -588,32 +588,35 @@ def _e0_star_on_lattice(
 
 
 def _e0_star_lattices(w: ConditionalDistribution):
-    """The certified E_0* lattices of W: what :func:`_envelope_curves` reads
-    (unit lattice, tail lattice, unit values, thunk for the tail values), then
-    the unit solve (values, laws, gaps) and a memoized thunk for the tail
-    solve, which only sphere-packing envelopes below the critical rate need."""
+    """The certified E_0* solves of W, each (values, laws, gaps): the unit
+    lattice's, and a thunk for the tail's, which only sphere-packing
+    envelopes below the critical rate need."""
     unit = _e0_star_on_lattice(_RHO_UNIT, w.matrix)
-    tail = functools.cache(lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix))
-    return (_RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0]), unit, tail
+    return unit, lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix)
 
 
 def _optimal_input_envelope(rates, w: ConditionalDistribution):
-    """Input-optimized (er, esp) read off the E_0* lattices, and the unit
-    solve and tail thunk of :func:`_e0_star_lattices`."""
-    lattices, unit, tail = _e0_star_lattices(w)
-    return (*_envelope_curves(rates, *lattices), unit, tail)
+    """Input-optimized (er, esp) read off the E_0* lattices, the unit solve,
+    and a memoized thunk for the tail solve, whose laws :func:`_optimal_law`
+    may read."""
+    unit, tail = _e0_star_lattices(w)
+    tail = functools.cache(tail)
+    er, esp = _envelope_curves(rates, _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0])
+    return er, esp, unit, tail
 
 
 def _input_optimized_lattices(w: ConditionalDistribution):
     """The lattices :func:`input_optimized_curves` reads, as
     :func:`_envelope_curves` takes them, with a memoized tail: E_0 of the
     uniform input on a Gallager-symmetric channel, E_0* otherwise. Envelopes
-    of several rate grids over one channel can share them."""
+    of several rate grids over one channel can share them; only the values
+    are kept."""
     if is_gallager_symmetric(w)[0]:
         uniform = Distribution.uniform(w.input_size)
         rho_unit, rho_tail, unit, tail = _fixed_input_lattices(uniform, w)
         return rho_unit, rho_tail, unit, functools.cache(tail)
-    return _e0_star_lattices(w)[0]
+    unit, tail = _e0_star_lattices(w)
+    return _RHO_UNIT, _RHO_TAIL, unit[0], functools.cache(lambda: tail()[0])
 
 
 def _optimal_law(r, value, er_value, unit, tail, k):
