@@ -590,19 +590,11 @@ def _e0_star_on_lattice(
 def _e0_star_lattices(w: ConditionalDistribution):
     """The certified E_0* solves of W, each (values, laws, gaps): the unit
     lattice's, and a thunk for the tail's, which only sphere-packing
-    envelopes below the critical rate need."""
+    envelopes below the critical rate need. :func:`optimize_input`,
+    :func:`uniform_input_is_optimal_premise` and
+    :func:`input_optimized_curves` read them."""
     unit = _e0_star_on_lattice(_RHO_UNIT, w.matrix)
     return unit, lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix)
-
-
-def _optimal_input_envelope(rates, w: ConditionalDistribution):
-    """Input-optimized (er, esp) read off the E_0* lattices, the unit solve,
-    and a memoized thunk for the tail solve, whose laws :func:`_optimal_law`
-    may read."""
-    unit, tail = _e0_star_lattices(w)
-    tail = functools.cache(tail)
-    er, esp = _envelope_curves(rates, _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0])
-    return er, esp, unit, tail
 
 
 def _input_optimized_lattices(w: ConditionalDistribution):
@@ -641,7 +633,11 @@ def optimize_input(
         raise ValueError("which must be 'random' or 'sphere'")
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    er, esp, unit, tail = _optimal_input_envelope(np.array([float(r)]), w)
+    unit, tail = _e0_star_lattices(w)
+    tail = functools.cache(tail)
+    er, esp = _envelope_curves(
+        np.array([float(r)]), _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0]
+    )
     value = float(er[0] if which == "random" else esp[0])
     return _optimal_law(r, value, er[0], unit, tail, w.input_size), value
 
@@ -792,15 +788,17 @@ def uniform_input_is_optimal_premise(
     w: ConditionalDistribution, rate_step: float = 0.05, tol: float = 1e-6
 ) -> tuple[bool, float | None]:
     """Numeric check that one input law maximizes the random-coding exponent at
-    every rate. Returns (holds, offending_rate)."""
+    every rate. Returns (holds, offending_rate). Only random-coding values and
+    the unit lattice's laws are read, so no tail lattice is solved."""
     cap = capacity(w)
     rates = rate_grid(rate_step, max(cap - rate_step, rate_step))
-    best, _, unit, tail = _optimal_input_envelope(rates, w)
+    unit, tail = _e0_star_lattices(w)
+    best = _lazy_envelope(rates, _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0])[0]
     m = len(rates) // 2
     mid = _optimal_law(rates[m], best[m], best[m], unit, tail, w.input_size)
     # the candidate input is held fixed, so its values must come from the
     # exact fixed-input Lagrangian, not the E_0 lower bound
-    fixed, _ = dual_exponent_curves(rates, mid, w)
+    fixed = _lazy_envelope(rates, *_fixed_input_lattices(mid, w))[0]
     off = np.flatnonzero(np.abs(best - fixed) > tol)
     if off.size:
         return False, float(rates[off[0]])

@@ -320,6 +320,24 @@ def test_uniform_premise_report():
     assert not holds and offending is not None
 
 
+@pytest.mark.parametrize(
+    "matrix", [((0.9, 0.1), (0.2, 0.8)), ((0.9, 0.1), (0.5, 0.5), (0.15, 0.85))]
+)
+def test_uniform_premise_solves_no_tail_lattice(matrix, monkeypatch):
+    # the check reads random-coding values and unit-lattice laws only; both
+    # channels' E_r peaks at rho = 1 at the low rates, where E_sp needs a tail
+    solved = []
+    for name in ("_cc_e0_on_lattice", "_e0_on_lattice", "_e0_star_on_lattice"):
+        real = getattr(channel_exponents, name)
+        spy = lambda rhos, *args, real=real: solved.append(len(rhos)) or real(rhos, *args)
+        monkeypatch.setattr(channel_exponents, name, spy)
+    w = ConditionalDistribution(np.array(matrix))
+    assert uniform_input_is_optimal_premise(w) == (False, 0.05)
+    assert sorted(solved) == [len(_CC_RHO_UNIT), len(_RHO_UNIT)]
+    assert channel_exponents.input_optimized_curves(np.array([0.05]), w)[1] > 0.0
+    assert len(_RHO_TAIL) in solved
+
+
 def test_input_optimized_curves_on_symmetric_channel():
     w = bsc(0.025)
     rates = np.array([0.3, 0.5])
