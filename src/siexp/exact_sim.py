@@ -311,44 +311,124 @@ def _decoder_tables(codebook: Codebook, p: JointDistribution, w: ConditionalDist
     return mi[rows], cond_h, logjoint_ab, logjoint_xy[rows]
 
 
-def _error_mask(scores: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Decode failures of every candidate along axis 0 (optionally into ``out``).
-
-    A candidate is near when it scores within ``tol`` of the top. A point with
-    more than one near candidate (all of them when every score is -inf) is a
-    tie, an error; otherwise its one near candidate is the argmax, the only
-    candidate decoded correctly.
-    """
+def _near(scores: np.ndarray, tol: float, out: np.ndarray | None = None):
+    """The candidates along axis 0 that score within ``tol`` of the top
+    (optionally into ``out``), and the points where more than one is near (all
+    of them when every score is -inf): ties."""
     top = scores.max(axis=0)
     top -= tol
-    out = np.greater_equal(scores, top, out=out)
-    tie = np.add.reduce(out, axis=0, dtype=np.int32) > 1
-    np.logical_not(out, out=out)
-    out |= tie
-    return out
+    near = np.greater_equal(scores, top, out=out)
+    return near, np.add.reduce(near, axis=0, dtype=np.int32) > 1
 
 
-# MMI scores mi - cond_h, MAP logjoint_xy + logjoint_ab; (op, tie tolerance)
-_SCORES = {"mmi": (np.subtract, _TIE_TOL), "map": (np.add, 1e-10)}
+def _failures(near: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Decode failures, in place of ``near``: a tie is an error, and otherwise
+    the one near candidate is the argmax, the only one decoded correctly."""
+    np.logical_not(near, out=near)
+    near |= tie
+    return near
 
 
-def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab) -> SimulationResult:
-    """One codebook's exact result, walking the side sequences in blocks of
-    about ``_SWEEP_BLOCK_CELLS`` (source, side, output) cells, at least one
-    side sequence each, so the score and mask buffers never hold every state."""
-    op, tol = _SCORES[decoder]
-    (na_n, nb_n), ny_n = ab_tab.shape, x_tab.shape[1]
-    rows = min(nb_n, max(1, _SWEEP_BLOCK_CELLS // (na_n * ny_n)))
-    scores = np.empty((na_n, rows, ny_n))
-    err = np.empty(scores.shape, dtype=bool)
-    pe = 0.0
+def _error_mask(scores: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode failures of every candidate along axis 0 (optionally into ``out``)."""
+    return _failures(*_near(scores, tol, out))
+
+
+# MMI scores mi - cond_h, MAP logjoint_xy + logjoint_ab; (op, tie tolerance,
+# whether only candidates of finite log-mass compete)
+_SCORES = {"mmi": (np.subtract, _TIE_TOL, False), "map": (np.add, 1e-10, True)}
+
+
+# `take` mode for indices built here, always in range: the default "raise"
+# copies through a temporary instead of writing to `out` directly
+_IN_RANGE = "clip"
+
+
+def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading cells of a scratch buffer as a C-contiguous array."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+class _SweepBuffers:
+    """Scratch arrays sized for the largest block, allocated once per
+    :func:`exact_error_probabilities` call and reused by all its sweeps, so
+    where they land in the heap does not change from sweep to sweep."""
+
+    def __init__(self, na_n: int, rows: int, ny_n: int):
+        cells = na_n * rows * ny_n
+        self.score, self.mask = np.empty(cells), np.empty(cells)
+        self.near, self.err = np.empty(cells, dtype=bool), np.empty((na_n, ny_n), dtype=bool)
+        # one codebook's score and W^n tables, and the W^n rows of one block
+        self.x_tab, self.wxy, self.w_rows = np.empty((3, na_n, ny_n))
+
+
+def _sweep_plan(logjoint_ab: np.ndarray, rows: int) -> list:
+    """The side sequences in blocks of ``rows``, each (block, None, None) when
+    every (source, side) pair in it has mass, else (block, sources, sides):
+    the source rows with mass at some side of the block and, for each side b
+    with mass, (j, b, its rows with mass, their positions in ``sources``).
+    Blocks without mass add exactly 0 and are left out."""
+    mass = logjoint_ab > -np.inf
+    nb_n, plan = mass.shape[1], []
     for b0 in range(0, nb_n, rows):
         blk = slice(b0, min(b0 + rows, nb_n))
-        s, e = scores[:, : blk.stop - b0], err[:, : blk.stop - b0]
-        op(x_tab[:, None, :], ab_tab[:, blk, None], out=s)
-        # once masked, the score block holds the mask as floats for the matmul
-        s[...] = _error_mask(s, tol, e)
-        pe += float(np.vdot(pab[:, blk], s @ wxy[:, :, None]))
+        m = mass[:, blk]
+        if m.all():
+            plan.append((blk, None, None))
+            continue
+        sources = np.flatnonzero(m.any(axis=1))
+        sides = []
+        for j in np.flatnonzero(m.any(axis=0)):
+            own = np.flatnonzero(m[:, j])
+            pos = slice(None) if len(own) == len(sources) else np.searchsorted(sources, own)
+            sides.append((j, b0 + j, own, pos))
+        if sides:
+            plan.append((blk, sources, sides))
+    return plan
+
+
+def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab, plan, buf) -> SimulationResult:
+    """One codebook's exact result, walking the side sequences in the blocks
+    of ``plan``, so the score and mask buffers never hold every state.
+
+    A block whose (source, side) pairs all carry mass is scored whole. In
+    any other block MAP scores each side b only over its candidates of finite
+    log-mass (the others score -inf and never come near a finite top), while
+    MMI, blind to the distribution, scores every candidate but builds the
+    error mask and its product with W^n only on the rows with mass. Either way
+    the rows' products are scattered into zeros before the block's dot with
+    P^n(a, b), so the sum takes the same terms in the same order: the dropped
+    ones are exact zeros."""
+    op, tol, finite_only = _SCORES[decoder]
+    na_n, ny_n = x_tab.shape
+    pe = 0.0
+    for blk, sources, sides in plan:
+        k = blk.stop - blk.start
+        if sources is None:
+            s = _view(buf.score, na_n, k, ny_n)
+            op(x_tab[:, None, :], ab_tab[:, blk, None], out=s)
+            # once masked, the score block holds the mask as floats for the matmul
+            s[...] = _error_mask(s, tol, _view(buf.near, *s.shape))
+            dots = s @ wxy[:, :, None]
+        else:
+            mask = _view(buf.mask, len(sources), k, ny_n)
+            if k > 1:  # a pair without mass meets P^n = 0 in the dot: keep it finite
+                mask.fill(0.0)
+            for j, b, own, pos in sides:
+                if finite_only:
+                    s = x_tab.take(own, 0, _view(buf.score, len(own), ny_n), _IN_RANGE)
+                    op(s, ab_tab[own, b, None], out=s)
+                    err = _error_mask(s, tol, _view(buf.near, *s.shape))
+                else:
+                    s = op(x_tab, ab_tab[:, b, None], out=_view(buf.score, na_n, ny_n))
+                    near, tie = _near(s, tol, _view(buf.near, na_n, ny_n))
+                    err = near.take(own, 0, buf.err[: len(own)], _IN_RANGE)
+                    _failures(err, tie)
+                mask[pos, j] = err
+            w_rows = wxy.take(sources, 0, buf.w_rows[: len(sources)], _IN_RANGE)
+            dots = np.zeros((na_n, k))
+            dots[sources] = (mask @ w_rows[:, :, None])[:, :, 0]
+        pe += float(np.vdot(pab[:, blk], dots))
     pe = min(max(pe, 0.0), 1.0)
     return SimulationResult(n, decoder, pe, _empirical_exponent(pe, n), "exact")
 
@@ -362,9 +442,10 @@ def exact_error_probabilities(
 ) -> list[dict[str, SimulationResult]]:
     """Exact results of codebooks of one blocklength, a {decoder: result} dict each.
 
-    The (source, side) tables are built once, the (codeword, output) tables
-    once over the distinct codewords of all the codebooks if there are at most
-    |A|^n (else per codebook). MMI builds entropy tables, MAP log-joints."""
+    The (source, side) tables and the sweep's blocks are built once, the
+    (codeword, output) tables once over the distinct codewords of all the
+    codebooks if there are at most |A|^n (else per codebook). MMI builds
+    entropy tables, MAP log-joints. Every sweep reuses one set of buffers."""
     if any(d not in _SCORES for d in decoders):
         raise ValueError("decoder must be 'mmi' or 'map'")
     (na, nb), (nx, ny), ns = p.shape, w.shape, {cb.n for cb in codebooks}
@@ -380,14 +461,20 @@ def exact_error_probabilities(
     mmi = "mmi" in decoders
     logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
     pab, results = np.exp2(logjoint_ab), []
+    rows = min(nb**n, max(1, _SWEEP_BLOCK_CELLS // (na * ny) ** n))
+    plan, buf = _sweep_plan(logjoint_ab, rows), _SweepBuffers(na**n, rows, ny**n)
     words = np.unique(np.concatenate([cb.codewords for cb in codebooks]), axis=0)
     for run in [codebooks] if len(words) <= na**n else [[cb] for cb in codebooks]:
-        (logjoint_xy, mi), rows = _codeword_tables(run, w, mmi)
-        wxy, tabs = np.exp2(logjoint_xy), {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}
-        for r in rows:
-            results.append(
-                {d: _sweep(d, n, tabs[d][0][r], tabs[d][1], wxy[r], pab) for d in decoders}
-            )
+        (logjoint_xy, mi), cb_rows = _codeword_tables(run, w, mmi)
+        wxy_words = np.exp2(logjoint_xy)
+        tabs = {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}
+        for r in cb_rows:
+            wxy = wxy_words.take(r, 0, buf.wxy, _IN_RANGE)
+            by_decoder = {}
+            for d in decoders:
+                x_tab = tabs[d][0].take(r, 0, buf.x_tab, _IN_RANGE)
+                by_decoder[d] = _sweep(d, n, x_tab, tabs[d][1], wxy, pab, plan, buf)
+            results.append(by_decoder)
     return results
 
 
@@ -416,8 +503,9 @@ def monte_carlo_error_probability(
 
     The decoder tables count the letter pairs of every (source, side) and
     (codeword, output) sequence pair, |A|^n * max(|B|^n * |A||B|, |Y|^n *
-    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``; the counts are
-    taken and the samples scored in blocks."""
+    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``. The counts are
+    taken in blocks, and so are the samples' sequences derived and scored,
+    after every sample is drawn."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
     if samples < 1:
@@ -433,28 +521,25 @@ def monte_carlo_error_probability(
         )
     rng = np.random.default_rng(seed)
     pairs = rng.choice(na * nb, size=(samples, n), p=p.matrix.reshape(-1))
-    a = pairs // nb
-    b = pairs % nb
-    a_idx = _lex_index(a, na)
-    b_idx = _lex_index(b, nb)
-    x = codebook.codewords[a_idx]
+    u = rng.random((samples, n))
     cum = np.cumsum(w.matrix, axis=1)
     cum[:, -1] = 1.0
-    u = rng.random((samples, n))
-    y = (u[:, :, None] > cum[x][:, :, :]).sum(axis=2)
-    y_idx = _lex_index(y, w.output_size)
 
     mmi = decoder == "mmi"
     logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
     (logjoint_xy, mi), (rows,) = _codeword_tables([codebook], w, mmi)
     x_tab, ab_tab = (mi[rows], cond_h) if mmi else (logjoint_xy[rows], logjoint_ab)
-    op, tol = _SCORES[decoder]
+    op, tol, _ = _SCORES[decoder]
     cols = max(1, _SWEEP_BLOCK_CELLS // na**n)
     errors = 0
     for s0 in range(0, samples, cols):
         j = slice(s0, s0 + cols)
-        err = _error_mask(op(x_tab[:, y_idx[j]], ab_tab[:, b_idx[j]]), tol)
-        errors += int(np.count_nonzero(err[a_idx[j], np.arange(err.shape[1])]))
+        a, b = np.divmod(pairs[j], nb)
+        a_idx = _lex_index(a, na)
+        x = codebook.codewords[a_idx]
+        y_idx = _lex_index((u[j, :, None] > cum[x]).sum(axis=2), ny)
+        err = _error_mask(op(x_tab[:, y_idx], ab_tab[:, _lex_index(b, nb)]), tol)
+        errors += int(np.count_nonzero(err[a_idx, np.arange(err.shape[1])]))
     pe = errors / samples
     return SimulationResult(
         n=n,

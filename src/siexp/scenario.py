@@ -38,13 +38,13 @@ from .channel_exponents import (
     bsc,
     capacity,
     critical_rate,
-    input_optimized_curves,
     is_gallager_symmetric,
 )
 from .errors import ConfigError
 from .exact_sim import build_codebooks, exact_error_probabilities
 from .joint_bounds import (
     NestedEvaluator,
+    _evaluator_for,
     both_si_bounds,
     game_solve,
     matching_check,
@@ -356,14 +356,21 @@ def parse_curve_table(text: str) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def curve_table(scenario: Scenario, rate_step: float | None = None) -> str:
-    """One row per grid rate with the source, channel, and summed exponents."""
+def curve_table(
+    scenario: Scenario,
+    rate_step: float | None = None,
+    *,
+    evaluator: NestedEvaluator | None = None,
+) -> str:
+    """One row per grid rate with the source, channel, and summed exponents.
+    The channel curves come from ``evaluator``'s input-optimized lattices when
+    one built for the scenario's pair and this rate step is passed."""
     p = scenario.source_joint()
     w = scenario.channel_kernel()
     step = scenario.grids.rate_step if rate_step is None else rate_step
     rates = rate_grid(step, math.log2(p.shape[0]))
     el, eu = source_dual_curves(rates, p)
-    er, esp = input_optimized_curves(rates, w)
+    er, esp = _evaluator_for(evaluator, p, w, step).input_optimized_curves(rates)
     sum_r = eu + er
     sum_sp = eu + esp
     lines = [",".join(CURVE_COLUMNS)]
@@ -525,28 +532,32 @@ def simulate_table(
 # canned figure reproductions on the worked-example pair
 
 
-def reproduce_fig1(rate_step: float = 1e-3) -> str:
-    """Curve table for the worked-example pair with the summary rates noted."""
+def reproduce_fig1(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None = None) -> str:
+    """Curve table for the worked-example pair with the summary rates noted.
+    Its channel curves read one evaluator, ``evaluator`` when passed."""
     sc = worked_example()
     p = sc.source_joint()
     w = sc.channel_kernel()
+    ev = _evaluator_for(evaluator, p, w, rate_step)
     header = [
         f"# conditional_entropy: {format_number(conditional_entropy(p))}",
         f"# capacity: {format_number(capacity(w))}",
-        f"# critical_rate: {format_number(critical_rate(w, rate_step).rate)}",
+        f"# critical_rate: {format_number(critical_rate(w, rate_step, evaluator=ev).rate)}",
     ]
-    return "\n".join(header) + "\n" + curve_table(sc, rate_step)
+    return "\n".join(header) + "\n" + curve_table(sc, rate_step, evaluator=ev)
 
 
-def reproduce_fig2(rate_step: float = 1e-3) -> str:
+def reproduce_fig2(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None = None) -> str:
     """Curve table for the worked-example pair annotated with the bound minima,
-    the matching verdict, and the separate-coding comparison."""
+    the matching verdict, and the separate-coding comparison. Its channel
+    curves read one evaluator, ``evaluator`` when passed."""
     sc = worked_example()
     p = sc.source_joint()
     w = sc.channel_kernel()
-    flat = both_si_bounds(p, w, rate_step)
-    diag = matching_check(flat, w, sc.tolerances.matching)
-    sep = separate_vs_joint(p, w, rate_step)
+    ev = _evaluator_for(evaluator, p, w, rate_step)
+    flat = both_si_bounds(p, w, rate_step, evaluator=ev)
+    diag = matching_check(flat, w, sc.tolerances.matching, evaluator=ev)
+    sep = separate_vs_joint(p, w, rate_step, evaluator=ev)
     header = [
         f"# flat_lower: {format_number(flat.lower)}",
         f"# flat_lower_rate: {_fmt_opt(flat.r_star_lower)}",
@@ -560,4 +571,4 @@ def reproduce_fig2(rate_step: float = 1e-3) -> str:
         f"# separate_rate: {_fmt_opt(sep.r_bar)}",
         f"# separation_margin: {format_number(sep.margin)}",
     ]
-    return "\n".join(header) + "\n" + curve_table(sc, rate_step)
+    return "\n".join(header) + "\n" + curve_table(sc, rate_step, evaluator=ev)

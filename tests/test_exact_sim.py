@@ -281,6 +281,112 @@ def test_exact_sweep_memory_is_bounded_by_blocks():
     assert peak <= 48 * 2**20
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_map_sweep_memory_is_bounded_by_blocks():
+    p, w = worked_pair()
+    cb = build_codebook(8, p, w, "uniform", seed=0)
+    assert _traced_peak(lambda: exact_error_probability(cb, p, w, "map")) <= 48 * 2**20
+
+
+@pytest.mark.parametrize("decoder", ["mmi", "map"])
+def test_monte_carlo_sample_memory_is_bounded_by_blocks(decoder):
+    # deriving every sample's sequences at once peaked at about 24 MiB here
+    p, w = worked_pair()
+    cb = build_codebook(4, p, w, "uniform", seed=0)
+    peak = _traced_peak(lambda: monte_carlo_error_probability(cb, p, w, decoder, 100_000, 11))
+    assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the pruned sweep keeps the floats of the sweep over every cell
+
+
+def _todays_sweep(decoder, x_tab, ab_tab, wxy, pab):
+    """The sweep before candidate pruning: each block of side sequences
+    scores, masks and multiplies every (source, side, output) cell."""
+    op, tol = {"mmi": (np.subtract, 1e-12), "map": (np.add, 1e-10)}[decoder]
+    (na_n, nb_n), ny_n = ab_tab.shape, x_tab.shape[1]
+    rows = min(nb_n, max(1, exact_sim._SWEEP_BLOCK_CELLS // (na_n * ny_n)))
+    scores = np.empty((na_n, rows, ny_n))
+    err = np.empty(scores.shape, dtype=bool)
+    pe = 0.0
+    for b0 in range(0, nb_n, rows):
+        blk = slice(b0, min(b0 + rows, nb_n))
+        s, e = scores[:, : blk.stop - b0], err[:, : blk.stop - b0]
+        op(x_tab[:, None, :], ab_tab[:, blk, None], out=s)
+        top = s.max(axis=0)
+        top -= tol
+        np.greater_equal(s, top, out=e)
+        tie = np.add.reduce(e, axis=0, dtype=np.int32) > 1
+        np.logical_not(e, out=e)
+        e |= tie
+        s[...] = e
+        pe += float(np.vdot(pab[:, blk], s @ wxy[:, :, None]))
+    return min(max(pe, 0.0), 1.0)
+
+
+def _todays_pe(cb, p, w, decoder):
+    mi, cond_h, logjoint_ab, logjoint_xy = _decoder_tables(cb, p, w)
+    x_tab, ab_tab = (mi, cond_h) if decoder == "mmi" else (logjoint_xy, logjoint_ab)
+    return _todays_sweep(decoder, x_tab, ab_tab, np.exp2(logjoint_xy), np.exp2(logjoint_ab))
+
+
+PRUNING_CASES = {
+    # no zero: every block is scored whole, as before
+    "full-support": (((0.40, 0.10), (0.20, 0.30)), ((0.9, 0.1), (0.1, 0.9))),
+    # side letter 1 has no mass: every candidate of a side sequence using it is -inf
+    "zero-side-letter": (((0.50, 0.00, 0.10), (0.20, 0.00, 0.20)), ASYM_CHANNEL),
+    "ternary": (TERNARY_JOINT, ASYM_CHANNEL),
+    # -inf + -inf MAP cells, and outputs no codeword reaches
+    "zero-channel": (WORKED_JOINT, ((0.0, 0.0, 1.0), (0.5, 0.0, 0.5))),
+}
+
+
+@pytest.mark.parametrize("block", ["default", "one_row", "ragged"])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("case", list(PRUNING_CASES))
+def test_pruned_sweep_equals_todays_sweep_bit_for_bit(case, n, block, monkeypatch):
+    joint, channel = PRUNING_CASES[case]
+    p, w = JointDistribution(np.array(joint)), ConditionalDistribution(np.array(channel))
+    row_cells = (p.shape[0] * w.output_size) ** n
+    cells = {"default": exact_sim._SWEEP_BLOCK_CELLS, "one_row": 1, "ragged": 3 * row_cells}
+    monkeypatch.setattr(exact_sim, "_SWEEP_BLOCK_CELLS", cells[block])
+    cbs = build_codebooks(n, p, w, "uniform", (0, 1))
+    for cb, res in zip(cbs, exact_error_probabilities(cbs, p, w)):
+        for decoder in ("mmi", "map"):
+            assert res[decoder].error_probability == _todays_pe(cb, p, w, decoder)
+
+
+def test_map_scores_only_candidates_of_finite_mass(monkeypatch):
+    p, w = worked_pair()
+    cb = build_codebook(6, p, w, "uniform", seed=0)
+    cells = {}
+
+    def spy(decoder, op):
+        def scored(x, y, out):
+            cells[decoder] = cells.get(decoder, 0) + out.size
+            return op(x, y, out=out)
+
+        return scored
+
+    scores = {d: (spy(d, op), *rest) for d, (op, *rest) in exact_sim._SCORES.items()}
+    monkeypatch.setattr(exact_sim, "_SCORES", scores)
+    (res,) = exact_error_probabilities([cb], p, w)
+    # P(a=0, b=1) = 0, so a side sequence with k ones leaves 2^(6-k) candidates
+    # of finite mass, 3^6 over all side sequences; MMI still scores them all
+    assert cells == {"map": 3**6 * 2**6, "mmi": 4**6 * 2**6}
+    for decoder in ("mmi", "map"):
+        assert res[decoder].error_probability == _todays_pe(cb, p, w, decoder)
+
+
 # ---------------------------------------------------------------------------
 # decoder ordering and Monte-Carlo cross-check
 

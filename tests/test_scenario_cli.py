@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from siexp import cli
-from siexp.errors import ConfigError, PremiseViolationError
+from siexp import channel_exponents, cli
+from siexp.errors import ConfigError, EvaluatorMismatchError, PremiseViolationError
+from siexp.joint_bounds import NestedEvaluator
 from siexp.probkit import Distribution
 from siexp.scenario import (
     GridSpec,
@@ -21,6 +22,8 @@ from siexp.scenario import (
     parse_config,
     parse_curve_table,
     report,
+    reproduce_fig1,
+    reproduce_fig2,
     simulate_table,
     worked_example,
 )
@@ -307,6 +310,31 @@ def test_cli_reproduce_smoke(tmp_path, capsys):
     assert "# separation_margin: " in fig2
     flat_lower = float(fig2.splitlines()[0].split(": ")[1])
     assert flat_lower == pytest.approx(0.22158940485709555, abs=2e-3)
+
+
+def test_figures_read_their_channel_lattices_from_one_evaluator(monkeypatch):
+    sc = worked_example()
+    p, w = sc.source_joint(), sc.channel_kernel()
+    fresh = [reproduce_fig1(0.1), reproduce_fig2(0.1)]
+    solved = []
+    for name in ("_cc_e0_on_lattice", "_e0_on_lattice", "_e0_star_on_lattice"):
+        real = getattr(channel_exponents, name)
+        spy = lambda *args, real=real: solved.append(len(args[0])) or real(*args)
+        monkeypatch.setattr(channel_exponents, name, spy)
+    # bsc(0.025) is Gallager-symmetric: the uniform input's unit and tail
+    # lattices, each solved once per figure, however many curves read them
+    ev = NestedEvaluator(p, w, 0.1)
+    assert reproduce_fig2(0.1, evaluator=ev) == fresh[1]
+    lattices = (channel_exponents._RHO_UNIT, channel_exponents._RHO_TAIL)
+    assert sorted(solved) == sorted(map(len, lattices))
+    solved.clear()
+    assert reproduce_fig1(0.1, evaluator=ev) == fresh[0]
+    assert curve_table(sc, 0.1, evaluator=ev) == fresh[0].split("\n", 3)[3]
+    assert solved == []
+    with pytest.raises(EvaluatorMismatchError, match="evaluator"):
+        reproduce_fig1(0.05, evaluator=ev)
+    with pytest.raises(EvaluatorMismatchError, match="evaluator"):
+        curve_table(sc, 0.05, evaluator=ev)
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
