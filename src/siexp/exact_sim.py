@@ -339,95 +339,71 @@ def _error_mask(scores: np.ndarray, tol: float, out: np.ndarray | None = None) -
 _SCORES = {"mmi": (np.subtract, _TIE_TOL, False), "map": (np.add, 1e-10, True)}
 
 
-# `take` mode for indices built here, always in range: the default "raise"
-# copies through a temporary instead of writing to `out` directly
-_IN_RANGE = "clip"
-
-
 def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
     """The leading cells of a scratch buffer as a C-contiguous array."""
     return flat[: math.prod(shape)].reshape(shape)
 
 
-class _SweepBuffers:
-    """Scratch arrays sized for the largest block, allocated once per
-    :func:`exact_error_probabilities` call and reused by all its sweeps, so
-    where they land in the heap does not change from sweep to sweep."""
-
-    def __init__(self, na_n: int, rows: int, ny_n: int):
-        cells = na_n * rows * ny_n
-        self.score, self.mask = np.empty(cells), np.empty(cells)
-        self.near, self.err = np.empty(cells, dtype=bool), np.empty((na_n, ny_n), dtype=bool)
-        # one codebook's score and W^n tables, and the W^n rows of one block
-        self.x_tab, self.wxy, self.w_rows = np.empty((3, na_n, ny_n))
+def _index(idx: np.ndarray, total: int):
+    """Sorted distinct row indices ``idx``, as a slice when they take all
+    ``total`` rows: a slice indexes by view instead of by copy."""
+    return slice(None) if len(idx) == total else idx
 
 
 def _sweep_plan(logjoint_ab: np.ndarray, rows: int) -> list:
-    """The side sequences in blocks of ``rows``, each (block, None, None) when
-    every (source, side) pair in it has mass, else (block, sources, sides):
-    the source rows with mass at some side of the block and, for each side b
-    with mass, (j, b, its rows with mass, their positions in ``sources``).
-    Blocks without mass add exactly 0 and are left out."""
+    """The side sequences in blocks of ``rows``, each (block, sources, count,
+    sides): the source rows with mass at some side of the block and their
+    count, and for each side b with mass, (j, b, its rows with mass, their
+    count, their positions in ``sources``). Blocks without mass add exactly 0
+    and are left out."""
     mass = logjoint_ab > -np.inf
-    nb_n, plan = mass.shape[1], []
+    (na_n, nb_n), plan = mass.shape, []
     for b0 in range(0, nb_n, rows):
         blk = slice(b0, min(b0 + rows, nb_n))
         m = mass[:, blk]
-        if m.all():
-            plan.append((blk, None, None))
-            continue
-        sources = np.flatnonzero(m.any(axis=1))
+        src = np.flatnonzero(m.any(axis=1))
         sides = []
         for j in np.flatnonzero(m.any(axis=0)):
-            own = np.flatnonzero(m[:, j])
-            pos = slice(None) if len(own) == len(sources) else np.searchsorted(sources, own)
-            sides.append((j, b0 + j, own, pos))
+            pos = np.flatnonzero(m[src, j])
+            own = src[pos]
+            sides.append((j, b0 + j, _index(own, na_n), len(own), _index(pos, len(src))))
         if sides:
-            plan.append((blk, sources, sides))
+            plan.append((blk, _index(src, na_n), len(src), sides))
     return plan
 
 
-def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab, plan, buf) -> SimulationResult:
+def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab, plan, scratch) -> SimulationResult:
     """One codebook's exact result, walking the side sequences in the blocks
-    of ``plan``, so the score and mask buffers never hold every state.
+    of ``plan``, so the score and mask buffers of ``scratch`` never hold every
+    state.
 
-    A block whose (source, side) pairs all carry mass is scored whole. In
-    any other block MAP scores each side b only over its candidates of finite
-    log-mass (the others score -inf and never come near a finite top), while
-    MMI, blind to the distribution, scores every candidate but builds the
-    error mask and its product with W^n only on the rows with mass. Either way
-    the rows' products are scattered into zeros before the block's dot with
-    P^n(a, b), so the sum takes the same terms in the same order: the dropped
+    MAP scores each side b only over its candidates of finite log-mass (the
+    others score -inf and never come near a finite top), while MMI, blind to
+    the distribution, scores every candidate but builds the error mask and
+    its product with W^n only on the rows with mass. The rows' products are
+    scattered into zeros before the block's dot with P^n(a, b), so the sum
+    takes the same terms in the same order as over every cell: the dropped
     ones are exact zeros."""
     op, tol, finite_only = _SCORES[decoder]
     na_n, ny_n = x_tab.shape
+    score, near_buf, mask_buf = scratch
     pe = 0.0
-    for blk, sources, sides in plan:
+    for blk, sources, n_src, sides in plan:
         k = blk.stop - blk.start
-        if sources is None:
-            s = _view(buf.score, na_n, k, ny_n)
-            op(x_tab[:, None, :], ab_tab[:, blk, None], out=s)
-            # once masked, the score block holds the mask as floats for the matmul
-            s[...] = _error_mask(s, tol, _view(buf.near, *s.shape))
-            dots = s @ wxy[:, :, None]
-        else:
-            mask = _view(buf.mask, len(sources), k, ny_n)
-            if k > 1:  # a pair without mass meets P^n = 0 in the dot: keep it finite
-                mask.fill(0.0)
-            for j, b, own, pos in sides:
-                if finite_only:
-                    s = x_tab.take(own, 0, _view(buf.score, len(own), ny_n), _IN_RANGE)
-                    op(s, ab_tab[own, b, None], out=s)
-                    err = _error_mask(s, tol, _view(buf.near, *s.shape))
-                else:
-                    s = op(x_tab, ab_tab[:, b, None], out=_view(buf.score, na_n, ny_n))
-                    near, tie = _near(s, tol, _view(buf.near, na_n, ny_n))
-                    err = near.take(own, 0, buf.err[: len(own)], _IN_RANGE)
-                    _failures(err, tie)
-                mask[pos, j] = err
-            w_rows = wxy.take(sources, 0, buf.w_rows[: len(sources)], _IN_RANGE)
-            dots = np.zeros((na_n, k))
-            dots[sources] = (mask @ w_rows[:, :, None])[:, :, 0]
+        mask = _view(mask_buf, n_src, k, ny_n)
+        if k > 1:  # a pair without mass meets P^n = 0 in the dot: keep it finite
+            mask.fill(0.0)
+        for j, b, own, n_own, pos in sides:
+            if finite_only:
+                s = op(x_tab[own], ab_tab[own, b, None], out=_view(score, n_own, ny_n))
+                err = _error_mask(s, tol, _view(near_buf, *s.shape))
+            else:
+                s = op(x_tab, ab_tab[:, b, None], out=_view(score, na_n, ny_n))
+                near, tie = _near(s, tol, _view(near_buf, na_n, ny_n))
+                err = _failures(near[own], tie)
+            mask[pos, j] = err
+        dots = np.zeros((na_n, k))
+        dots[sources] = (mask @ wxy[sources, :, None])[:, :, 0]
         pe += float(np.vdot(pab[:, blk], dots))
     pe = min(max(pe, 0.0), 1.0)
     return SimulationResult(n, decoder, pe, _empirical_exponent(pe, n), "exact")
@@ -445,7 +421,8 @@ def exact_error_probabilities(
     The (source, side) tables and the sweep's blocks are built once, the
     (codeword, output) tables once over the distinct codewords of all the
     codebooks if there are at most |A|^n (else per codebook). MMI builds
-    entropy tables, MAP log-joints. Every sweep reuses one set of buffers."""
+    entropy tables, MAP log-joints. Every sweep reuses one set of score and
+    mask buffers."""
     if any(d not in _SCORES for d in decoders):
         raise ValueError("decoder must be 'mmi' or 'map'")
     (na, nb), (nx, ny), ns = p.shape, w.shape, {cb.n for cb in codebooks}
@@ -462,19 +439,20 @@ def exact_error_probabilities(
     logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
     pab, results = np.exp2(logjoint_ab), []
     rows = min(nb**n, max(1, _SWEEP_BLOCK_CELLS // (na * ny) ** n))
-    plan, buf = _sweep_plan(logjoint_ab, rows), _SweepBuffers(na**n, rows, ny**n)
+    plan = _sweep_plan(logjoint_ab, rows)
+    cells = (na * ny) ** n
+    scratch = (np.empty(cells), np.empty(cells, dtype=bool), np.empty(cells * rows))
     words = np.unique(np.concatenate([cb.codewords for cb in codebooks]), axis=0)
     for run in [codebooks] if len(words) <= na**n else [[cb] for cb in codebooks]:
-        (logjoint_xy, mi), cb_rows = _codeword_tables(run, w, mmi)
-        wxy_words = np.exp2(logjoint_xy)
-        tabs = {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}
-        for r in cb_rows:
-            wxy = wxy_words.take(r, 0, buf.wxy, _IN_RANGE)
-            by_decoder = {}
-            for d in decoders:
-                x_tab = tabs[d][0].take(r, 0, buf.x_tab, _IN_RANGE)
-                by_decoder[d] = _sweep(d, n, x_tab, tabs[d][1], wxy, pab, plan, buf)
-            results.append(by_decoder)
+        (logjoint_xy, mi), rows_of = _codeword_tables(run, w, mmi)
+        wxy, tabs = np.exp2(logjoint_xy), {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}
+        for r in rows_of:
+            results.append(
+                {
+                    d: _sweep(d, n, tabs[d][0][r], tabs[d][1], wxy[r], pab, plan, scratch)
+                    for d in decoders
+                }
+            )
     return results
 
 

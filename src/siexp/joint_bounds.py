@@ -148,7 +148,8 @@ def both_si_bounds(
     """
     rates = rate_grid(rate_step, math.log2(p.shape[0]))
     _, eu = source_dual_curves(rates, p)
-    er, esp = _evaluator_for(evaluator, p, w, rate_step).input_optimized_curves(rates)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
+    er, esp = ev.input_optimized_curves(rates)
     with np.errstate(invalid="ignore"):
         lower_vals = eu + er
         upper_vals = eu + esp
@@ -281,6 +282,15 @@ class NestedEvaluator:
                 "evaluator was built for another source, channel or rate step"
             )
 
+    @classmethod
+    def checked_or_new(cls, evaluator, p, w, rate_step) -> NestedEvaluator:
+        """The caller's evaluator, checked against (p, W, rate step), or a
+        fresh one when it is None."""
+        if evaluator is None:
+            return cls(p, w, rate_step)
+        evaluator.check(w, rate_step, p)
+        return evaluator
+
     def input_optimized_curves(self, rates: np.ndarray):
         """`input_optimized_curves(rates, w)`, from lattices solved once."""
         if self._optimized is None:
@@ -310,14 +320,6 @@ class NestedEvaluator:
         """Payoff source(Q_A) + channel(S_X)[which] over the rows of sx_grid,
         where which = 0 is the random-coding and 1 the sphere-packing exponent."""
         return _Payoff(self.source(qa_arr), [self.channel(s)[which] for s in sx_grid])
-
-
-def _evaluator_for(evaluator, p, w, rate_step) -> NestedEvaluator:
-    """The caller's evaluator, checked against (p, W, rate step), or a fresh one."""
-    if evaluator is None:
-        return NestedEvaluator(p, w, rate_step)
-    evaluator.check(w, rate_step, p)
-    return evaluator
 
 
 def _max_min(pay: _Payoff, rates: np.ndarray):
@@ -419,7 +421,7 @@ def theorem1_bounds(
 
     Pass an `evaluator` built for (p, w, rate_step) to share its curves with
     other calls; without one, a fresh evaluator serves this call alone."""
-    ev = _evaluator_for(evaluator, p, w, rate_step)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     # random-coding term, then sphere-packing term
     (lower, qa_lo, sx_lo, r_lo), (upper, _, _, r_up) = [
         _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, False)[0]
@@ -462,7 +464,7 @@ def game_solve(
     """
     if payoff not in ("random", "sphere"):
         raise ValueError("payoff must be 'random' or 'sphere'")
-    ev = _evaluator_for(evaluator, p, w, rate_step)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     (maxmin, qa_mm, _, _), (minmax, _, sx_star, rate_star), worst_inner = _nested_sweep(
         ev, qa_step, sx_step, refinement_levels, 0 if payoff == "random" else 1, True
     )
@@ -497,7 +499,7 @@ def best_input_for_marginal(
     source type before rounding to integer counts. `evaluator` is shared as
     in :func:`theorem1_bounds`.
     """
-    ev = _evaluator_for(evaluator, p, w, rate_step)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     sx_grid = simplex_grid(w.input_size, sx_step)
     val, s_idx, _ = _max_min(ev.payoff(q_a.probs, sx_grid, 0), ev.rates)
     s_best = sx_grid[s_idx]
@@ -583,7 +585,8 @@ def separate_exponent(
     upper_edge = max(math.log2(p.shape[0]), math.log2(w.input_size))
     rates = rate_grid(rate_step, upper_edge)
     el, _ = source_dual_curves(rates, p)
-    er, _ = _evaluator_for(evaluator, p, w, rate_step).input_optimized_curves(rates)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
+    er, _ = ev.input_optimized_curves(rates)
     vals = np.minimum(er, el)
     idx = int(np.argmax(vals))
     value = float(vals[idx])
@@ -614,7 +617,7 @@ def separate_vs_joint(
     its own strict-improvement argument, and `margin` quantifies it. The
     flat bound and the separate scheme share `evaluator`, or a fresh one.
     """
-    ev = _evaluator_for(evaluator, p, w, rate_step)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     flat = both_si_bounds(p, w, rate_step, evaluator=ev)
     sep = separate_exponent(p, w, rate_step, evaluator=ev)
     if math.isinf(flat.lower):

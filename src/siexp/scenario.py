@@ -44,7 +44,6 @@ from .errors import ConfigError
 from .exact_sim import build_codebooks, exact_error_probabilities
 from .joint_bounds import (
     NestedEvaluator,
-    _evaluator_for,
     both_si_bounds,
     game_solve,
     matching_check,
@@ -370,7 +369,8 @@ def curve_table(
     step = scenario.grids.rate_step if rate_step is None else rate_step
     rates = rate_grid(step, math.log2(p.shape[0]))
     el, eu = source_dual_curves(rates, p)
-    er, esp = _evaluator_for(evaluator, p, w, step).input_optimized_curves(rates)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, step)
+    er, esp = ev.input_optimized_curves(rates)
     sum_r = eu + er
     sum_sp = eu + esp
     lines = [",".join(CURVE_COLUMNS)]
@@ -538,7 +538,7 @@ def reproduce_fig1(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None
     sc = worked_example()
     p = sc.source_joint()
     w = sc.channel_kernel()
-    ev = _evaluator_for(evaluator, p, w, rate_step)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     header = [
         f"# conditional_entropy: {format_number(conditional_entropy(p))}",
         f"# capacity: {format_number(capacity(w))}",
@@ -554,7 +554,7 @@ def reproduce_fig2(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None
     sc = worked_example()
     p = sc.source_joint()
     w = sc.channel_kernel()
-    ev = _evaluator_for(evaluator, p, w, rate_step)
+    ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     flat = both_si_bounds(p, w, rate_step, evaluator=ev)
     diag = matching_check(flat, w, sc.tolerances.matching, evaluator=ev)
     sep = separate_vs_joint(p, w, rate_step, evaluator=ev)

@@ -340,7 +340,7 @@ def _todays_pe(cb, p, w, decoder):
 
 
 PRUNING_CASES = {
-    # no zero: every block is scored whole, as before
+    # no zero: every (source, side) pair is kept
     "full-support": (((0.40, 0.10), (0.20, 0.30)), ((0.9, 0.1), (0.1, 0.9))),
     # side letter 1 has no mass: every candidate of a side sequence using it is -inf
     "zero-side-letter": (((0.50, 0.00, 0.10), (0.20, 0.00, 0.20)), ASYM_CHANNEL),
