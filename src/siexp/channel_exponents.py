@@ -138,26 +138,26 @@ _CC_NEWTON_STEPS = 30
 
 
 def _cc_value(q, wpow, rhos, sl):
-    """The Lagrangian G(q) in bits at output laws q, one row per lattice point,
-    with the tilted channel and its row sums. A live input none of whose
-    outputs q reaches (its row sum underflows to 0) makes G(q) infinite."""
-    tilted = wpow * np.power(q, (rhos / (1.0 + rhos))[:, None])[:, None, :]
-    row = tilted.sum(axis=2)
+    """The Lagrangian G(q) in bits at output laws q (|Y|, n), with the tilted
+    channel (|X|, |Y|, n) and its row sums. A live input none of whose outputs
+    q reaches (its row sum underflows to 0) makes G(q) infinite."""
+    tilted = wpow * np.power(q, rhos / (1.0 + rhos))
+    row = tilted.sum(axis=1)
+    # log2 goes into C-ordered (n, |X|) rows: the value's floats are their gemv
     with np.errstate(divide="ignore"):
-        return -(1.0 + rhos) * (np.log2(row) @ sl), tilted, row
+        return -(1.0 + rhos) * (np.log2(row, out=np.empty(row.shape[::-1]).T).T @ sl), tilted, row
 
 
 def _cc_terms(q, wpow, rhos, sl):
-    """:func:`_cc_value` with the best kernel for each q and that kernel's output law."""
+    """G(q) of :func:`_cc_value` and the output law of the best kernel for each q."""
     g, tilted, row = _cc_value(q, wpow, rhos, sl)
-    kernel = tilted / row[:, :, None]
-    return g, np.einsum("x,nxy->ny", sl, kernel), kernel
+    return g, np.einsum("x,xyn->yn", sl, tilted / row[:, None, :])
 
 
 def _cc_gap(q, q_next, rhos):
     """Frank-Wolfe gap of G at q in bits, from grad G = -rho/ln2 * q_next/q; inf if q_y = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = rhos / math.log(2.0) * ((q_next / q).max(axis=1) - 1.0)
+        gap = rhos / math.log(2.0) * ((q_next / q).max(axis=0) - 1.0)
     return np.where(np.isnan(gap), np.inf, gap)
 
 
@@ -181,17 +181,22 @@ def _cc_e0_on_lattice(
     until the Frank-Wolfe gap of G, which bounds G(q) - min G, certifies the
     value to tol * max(|G|, 1). The points left are swept from the start.
 
-    Returns (values, output laws q, gaps in bits); swept points report the
-    law after their last sweep and its true gap, mostly above that bound.
-    Points still moving after ``max_iter`` sweeps raise instead of returning
-    an unconverged upper bound.
+    Returns (values, output laws q of shape (n, |Y|), gaps in bits); swept
+    points report the law after their last sweep and its true gap, mostly
+    above that bound. Points still moving after ``max_iter`` sweeps raise
+    instead of returning an unconverged upper bound.
+
+    Per-point arrays hold the lattice on their last, contiguous axis: numpy
+    is several times slower over a short alphabet axis. The floats are those
+    of a lattice-first layout. Sums over outputs are sequential, as numpy's
+    are there while |Y| < 8; the value is a gemv over C-ordered (n, |X|)
+    rows, one-row for a point solved alone; the Newton einsums read a kernel
+    held (n, |Y|, |X|) in memory, over which they add out of sequence.
     """
     rhos = np.asarray(rhos, dtype=float)
-    live = s > 0
-    sl = s[live]
-    wl = w[live]
-    wpow = np.power(wl[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
-    q = np.broadcast_to(sl @ wl, (len(rhos), w.shape[1])).copy()
+    sl, wl = s[s > 0], w[s > 0]
+    wpow = np.power(wl[:, :, None], 1.0 / (1.0 + rhos))
+    q = np.repeat((sl @ wl)[:, None], len(rhos), axis=1)
     vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
     # Newton steps on the simplex, from rho = 1 on in lattices reaching past
     # 1. The KKT system of the quadratic model is solved for the relative step
@@ -199,61 +204,73 @@ def _cc_e0_on_lattice(
     # positive, so masses of 1e-20 and less (erasure and Z channels at large
     # rho) take a few steps. Outputs the input law cannot reach stay out.
     reach = sl @ wl > 0.0
-    nq, nw = q[:, reach], wpow[:, :, reach]
+    nq, nw = q[reach], wpow if reach.all() else np.compress(reach, wpow, axis=1)
     newton = (rhos >= 1.0) & (rhos.max(initial=0.0) > 1.0)
     active = np.flatnonzero(newton)
     steps = min(_CC_NEWTON_STEPS, max_iter)
     for it in range(steps + 1):
-        r, wa, qa = rhos[active], nw[active], nq[active]
-        g, q_next, v = _cc_terms(qa, wa, r, sl)
-        vals[active], gap[active] = g, _cc_gap(qa, q_next, r)
+        r, wa, qa = rhos[active], np.take(nw, active, axis=2), np.take(nq, active, axis=1)
+        g, tilted, row = _cc_value(qa, wa, r, sl)
+        # the kernel held (n, |Y|, |X|) in memory, as the Newton einsums read it
+        v = (tilted / row[:, None, :]).transpose(2, 1, 0).copy().transpose(0, 2, 1)
+        del tilted, row
+        q_next = np.einsum("x,nxy->ny", sl, v)
+        vals[active], gap[active] = g, _cc_gap(qa, q_next.T, r)
         # a point whose q_next loses an output mass leaves Newton for the sweeps
         keep = (gap[active] > tol * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
-        active, r, wa, qa, g, q_next, v = (a[keep] for a in (active, r, wa, qa, g, q_next, v))
+        active, r, g, q_next, v = (a[keep] for a in (active, r, g, q_next, v))
+        wa, qa = np.compress(keep, wa, axis=2), np.compress(keep, qa, axis=1)
         if active.size == 0 or it == steps:
             break
-        m, sc = qa.shape[1], 1.0 / np.sqrt(q_next)
+        m, sc = qa.shape[0], 1.0 / np.sqrt(q_next)
         ks = v * sc[:, None, :]
         kkt = np.zeros((active.size, m + 1, m + 1))
         kkt[:, :m, :m] = r[:, None, None] * np.einsum("x,nxy,nxz->nyz", sl, ks, ks) + np.eye(m)
-        kkt[:, :m, m] = kkt[:, m, :m] = qa * sc
+        kkt[:, :m, m] = kkt[:, m, :m] = qa.T * sc
         rhs = np.concatenate([(1.0 + r)[:, None] / sc, np.zeros((active.size, 1))], axis=1)
-        delta = sc * np.linalg.solve(kkt, rhs[:, :, None])[:, :m, 0]
+        delta = (sc * np.linalg.solve(kkt, rhs[:, :, None])[:, :m, 0]).T
         # back onto sum(d) = 0, lest a rounding residue outweigh the true slope
-        delta -= (qa * delta).sum(axis=1, keepdims=True)
+        delta -= (qa * delta).sum(axis=0)
         # Armijo: descend by 1e-4 of the slope, up to the rounding error of G
-        slope = 1e-4 * r / math.log(2.0) * ((qa - q_next) * delta).sum(axis=1)
+        slope = 1e-4 * r / math.log(2.0) * ((qa - q_next.T) * delta).sum(axis=0)
         floor = 16.0 * np.finfo(float).eps * (1.0 + r) * np.maximum(np.abs(g), 1.0)
         t, todo = np.ones(active.size), np.arange(active.size)
         for _ in range(40):
-            q_t = qa[todo] * np.exp(t[todo, None] * delta[todo])
-            g_t = _cc_value(q_t / q_t.sum(axis=1, keepdims=True), wa[todo], r[todo], sl)[0]
-            ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=1)
+            q_t = np.take(qa, todo, axis=1) * np.exp(t[todo] * np.take(delta, todo, axis=1))
+            g_t = _cc_value(q_t / q_t.sum(axis=0), np.take(wa, todo, axis=2), r[todo], sl)[0]
+            ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=0)
             if (todo := todo[~ok]).size == 0:
                 break
             t[todo] *= 0.5
         t[todo] = 0.0
-        qa = qa * np.exp(t[:, None] * delta)
-        nq[active] = qa / qa.sum(axis=1, keepdims=True)
+        qa = qa * np.exp(t * delta)
+        nq[:, active] = qa / qa.sum(axis=0)
         active = active[t > 0.0]
     done = newton & (gap <= tol * np.maximum(np.abs(vals), 1.0))
-    q[np.ix_(done, reach)] = nq[done]
-    # alternating minimization for the other points, from the start
-    swept = active = np.flatnonzero((rhos > 0.0) & ~done)
-    vals[swept] = np.inf
+    q[np.ix_(reach, done)] = nq[:, done]
+    # alternating minimization for the other points, from the start; the
+    # batch sheds settled points once fewer than half of it, or one, is open
+    swept = (rhos > 0.0) & ~done
+    idx, qs, ws, rs, open_ = np.arange(len(rhos)), q, wpow, rhos, swept
+    prev = np.where(swept, np.inf, 0.0)
     for _ in range(max_iter):
-        if active.size == 0:
+        left = np.count_nonzero(open_)
+        if left == 0:
             break
-        new_vals, q[active], _ = _cc_terms(q[active], wpow[active], rhos[active], sl)
-        settled = np.abs(new_vals - vals[active]) < tol
-        vals[active] = new_vals
-        active = active[~settled]
-    if active.size:
+        if 2 * left < idx.size or left == 1 < idx.size:
+            idx, qs, ws, rs, prev, open_ = [
+                np.compress(open_, a, axis=-1) for a in (idx, qs, ws, rs, prev, open_)
+            ]
+        new_vals, qs = _cc_terms(qs, ws, rs, sl)
+        settled = open_ & (np.abs(new_vals - prev) < tol)
+        vals[idx[settled]], q[:, idx[settled]] = new_vals[settled], qs[:, settled]
+        prev, open_ = new_vals, open_ & ~settled
+    if open_.any():
         raise RuntimeError("fixed-input Lagrangian did not settle on the rho lattice")
-    q_next = _cc_terms(q[swept], wpow[swept], rhos[swept], sl)[1]
-    gap[swept] = _cc_gap(q[swept][:, reach], q_next[:, reach], rhos[swept])
+    q_next = _cc_terms(q[:, swept], np.compress(swept, wpow, axis=2), rhos[swept], sl)[1]
+    gap[swept] = _cc_gap(q[np.ix_(reach, swept)], q_next[reach], rhos[swept])
     vals[rhos == 0.0] = 0.0
-    return np.maximum(vals, 0.0), q, gap
+    return np.maximum(vals, 0.0), q.T, gap
 
 
 def constant_composition_e0(rho: float, s: Distribution, w: ConditionalDistribution) -> float:

@@ -304,13 +304,6 @@ def _codeword_tables(codebooks, w: ConditionalDistribution, mmi: bool):
     return tables, inverse.reshape(len(codebooks), -1)
 
 
-def _decoder_tables(codebook: Codebook, p: JointDistribution, w: ConditionalDistribution):
-    """One codebook's (mi, cond_h, logjoint_ab, logjoint_xy), gathered from the shared tables."""
-    logjoint_ab, cond_h = _pair_tables(_all_sequences(p.shape[0], codebook.n), p.matrix, "cond")
-    (logjoint_xy, mi), (rows,) = _codeword_tables([codebook], w, True)
-    return mi[rows], cond_h, logjoint_ab, logjoint_xy[rows]
-
-
 def _near(scores: np.ndarray, tol: float, out: np.ndarray | None = None):
     """The candidates along axis 0 that score within ``tol`` of the top
     (optionally into ``out``), and the points where more than one is near (all
@@ -318,7 +311,8 @@ def _near(scores: np.ndarray, tol: float, out: np.ndarray | None = None):
     top = scores.max(axis=0)
     top -= tol
     near = np.greater_equal(scores, top, out=out)
-    return near, np.add.reduce(near, axis=0, dtype=np.int32) > 1
+    count = np.min_scalar_type(len(scores))  # never wraps, all candidates may tie
+    return near, np.add.reduce(near.view(np.uint8), axis=0, dtype=count) > 1
 
 
 def _failures(near: np.ndarray, tie: np.ndarray) -> np.ndarray:
@@ -442,7 +436,8 @@ def exact_error_probabilities(
     plan = _sweep_plan(logjoint_ab, rows)
     cells = (na * ny) ** n
     scratch = (np.empty(cells), np.empty(cells, dtype=bool), np.empty(cells * rows))
-    words = np.unique(np.concatenate([cb.codewords for cb in codebooks]), axis=0)
+    # return_inverse keeps numpy's unique from importing numpy.ma mid-pass
+    words = np.unique(np.vstack([cb.codewords for cb in codebooks]), axis=0, return_inverse=True)[0]
     for run in [codebooks] if len(words) <= na**n else [[cb] for cb in codebooks]:
         (logjoint_xy, mi), rows_of = _codeword_tables(run, w, mmi)
         wxy, tabs = np.exp2(logjoint_xy), {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}

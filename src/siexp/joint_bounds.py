@@ -13,9 +13,9 @@ interchange is from exact on a given instance.
 The nested bounds, the game and `best_input_for_marginal` read one payoff
 table per Q_A from a `NestedEvaluator`, which solves each channel and source
 curve once, and the flat bounds and separate coding read its
-input-optimized lattices. Build one for (p, W, rate step) and pass it as
-`evaluator=` to share its curves across calls; without it every call solves
-its own, and nothing is kept between calls.
+input-optimized and source lattices. Build one for (p, W, rate step) and
+pass it as `evaluator=` to share its curves across calls; without it every
+call solves its own, and nothing is kept between calls.
 
 Every sphere-packing curve is first known by its random-coding values, which
 equal it wherever the unit-interval envelope peaks below rho = 1 and bound it
@@ -55,7 +55,7 @@ from .probkit import (
     JointDistribution,
     conditional_entropy,
 )
-from .source_si_exponents import _lazy_fixed_marginal_curve, source_dual_curves
+from .source_si_exponents import _lazy_fixed_marginal_curve, _source_curves, _source_dual_lattices
 
 UNRELIABLE_FLAG = "conditional entropy is at or above capacity; reliable transmission fails"
 ALL_INFINITE_FLAG = "source exponent infinite across the whole rate range"
@@ -147,8 +147,8 @@ def both_si_bounds(
     (sphere-packing) ends. `evaluator` is shared as in :func:`theorem1_bounds`.
     """
     rates = rate_grid(rate_step, math.log2(p.shape[0]))
-    _, eu = source_dual_curves(rates, p)
     ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
+    _, eu = ev.source_dual_curves(rates)
     er, esp = ev.input_optimized_curves(rates)
     with np.errstate(invalid="ignore"):
         lower_vals = eu + er
@@ -262,8 +262,8 @@ class _Payoff:
 
 class NestedEvaluator:
     """Per-input channel curves, per-marginal source curves and the
-    input-optimized lattices for one source, channel and rate step, solved on
-    first use and kept for the evaluator's lifetime."""
+    input-optimized and source E_s lattices for one source, channel and rate
+    step, solved on first use and kept for the evaluator's lifetime."""
 
     def __init__(self, p: JointDistribution, w: ConditionalDistribution, rate_step: float):
         self.p = p
@@ -273,6 +273,7 @@ class NestedEvaluator:
         self._channel: dict[bytes, tuple[_Curve, _Curve]] = {}
         self._source: dict[bytes, _Curve] = {}
         self._optimized = None
+        self._source_lattices = None
 
     def check(self, w: ConditionalDistribution, rate_step: float, p=None) -> None:
         """Refuse a call for another channel or rate step, or for another
@@ -296,6 +297,12 @@ class NestedEvaluator:
         if self._optimized is None:
             self._optimized = _input_optimized_lattices(self.w)
         return _envelope_curves(np.asarray(rates, dtype=float), *self._optimized)
+
+    def source_dual_curves(self, rates: np.ndarray):
+        """`source_dual_curves(rates, p)`, from lattices solved once."""
+        if self._source_lattices is None:
+            self._source_lattices = _source_dual_lattices(self.p)
+        return _source_curves(rates, self.p, self._source_lattices)
 
     def channel(self, s_arr: np.ndarray) -> tuple[_Curve, _Curve]:
         """The random-coding and sphere-packing curves at input law s_arr."""
@@ -584,8 +591,8 @@ def separate_exponent(
     is shared as in :func:`theorem1_bounds`."""
     upper_edge = max(math.log2(p.shape[0]), math.log2(w.input_size))
     rates = rate_grid(rate_step, upper_edge)
-    el, _ = source_dual_curves(rates, p)
     ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
+    el, _ = ev.source_dual_curves(rates)
     er, _ = ev.input_optimized_curves(rates)
     vals = np.minimum(er, el)
     idx = int(np.argmax(vals))

@@ -53,7 +53,6 @@ from .joint_bounds import (
 )
 from .numerics import rate_grid
 from .probkit import ConditionalDistribution, JointDistribution, conditional_entropy
-from .source_si_exponents import source_dual_curves
 
 CURVE_COLUMNS = ("R", "e_L", "e_U", "E_r", "E_sp", "e_U_plus_E_r", "e_U_plus_E_sp")
 
@@ -362,14 +361,14 @@ def curve_table(
     evaluator: NestedEvaluator | None = None,
 ) -> str:
     """One row per grid rate with the source, channel, and summed exponents.
-    The channel curves come from ``evaluator``'s input-optimized lattices when
-    one built for the scenario's pair and this rate step is passed."""
+    The curves come from ``evaluator``'s source and input-optimized lattices
+    when one built for the scenario's pair and this rate step is passed."""
     p = scenario.source_joint()
     w = scenario.channel_kernel()
     step = scenario.grids.rate_step if rate_step is None else rate_step
     rates = rate_grid(step, math.log2(p.shape[0]))
-    el, eu = source_dual_curves(rates, p)
     ev = NestedEvaluator.checked_or_new(evaluator, p, w, step)
+    el, eu = ev.source_dual_curves(rates)
     er, esp = ev.input_optimized_curves(rates)
     sum_r = eu + er
     sum_sp = eu + esp

@@ -19,6 +19,7 @@ entropy the support of P allows) come out infinite as well.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -242,6 +243,24 @@ def e_upper_dual(r: float, p: JointDistribution) -> SourceExponentResult:
     )
 
 
+def _source_dual_lattices(p: JointDistribution):
+    """The rho lattices of -E_s as :func:`_envelope_curves` takes them, with a
+    memoized tail: every rate grid over one source can share them."""
+    pm = p.matrix
+    tail = functools.cache(lambda: -_es_on_lattice(_RHO_TAIL, pm))
+    return _RHO_UNIT, _RHO_TAIL, -_es_on_lattice(_RHO_UNIT, pm), tail
+
+
+def _source_curves(rates: np.ndarray, p: JointDistribution, lattices):
+    """:func:`source_dual_curves` over the lattices of :func:`_source_dual_lattices`."""
+    rates = np.asarray(rates, dtype=float)
+    # rho R - E_s(rho) == -E_s(rho) - rho (-R) as floats, so the channel
+    # envelope of -E_s at the rates -R gives the source curves exactly
+    el, eu = _envelope_curves(-rates, *lattices)
+    eu[rates >= _log_alphabet(p) - _BOUNDARY_SLACK] = np.inf
+    return el, eu
+
+
 def source_dual_curves(rates: np.ndarray, p: JointDistribution):
     """(e_lower, e_upper) dual values for every rate at once.
 
@@ -250,17 +269,7 @@ def source_dual_curves(rates: np.ndarray, p: JointDistribution):
     saturates, and exact e_lower == e_upper floats wherever the optimizer
     stays inside [0, 1].
     """
-    rates = np.asarray(rates, dtype=float)
-    pm = p.matrix
-    # rho R - E_s(rho) == -E_s(rho) - rho (-R) as floats, so the channel
-    # envelope of -E_s at the rates -R gives the source curves exactly
-    el, eu = _envelope_curves(
-        -rates, _RHO_UNIT, _RHO_TAIL, -_es_on_lattice(_RHO_UNIT, pm),
-        lambda: -_es_on_lattice(_RHO_TAIL, pm),
-    )
-    lossless = rates >= _log_alphabet(p) - _BOUNDARY_SLACK
-    eu[lossless] = np.inf
-    return el, eu
+    return _source_curves(rates, p, _source_dual_lattices(p))
 
 
 def source_primal_curves(rates: np.ndarray, p: JointDistribution, grid_step: float = 0.01):

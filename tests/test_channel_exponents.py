@@ -227,6 +227,21 @@ def test_dual_curves_use_exact_form_for_fixed_asymmetric_input():
     assert er[0] >= plain - 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ternary_primal_curves_bound_the_dual_curves(seed):
+    # the grid restricts the minimization, so the primal oracle sits above
+    # the exact dual curves, whose tails take the Newton steps at |X| = 3
+    rng = np.random.default_rng(seed)
+    s = Distribution(rng.dirichlet(2.0 * np.ones(3)))
+    w = ConditionalDistribution(0.6 * np.eye(3) + 0.4 * rng.dirichlet(np.ones(3), size=3))
+    rates = rate_grid(0.05, math.log2(3.0))
+    primal = primal_exponent_curves(rates, s, w, grid_step=0.1)
+    dual = dual_exponent_curves(rates, s, w)
+    assert np.any(dual[0] > 0.0)
+    for p_curve, d_curve in zip(primal, dual):
+        assert np.all(p_curve >= d_curve - 1e-9)
+
+
 def test_primal_curves_match_per_rate_calls():
     w = bsc(0.025)
     s = uniform2()
@@ -563,6 +578,150 @@ def test_cc_lattice_trial_step_survives_an_unreachable_input():
     w = np.array([[2.0 / 3.0, 0.0, 1.0 / 3.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     vals = _cc_e0_on_lattice(_CC_RHO_TAIL, s, w)[0]
     assert np.all(np.abs(vals - _alternating_oracle(_CC_RHO_TAIL, s, w)) <= 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# fixed-input Lagrangian: the rho-last layout keeps the lattice-first floats
+
+
+def _lattice_first_value(q, wpow, rhos, sl):
+    tilted = wpow * np.power(q, (rhos / (1.0 + rhos))[:, None])[:, None, :]
+    row = tilted.sum(axis=2)
+    with np.errstate(divide="ignore"):
+        return -(1.0 + rhos) * (np.log2(row) @ sl), tilted, row
+
+
+def _lattice_first_terms(q, wpow, rhos, sl):
+    g, tilted, row = _lattice_first_value(q, wpow, rhos, sl)
+    kernel = tilted / row[:, :, None]
+    return g, np.einsum("x,nxy->ny", sl, kernel), kernel
+
+
+def _lattice_first_gap(q, q_next, rhos):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = rhos / math.log(2.0) * ((q_next / q).max(axis=1) - 1.0)
+    return np.where(np.isnan(gap), np.inf, gap)
+
+
+def _lattice_first_reference(rhos, s, w, newton_steps=30, tol=1e-13, max_iter=6000):
+    """The fixed-input Lagrangian as the solver computed it with the lattice
+    on the first axis of every array, whose floats the solver keeps."""
+    live = s > 0
+    sl, wl = s[live], w[live]
+    wpow = np.power(wl[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
+    q = np.broadcast_to(sl @ wl, (len(rhos), w.shape[1])).copy()
+    vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
+    reach = sl @ wl > 0.0
+    nq, nw = q[:, reach], wpow[:, :, reach]
+    newton = (rhos >= 1.0) & (rhos.max(initial=0.0) > 1.0)
+    active = np.flatnonzero(newton)
+    steps = min(newton_steps, max_iter)
+    for it in range(steps + 1):
+        r, wa, qa = rhos[active], nw[active], nq[active]
+        g, q_next, v = _lattice_first_terms(qa, wa, r, sl)
+        vals[active], gap[active] = g, _lattice_first_gap(qa, q_next, r)
+        keep = (gap[active] > tol * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
+        active, r, wa, qa, g, q_next, v = (a[keep] for a in (active, r, wa, qa, g, q_next, v))
+        if active.size == 0 or it == steps:
+            break
+        m, sc = qa.shape[1], 1.0 / np.sqrt(q_next)
+        ks = v * sc[:, None, :]
+        kkt = np.zeros((active.size, m + 1, m + 1))
+        kkt[:, :m, :m] = r[:, None, None] * np.einsum("x,nxy,nxz->nyz", sl, ks, ks) + np.eye(m)
+        kkt[:, :m, m] = kkt[:, m, :m] = qa * sc
+        rhs = np.concatenate([(1.0 + r)[:, None] / sc, np.zeros((active.size, 1))], axis=1)
+        delta = sc * np.linalg.solve(kkt, rhs[:, :, None])[:, :m, 0]
+        delta -= (qa * delta).sum(axis=1, keepdims=True)
+        slope = 1e-4 * r / math.log(2.0) * ((qa - q_next) * delta).sum(axis=1)
+        floor = 16.0 * np.finfo(float).eps * (1.0 + r) * np.maximum(np.abs(g), 1.0)
+        t, todo = np.ones(active.size), np.arange(active.size)
+        for _ in range(40):
+            q_t = qa[todo] * np.exp(t[todo, None] * delta[todo])
+            q_n = q_t / q_t.sum(axis=1, keepdims=True)
+            g_t = _lattice_first_value(q_n, wa[todo], r[todo], sl)[0]
+            ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=1)
+            if (todo := todo[~ok]).size == 0:
+                break
+            t[todo] *= 0.5
+        t[todo] = 0.0
+        qa = qa * np.exp(t[:, None] * delta)
+        nq[active] = qa / qa.sum(axis=1, keepdims=True)
+        active = active[t > 0.0]
+    done = newton & (gap <= tol * np.maximum(np.abs(vals), 1.0))
+    q[np.ix_(done, reach)] = nq[done]
+    swept = active = np.flatnonzero((rhos > 0.0) & ~done)
+    vals[swept] = np.inf
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        new_vals, q[active], _ = _lattice_first_terms(q[active], wpow[active], rhos[active], sl)
+        settled = np.abs(new_vals - vals[active]) < tol
+        vals[active] = new_vals
+        active = active[~settled]
+    assert active.size == 0
+    q_next = _lattice_first_terms(q[swept], wpow[swept], rhos[swept], sl)[1]
+    gap[swept] = _lattice_first_gap(q[swept][:, reach], q_next[:, reach], rhos[swept])
+    vals[rhos == 0.0] = 0.0
+    return np.maximum(vals, 0.0), q, gap
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(2024)
+    cases = {
+        f"{k}x{m}": (rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m), size=k))
+        for k in (2, 3, 4) for m in (2, 3, 4)
+    }
+    kernels = {"asym": ((0.9, 0.1), (0.2, 0.8)), "bsc": bsc(0.025).matrix, "source": CC_KERNEL}
+    for name, kernel in kernels.items():
+        for a in range(1, 20):
+            cases[f"{name}-{a / 20:.2f}"] = (np.array([a / 20, 1.0 - a / 20]), np.array(kernel))
+    cases["one-letter"] = (np.array([1.0, 0.0]), bsc(0.025).matrix)
+    tiny = np.array([0.0588235294, 0.941176471, 1e-30])
+    cases["mass-1e-30"] = (
+        tiny / tiny.sum(),
+        np.array([[2.0 / 3.0, 0.0, 1.0 / 3.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+    )
+    cases["vanishing-output"] = (
+        np.array([16.0, 16.0, 1.0]) / 33.0,
+        np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
+    )
+    return cases
+
+
+BIT_IDENTITY_CASES = _bit_identity_cases()
+
+
+def _assert_same_floats(got, want):
+    # q is compared as a law per lattice point, whatever its memory order
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.parametrize("case", list(BIT_IDENTITY_CASES))
+def test_cc_lattice_keeps_the_lattice_first_floats(case):
+    s, w = BIT_IDENTITY_CASES[case]
+    # on two points the one that settles later is swept alone
+    for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL, np.array([0.05, 0.9])):
+        _assert_same_floats(_cc_e0_on_lattice(rhos, s, w), _lattice_first_reference(rhos, s, w))
+
+
+@pytest.mark.parametrize("case", ["3x3", "4x2", "source-0.45", "vanishing-output"])
+def test_cc_lattice_keeps_the_lattice_first_floats_without_newton(case, monkeypatch):
+    monkeypatch.setattr(channel_exponents, "_CC_NEWTON_STEPS", 0)
+    s, w = BIT_IDENTITY_CASES[case]
+    got = _cc_e0_on_lattice(_CC_RHO_TAIL, s, w)
+    _assert_same_floats(got, _lattice_first_reference(_CC_RHO_TAIL, s, w, newton_steps=0))
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
+def test_one_point_cc_e0_keeps_the_lattice_first_float(rho):
+    # a point solved alone takes the one-row gemv, which rounds differently
+    for case in ("2x2", "3x3", "4x3", "source-0.45"):
+        s, w = BIT_IDENTITY_CASES[case]
+        s, w = Distribution(s), ConditionalDistribution(w)
+        got = constant_composition_e0(rho, s, w)
+        assert got == _lattice_first_reference(np.array([rho]), s.probs, w.matrix)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ full (source, side, output) space; they are exact rational values.
 import dataclasses
 import hashlib
 import math
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,6 @@ from siexp.channel_exponents import bsc
 from siexp.errors import BudgetError
 from siexp.exact_sim import (
     Codebook,
-    _decoder_tables,
     build_codebook,
     build_codebooks,
     codeword_compositions_ok,
@@ -232,6 +234,14 @@ def test_reference_decoders_match_exact_sweep_ternary_source(decoder, n, rule):
     brute = _brute_force_pe(cb, p, w, decoder)
     fast = exact_error_probability(cb, p, w, decoder).error_probability
     assert fast == pytest.approx(brute, abs=1e-12)
+
+
+def _decoder_tables(cb, p, w):
+    """One codebook's (mi, cond_h, logjoint_ab, logjoint_xy), built for it alone."""
+    a_seqs = exact_sim._all_sequences(p.shape[0], cb.n)
+    logjoint_ab, cond_h = exact_sim._pair_tables(a_seqs, p.matrix, "cond")
+    (logjoint_xy, mi), (rows,) = exact_sim._codeword_tables([cb], w, True)
+    return mi[rows], cond_h, logjoint_ab, logjoint_xy[rows]
 
 
 def _whole_table_oracle(cb, p, w, decoder):
@@ -683,3 +693,29 @@ def test_monte_carlo_table_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20
+
+
+@pytest.mark.parametrize("candidates", [255, 256, 65_536])
+def test_tie_count_never_wraps(candidates):
+    # every candidate scores -inf, so all of them tie; a count held in a
+    # dtype too small for the number of candidates would wrap to 0 or 1
+    near, tie = exact_sim._near(np.full((candidates, 3), -np.inf), 1e-9)
+    assert near.all() and tie.all()
+
+
+def test_simulate_imports_no_masked_arrays():
+    # numpy's unique over rows imports numpy.ma unless asked for the inverse,
+    # which costs a fresh process milliseconds and memory mid-pass
+    code = (
+        "import sys\n"
+        "from siexp.scenario import simulate_table, worked_example\n"
+        "simulate_table(worked_example(), n=4, decoders=('mmi', 'map'), seed_count=2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(exact_sim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from siexp import channel_exponents, cli
+from siexp import channel_exponents, cli, source_si_exponents
 from siexp.errors import ConfigError, EvaluatorMismatchError, PremiseViolationError
 from siexp.joint_bounds import NestedEvaluator
 from siexp.probkit import Distribution
@@ -335,6 +335,28 @@ def test_figures_read_their_channel_lattices_from_one_evaluator(monkeypatch):
         reproduce_fig1(0.05, evaluator=ev)
     with pytest.raises(EvaluatorMismatchError, match="evaluator"):
         curve_table(sc, 0.05, evaluator=ev)
+
+
+def test_figures_read_their_source_lattices_from_one_evaluator(monkeypatch):
+    sc = worked_example()
+    p, w = sc.source_joint(), sc.channel_kernel()
+    fresh = [reproduce_fig1(0.1), reproduce_fig2(0.1)]
+    solved = []
+    real = source_si_exponents._es_on_lattice
+    spy = lambda rhos, pm: solved.append(len(rhos)) or real(rhos, pm)
+    monkeypatch.setattr(source_si_exponents, "_es_on_lattice", spy)
+    # fig2 reads the source curves in its flat bounds, its separate scheme
+    # and its table, fig1 in its table: the unit and tail lattices of -E_s,
+    # each solved once for both figures
+    ev = NestedEvaluator(p, w, 0.1)
+    assert reproduce_fig2(0.1, evaluator=ev) == fresh[1]
+    assert reproduce_fig1(0.1, evaluator=ev) == fresh[0]
+    assert solved == [len(channel_exponents._RHO_UNIT), len(channel_exponents._RHO_TAIL)]
+    # without an evaluator every call solves its own
+    solved.clear()
+    for _ in range(2):
+        source_si_exponents.source_dual_curves(np.arange(1, 10) / 10.0, p)
+    assert solved == 2 * [len(channel_exponents._RHO_UNIT), len(channel_exponents._RHO_TAIL)]
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
