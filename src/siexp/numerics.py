@@ -203,12 +203,6 @@ def min_where_constraint_at_least(c: np.ndarray, d: np.ndarray, rates: np.ndarra
     return out
 
 
-def min_where_constraint_at_most(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """out[r] = min{ d_i : c_i <= rate } (inf when empty); c_i <= rate is
-    -c_i >= -rate, and negation is exact."""
-    return min_where_constraint_at_least(-c, d, -rates)
-
-
 def hinge_min_increasing(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """out[r] = min_i d_i + max(0, rate - c_i). Increasing in rate."""
     order = np.argsort(c, kind="stable")
@@ -227,12 +221,6 @@ def hinge_min_increasing(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.
     has_left = pos_left >= 0
     out[has_left] = np.minimum(out[has_left], prefix_shift[pos_left[has_left]] + rates[has_left])
     return out
-
-
-def hinge_min_decreasing(c: np.ndarray, d: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """out[r] = min_i d_i + max(0, c_i - rate). Decreasing in rate; the same
-    floats as :func:`hinge_min_increasing` on -c and -rate."""
-    return hinge_min_increasing(-c, d, -rates)
 
 
 def largest_remainder_counts(probs: np.ndarray, n: int) -> np.ndarray:

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _envelope_curves, _primal_tables
-from .channel_exponents import _fixed_input_lattices, _lazy_envelope, _with_tail
-from .channel_exponents import constant_composition_e0
-from .channel_exponents import sphere_packing_exponent
+from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _envelope_curves, _fixed_input_lattices
+from .channel_exponents import _lazy_envelope, _power_sum_on_lattice, _primal_tables, _with_tail
+from .channel_exponents import constant_composition_e0, sphere_packing_exponent
 from .numerics import (
     concave_dual_max,
     conditional_grid,
@@ -72,26 +71,16 @@ def source_gallager_function(rho: float, p: JointDistribution) -> float:
     """E_s(rho, P) in bits; convex and increasing in rho, zero at rho = 0."""
     if rho <= -1.0:
         raise ValueError("rho must exceed -1")
-    if rho == 0.0:
-        return 0.0
-    cols = np.power(p.matrix, 1.0 / (1.0 + rho)).sum(axis=0)
-    return float(math.log2(np.power(cols, 1.0 + rho).sum()))
+    return float(_es_on_lattice(np.array([rho]), p.matrix)[0])
 
 
 def _es_on_lattice(rhos: np.ndarray, pm: np.ndarray) -> np.ndarray:
-    expo = 1.0 / (1.0 + rhos)
-    cols = np.power(pm[None, :, :], expo[:, None, None]).sum(axis=1)
-    vals = np.log2(np.power(cols, (1.0 + rhos)[:, None]).sum(axis=1))
-    vals[rhos == 0.0] = 0.0
-    return vals
+    return _power_sum_on_lattice(rhos, pm, np.ones(pm.shape[0]))
 
 
-def _log_alphabet(p: JointDistribution) -> float:
-    return math.log2(p.shape[0])
-
-
-def _at_or_above_lossless_rate(r: float, log_a: float) -> bool:
-    return r >= log_a - _BOUNDARY_SLACK
+def _at_or_above_lossless_rate(r, p: JointDistribution):
+    """Whether rate r, a float or an array, reaches log2|A|."""
+    return r >= math.log2(p.shape[0]) - _BOUNDARY_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +115,11 @@ def e_lower(
         flat, d, h_cond = _joint_tables(p, grid_step)
         vals = d + np.maximum(r - h_cond, 0.0)
         idx = int(np.argmin(vals))
-        na, nb = p.shape
         return SourceExponentResult(
             rate=r,
             value=float(vals[idx]),
             method=method,
-            minimizer=JointDistribution(flat[idx].reshape(na, nb)),
+            minimizer=JointDistribution(flat[idx].reshape(p.shape)),
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -189,8 +177,7 @@ def e_upper(
     """Constrained-form exponent: min D(Q||P) over H_Q(A|B) >= r."""
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    log_a = _log_alphabet(p)
-    if _at_or_above_lossless_rate(r, log_a):
+    if _at_or_above_lossless_rate(r, p):
         return SourceExponentResult(rate=r, value=math.inf, method=method, diverged=True)
     if method == "gallager_dual":
         return e_upper_dual(r, p)
@@ -209,9 +196,7 @@ def e_upper(
     if refine and math.isfinite(best_val):
         p_flat = p.matrix.reshape(-1)
         seeds = [best]
-        h_p = float(
-            entropy_bits(p_flat) - entropy_bits(p.matrix.sum(axis=0))
-        )
+        h_p = float(entropy_bits(p_flat) - entropy_bits(p.matrix.sum(axis=0)))
         if h_p >= r - 1e-12:
             seeds.append(p_flat.copy())
         for seed in seeds:
@@ -230,7 +215,7 @@ def e_upper_dual(r: float, p: JointDistribution) -> SourceExponentResult:
     """Gallager-dual route for the constrained-form exponent."""
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    if _at_or_above_lossless_rate(r, _log_alphabet(p)):
+    if _at_or_above_lossless_rate(r, p):
         return SourceExponentResult(rate=r, value=math.inf, method="gallager_dual", diverged=True)
     g = lambda rho: rho * r - source_gallager_function(rho, p)
     val, rho, diverged = concave_dual_max(g, tail=True)
@@ -257,7 +242,7 @@ def _source_curves(rates: np.ndarray, p: JointDistribution, lattices):
     # rho R - E_s(rho) == -E_s(rho) - rho (-R) as floats, so the channel
     # envelope of -E_s at the rates -R gives the source curves exactly
     el, eu = _envelope_curves(-rates, *lattices)
-    eu[rates >= _log_alphabet(p) - _BOUNDARY_SLACK] = np.inf
+    eu[_at_or_above_lossless_rate(rates, p)] = np.inf
     return el, eu
 
 
@@ -278,13 +263,19 @@ def source_primal_curves(rates: np.ndarray, p: JointDistribution, grid_step: flo
     _, d, h_cond = _joint_tables(p, grid_step)
     el = hinge_min_increasing(h_cond, d, rates)
     eu = min_where_constraint_at_least(h_cond, d, rates)
-    eu = eu.copy()
-    eu[rates >= _log_alphabet(p) - _BOUNDARY_SLACK] = np.inf
+    eu[_at_or_above_lossless_rate(rates, p)] = np.inf
     return el, eu
 
 
 # ---------------------------------------------------------------------------
 # fixed source marginal
+
+
+def _fixed_marginal_joints(q_a: Distribution, kernels: np.ndarray):
+    """The joint laws q_a(a) V(b|a) of a kernel grid, flattened, and H(A|B) of each."""
+    joints = q_a.probs[None, :, None] * kernels
+    flat = joints.reshape(len(kernels), -1)
+    return joints, flat, entropy_bits(flat, axis=1) - entropy_bits(joints.sum(axis=1), axis=1)
 
 
 def e_upper_fixed_marginal(
@@ -308,15 +299,13 @@ def e_upper_fixed_marginal(
         raise ValueError("marginal alphabet does not match the joint law")
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    if _at_or_above_lossless_rate(r, _log_alphabet(p)):
+    if _at_or_above_lossless_rate(r, p):
         return SourceExponentResult(rate=r, value=math.inf, method=method, diverged=True)
 
     if method == "gallager_dual":
         d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
-        if math.isinf(d_marg):
-            return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
         budget = float(entropy_bits(q_a.probs)) - r
-        if budget < -1e-12:
+        if math.isinf(d_marg) or budget < -1e-12:
             return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
         w = p.conditional_rows()
         g = lambda rho: constant_composition_e0(rho, q_a, w) - rho * max(0.0, budget)
@@ -331,16 +320,11 @@ def e_upper_fixed_marginal(
 
     if method != "primal_grid":
         raise ValueError(f"unknown method {method!r}")
-    kernels = conditional_grid(na, nb, grid_step)
-    joints = q_a.probs[None, :, None] * kernels
-    flat = joints.reshape(len(kernels), na * nb)
-    h_cond = entropy_bits(flat, axis=1) - entropy_bits(joints.sum(axis=1), axis=1)
-    feasible = h_cond >= r - 1e-12
-    if not np.any(feasible):
-        return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
+    joints, flat, h_cond = _fixed_marginal_joints(q_a, conditional_grid(na, nb, grid_step))
     d = kl_bits(flat, p.matrix.reshape(-1)[None, :], axis=1)
-    vals = np.where(feasible, d, np.inf)
+    vals = np.where(h_cond >= r - 1e-12, d, np.inf)
     idx = int(np.argmin(vals))
+    # no feasible grid joint, or none within the support of P
     if not math.isfinite(vals[idx]):
         return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
     return SourceExponentResult(
@@ -361,7 +345,7 @@ def _lazy_fixed_marginal_curve(rates: np.ndarray, p: JointDistribution, q_a: Dis
     pending = np.zeros(len(rates), dtype=bool)
     d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
     h_qa = float(entropy_bits(q_a.probs))
-    valid = (rates < _log_alphabet(p) - _BOUNDARY_SLACK) & (h_qa - rates >= -1e-12)
+    valid = ~_at_or_above_lossless_rate(rates, p) & (h_qa - rates >= -1e-12)
     if math.isinf(d_marg) or not np.any(valid):
         return out, pending, None
     channel_rates = np.maximum(h_qa - rates[valid], 0.0)
@@ -390,38 +374,10 @@ def independent_si_exponent(
     grid_step: float = 0.005,
 ) -> SourceExponentResult:
     """Exponent when the side information is independent of the source, which
-    reduces to compressing A alone: min D(Q||P_A) over H(Q) >= r."""
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
-    log_a = math.log2(p_a.size)
-    if r >= log_a - _BOUNDARY_SLACK:
-        return SourceExponentResult(rate=r, value=math.inf, method=method, diverged=True)
-    if method == "gallager_dual":
-        def es(rho: float) -> float:
-            if rho == 0.0:
-                return 0.0
-            return (1.0 + rho) * math.log2(
-                float(np.power(p_a.probs, 1.0 / (1.0 + rho)).sum())
-            )
-
-        val, rho, diverged = concave_dual_max(lambda rho: rho * r - es(rho), tail=True)
-        return SourceExponentResult(rate=r, value=val, method=method, rho=rho, diverged=diverged)
-    if method != "primal_grid":
-        raise ValueError(f"unknown method {method!r}")
-    grid = simplex_grid(p_a.size, grid_step)
-    h = entropy_bits(grid, axis=1)
-    feasible = h >= r - 1e-12
-    if not np.any(feasible):
-        return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
-    d = kl_bits(grid, p_a.probs[None, :], axis=1)
-    vals = np.where(feasible, d, np.inf)
-    idx = int(np.argmin(vals))
-    return SourceExponentResult(
-        rate=r,
-        value=float(vals[idx]),
-        method=method,
-        minimizer=JointDistribution(grid[idx][:, None]),
-    )
+    reduces to compressing A alone: min D(Q||P_A) over H(Q) >= r. A side
+    letter independent of A carries nothing, so this is :func:`e_upper` of
+    P_A as a joint law with one column, its grid unrefined."""
+    return e_upper(r, JointDistribution(p_a.probs[:, None]), method, grid_step, refine=False)
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +403,14 @@ def duality_check(
     if r < 0 or r > h_qa + 1e-12:
         raise ValueError(f"rate must lie in [0, H(q_a)] = [0, {h_qa}], got {r}")
 
-    na, nb = p_b_given_a.shape
     kernels, cond_kl, _ = _primal_tables(q_a, p_b_given_a, grid_step)
-    joints = q_a.probs[None, :, None] * kernels
-    flat = joints.reshape(len(kernels), na * nb)
-    h_cond = entropy_bits(flat, axis=1) - entropy_bits(joints.sum(axis=1), axis=1)
-    feasible = h_cond >= r - 1e-12
-    lhs = float(np.where(feasible, cond_kl, np.inf).min()) if np.any(feasible) else math.inf
+    h_cond = _fixed_marginal_joints(q_a, kernels)[2]
+    lhs = float(np.where(h_cond >= r - 1e-12, cond_kl, np.inf).min())
 
     channel_rate = max(0.0, h_qa - r)
     rhs = sphere_packing_exponent(
         channel_rate, q_a, p_b_given_a, method="primal_grid", grid_step=grid_step
     ).value
-    diff = abs(lhs - rhs) if (math.isfinite(lhs) and math.isfinite(rhs)) else (
-        0.0 if lhs == rhs else math.inf
-    )
+    # both sides are nonnegative or +inf: equal infinities differ by 0
+    diff = 0.0 if lhs == rhs else abs(lhs - rhs)
     return DualityReport(rate=r, channel_rate=channel_rate, lhs=lhs, rhs=rhs, abs_diff=diff)

@@ -45,7 +45,7 @@ from siexp.probkit import (
     JointDistribution,
     mutual_information,
 )
-from siexp.source_si_exponents import _es_on_lattice, source_dual_curves
+from siexp.source_si_exponents import _es_on_lattice, source_dual_curves, source_gallager_function
 
 # mpmath oracles
 E0_RHO1_UNIF_BSC0025 = 0.60795751247991748236
@@ -722,6 +722,124 @@ def test_one_point_cc_e0_keeps_the_lattice_first_float(rho):
         s, w = Distribution(s), ConditionalDistribution(w)
         got = constant_composition_e0(rho, s, w)
         assert got == _lattice_first_reference(np.array([rho]), s.probs, w.matrix)[0][0]
+
+
+# ---------------------------------------------------------------------------
+# one power-sum kernel for E_0 and E_s
+
+
+def _lattice_first_e0(rhos, s, w):
+    """E_0 as `_e0_on_lattice` computed it with the lattice on the first axis."""
+    wpow = np.power(w[None], (1.0 / (1.0 + rhos))[:, None, None])
+    inner = np.tensordot(wpow, s, axes=([1], [0]))
+    with np.errstate(divide="ignore"):
+        vals = -np.log2(np.power(inner, (1.0 + rhos)[:, None]).sum(axis=1))
+    vals[rhos == 0.0] = 0.0
+    return np.maximum(vals, 0.0)
+
+
+def _lattice_first_es(rhos, pm):
+    """E_s as `_es_on_lattice` computed it with the lattice on the first axis."""
+    cols = np.power(pm[None], (1.0 / (1.0 + rhos))[:, None, None]).sum(axis=1)
+    vals = np.log2(np.power(cols, (1.0 + rhos)[:, None]).sum(axis=1))
+    vals[rhos == 0.0] = 0.0
+    return vals
+
+
+def _scalar_e0(rho, s, w):
+    """The scalar E_0 as `gallager_e0` computed it before the kernel."""
+    if rho == 0.0:
+        return 0.0
+    val = -math.log2(float(np.power(s @ np.power(w, 1.0 / (1.0 + rho)), 1.0 + rho).sum()))
+    return max(0.0, val) if rho > 0 else val
+
+
+def _scalar_es(rho, pm):
+    """The scalar E_s as `source_gallager_function` computed it before the kernel."""
+    if rho == 0.0:
+        return 0.0
+    return math.log2(np.power(np.power(pm, 1.0 / (1.0 + rho)).sum(axis=0), 1.0 + rho).sum())
+
+
+KERNEL_LATTICES = {
+    "unit": _RHO_UNIT,
+    "tail": _RHO_TAIL,
+    "strided": np.concatenate([_RHO_UNIT[3::70], _RHO_TAIL[5::40]]),
+    "one-point": np.array([0.37]),
+    "one-tail-point": np.array([7.5]),
+}
+
+
+def _symmetric_channels(k):
+    """Channels on k inputs whose rows permute one row, zeros included."""
+    rng = np.random.default_rng(k)
+    out = {"bsc": bsc(0.025).matrix, "bec": bec(0.3).matrix} if k == 2 else {}
+    for m in (2, 3, 4, 6):
+        row = rng.dirichlet(np.ones(m))
+        if m > 2:
+            row[m - 1] = 0.0
+        out[f"rows-{m}"] = np.array([np.roll(row, i) for i in range(k)]) / row.sum()
+    return out
+
+
+def _kernel_joints():
+    rng = np.random.default_rng(11)
+    out = {"worked": np.array(((0.50, 0.00), (0.05, 0.45)))}
+    for a in (2, 3, 4):
+        for b in (2, 3, 4):
+            pm = rng.dirichlet(np.ones(a * b)).reshape(a, b)
+            pm.flat[rng.permutation(a * b)[: (a * b) // 4]] = 0.0
+            out[f"{a}x{b}"] = pm / pm.sum()
+    return out
+
+
+@pytest.mark.parametrize("lattice", list(KERNEL_LATTICES))
+def test_e0_lattice_keeps_the_lattice_first_floats_on_binary_inputs(lattice):
+    rhos, s = KERNEL_LATTICES[lattice], np.array([0.5, 0.5])
+    for w in _symmetric_channels(2).values():
+        _assert_same_floats([_e0_on_lattice(rhos, s, w)], [_lattice_first_e0(rhos, s, w)])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_e0_lattice_moves_by_rounding_past_binary_inputs(k):
+    # the old inner sum was a gemv over (n |Y|, |X|) rows, which adds three or
+    # four terms in another order than the kernel's gemv over the (|X|, |Y| n)
+    # powers: one-point lattices keep their floats, the others move by at most
+    # 2.9 (1 + rho) eps relative (2.2e-14 absolute), measured over 60 seeded
+    # symmetric channels on 3 and 4 inputs; the bound allows 4
+    s, eps = np.full(k, 1.0 / k), np.finfo(float).eps
+    for w in _symmetric_channels(k).values():
+        for name, rhos in KERNEL_LATTICES.items():
+            got, want = _e0_on_lattice(rhos, s, w), _lattice_first_e0(rhos, s, w)
+            if name.startswith("one"):
+                _assert_same_floats([got], [want])
+            assert np.all(np.abs(got - want) <= 4.0 * (1.0 + rhos) * eps * np.maximum(want, 1.0))
+
+
+@pytest.mark.parametrize("joint", list(_kernel_joints()))
+def test_es_lattice_keeps_the_lattice_first_floats(joint):
+    pm, eps = _kernel_joints()[joint], np.finfo(float).eps
+    for name, rhos in KERNEL_LATTICES.items():
+        got, want = _es_on_lattice(rhos, pm), _lattice_first_es(rhos, pm)
+        if name.startswith("one") and pm.shape[0] == 4:
+            # a one-point gemv over four unit weights adds out of sequence
+            assert np.all(np.abs(got - want) <= 4.0 * (1.0 + rhos) * eps * np.abs(want))
+        else:
+            _assert_same_floats([got], [want])
+
+
+def test_scalar_gallager_functions_are_one_point_kernel_calls():
+    rhos = (-0.5, 0.0, 0.3, 1.0, 2.5, 40.0)
+    for k in (2, 3, 4):
+        s = Distribution(np.random.default_rng(k).dirichlet(np.ones(k)))
+        for w in map(ConditionalDistribution, _symmetric_channels(k).values()):
+            for rho in rhos:
+                want = _scalar_e0(rho, s.probs, w.matrix)
+                assert gallager_e0(rho, s, w) == pytest.approx(want, abs=1e-14)
+    for p in map(JointDistribution, _kernel_joints().values()):
+        for rho in rhos:
+            want = _scalar_es(rho, p.matrix)
+            assert source_gallager_function(rho, p) == pytest.approx(want, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

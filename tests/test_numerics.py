@@ -11,11 +11,9 @@ from siexp.numerics import (
     conditional_grid,
     golden_section_max,
     grid_resolution,
-    hinge_min_decreasing,
     hinge_min_increasing,
     largest_remainder_counts,
     min_where_constraint_at_least,
-    min_where_constraint_at_most,
     rate_grid,
     simplex_grid,
 )
@@ -158,14 +156,15 @@ def test_constrained_minima_match_brute_force():
         np.testing.assert_allclose(
             min_where_constraint_at_least(c, d, rates), _brute(c, d, rates, "at_least")
         )
+        # the decreasing forms are the increasing ones on -c and -rates
         np.testing.assert_allclose(
-            min_where_constraint_at_most(c, d, rates), _brute(c, d, rates, "at_most")
+            min_where_constraint_at_least(-c, d, -rates), _brute(c, d, rates, "at_most")
         )
         np.testing.assert_allclose(
             hinge_min_increasing(c, d, rates), _brute(c, d, rates, "hinge_inc"), atol=1e-12
         )
         np.testing.assert_allclose(
-            hinge_min_decreasing(c, d, rates), _brute(c, d, rates, "hinge_dec"), atol=1e-12
+            hinge_min_increasing(-c, d, -rates), _brute(c, d, rates, "hinge_dec"), atol=1e-12
         )
 
 
@@ -175,7 +174,7 @@ def test_hinge_monotonicity():
     d = rng.random(40)
     rates = np.linspace(0.0, 1.5, 200)
     inc = hinge_min_increasing(c, d, rates)
-    dec = hinge_min_decreasing(c, d, rates)
+    dec = hinge_min_increasing(-c, d, -rates)
     assert np.all(np.diff(inc) >= -1e-12)
     assert np.all(np.diff(dec) <= 1e-12)
 
