@@ -448,44 +448,69 @@ def _dense_argmax(rates, rhos, vals):
     return idx, best
 
 
-def _lazy_envelope(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
-    """Legendre envelopes over a precomputed unit-interval lattice, with the
-    sphere-packing tail as a deferred step. Returns er, the mask of rates
-    whose unit argmax saturates at 1, and a thunk for the tail lattice's
-    envelope at those rates (inf while it still climbs), which
-    :func:`_with_tail` raises er to: there esp = max(er, tail), so er <= esp
-    float for float. Off the mask esp is er, preserving exact coincidence
-    above the critical rate. Each argmax is :func:`_lattice_argmax`, so every
-    value is the float the whole (rates x lattice) table gives."""
-    idx, best = _lattice_argmax(rates, rho_unit, unit_vals)
-    er = np.maximum(best, 0.0)
-    needs_tail = idx == len(rho_unit) - 1
-    sub = rates[needs_tail]
+class _Curve:
+    """A curve that equals `values` off `pending` and is bounded below by it,
+    float for float, on `pending` until :meth:`resolve` raises it there to
+    `tail()`, the tail envelope at the pending rates."""
 
-    def tail():
-        tail_vals = tail_vals_fn()
-        tail_idx, tail_val = _lattice_argmax(sub, rho_tail, tail_vals)
-        end = tail_vals[-2:] - sub[:, None] * rho_tail[-2:]
-        slope_end = (end[:, 1] - end[:, 0]) / (rho_tail[-1] - rho_tail[-2])
-        still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
-        return np.where(still_climbing, np.inf, tail_val)
+    def __init__(self, values: np.ndarray, pending: np.ndarray, tail):
+        self.values, self.pending = values, pending
+        self._tail = tail if pending.any() else None
 
-    return er, needs_tail, tail
+    def resolve(self) -> np.ndarray:
+        """The values with every pending rate raised to the tail envelope, in
+        a new array; rounding is monotone, so raising c + er to c + tail gives
+        c + max(er, tail) bit for bit."""
+        if self._tail is not None:
+            values = self.values.copy()
+            values[self.pending] = np.maximum(values[self.pending], self._tail())
+            self.values, self.pending, self._tail = values, np.zeros_like(self.pending), None
+        return self.values
 
 
-def _with_tail(values, mask, tail):
-    """A copy of values raised to tail() on mask. Rounding is monotone, so
-    raising c + er to c + tail gives c + max(er, tail) bit for bit."""
-    out = values.copy()
-    if mask.any():
-        out[mask] = np.maximum(out[mask], tail())
-    return out
+class _Lattice:
+    """A function E on the unit rho lattice, solved at once, and on the tail
+    lattice, solved on first use and kept. ``solve(rhos)`` returns a tuple
+    whose first item is E(rho); the E_0* solve adds its laws and gaps."""
 
+    def __init__(self, rho_unit: np.ndarray, rho_tail: np.ndarray, solve):
+        self.rho_unit, self.rho_tail = rho_unit, rho_tail
+        self.unit = solve(rho_unit)
+        self.tail = functools.cache(lambda: solve(rho_tail))
 
-def _envelope_curves(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn):
-    """(er, esp) of :func:`_lazy_envelope`, the tail solved at once."""
-    er, needs_tail, tail = _lazy_envelope(rates, rho_unit, rho_tail, unit_vals, tail_vals_fn)
-    return er, _with_tail(er, needs_tail, tail)
+    def curve(self, rates, shift: float = -0.0, where=slice(None)) -> _Curve:
+        """shift + the Legendre envelope max_rho [E(rho) - rho R] at the
+        rates on `where`, inf elsewhere: the random-coding values, and the
+        sphere-packing curve pending where the unit argmax saturates at 1.
+        There the tail envelope (inf while it still climbs) raises it, so
+        er <= esp float for float; off the mask esp is er, preserving exact
+        coincidence above the critical rate. Each argmax is
+        :func:`_lattice_argmax`, so every value is the float the whole
+        (rates x lattice) table gives. The default shift, -0.0, is the
+        identity of float addition."""
+        rates = np.asarray(rates, dtype=float)
+        values, pending = np.full(len(rates), np.inf), np.zeros(len(rates), dtype=bool)
+        idx, best = _lattice_argmax(rates[where], self.rho_unit, self.unit[0])
+        values[where] = shift + np.maximum(best, 0.0)
+        pending[where] = idx == len(self.rho_unit) - 1
+        # the tail holds only what it reads: a pending curve must not keep
+        # the unit lattice alive
+        sub, solve_tail, rho_tail = rates[pending], self.tail, self.rho_tail
+
+        def tail():
+            tail_vals = solve_tail()[0]
+            tail_idx, tail_val = _lattice_argmax(sub, rho_tail, tail_vals)
+            end = tail_vals[-2:] - sub[:, None] * rho_tail[-2:]
+            slope_end = (end[:, 1] - end[:, 0]) / (rho_tail[-1] - rho_tail[-2])
+            still_climbing = (tail_idx == len(rho_tail) - 1) & (slope_end > 1e-12)
+            return shift + np.where(still_climbing, np.inf, tail_val)
+
+        return _Curve(values, pending, tail)
+
+    def curves(self, rates):
+        """(er, esp) of :meth:`curve` as two arrays, the tail solved at once."""
+        curve = self.curve(rates)
+        return curve.values.copy(), curve.resolve()
 
 
 def _uniform_on_symmetric(s: Distribution, w: ConditionalDistribution) -> bool:
@@ -501,15 +526,13 @@ def _uniform_on_symmetric(s: Distribution, w: ConditionalDistribution) -> bool:
         return False
 
 
-def _fixed_input_lattices(s: Distribution, w: ConditionalDistribution):
-    """(unit lattice, tail lattice, unit values, thunk for the tail values) of
-    the fixed-input curves of :func:`dual_exponent_curves`."""
+def _fixed_input_lattice(s: Distribution, w: ConditionalDistribution) -> _Lattice:
+    """The lattice of the fixed-input curves of :func:`dual_exponent_curves`."""
+    if s.size != w.input_size:
+        raise ValueError("input distribution does not match channel input alphabet")
     if _uniform_on_symmetric(s, w):
-        unit = _e0_on_lattice(_RHO_UNIT, s.probs, w.matrix)
-        return _RHO_UNIT, _RHO_TAIL, unit, lambda: _e0_on_lattice(_RHO_TAIL, s.probs, w.matrix)
-    unit = _cc_e0_on_lattice(_CC_RHO_UNIT, s.probs, w.matrix)[0]
-    tail = lambda: _cc_e0_on_lattice(_CC_RHO_TAIL, s.probs, w.matrix)[0]
-    return _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail
+        return _Lattice(_RHO_UNIT, _RHO_TAIL, lambda r: (_e0_on_lattice(r, s.probs, w.matrix),))
+    return _Lattice(_CC_RHO_UNIT, _CC_RHO_TAIL, lambda r: _cc_e0_on_lattice(r, s.probs, w.matrix))
 
 
 def dual_exponent_curves(rates: np.ndarray, s: Distribution, w: ConditionalDistribution):
@@ -521,7 +544,7 @@ def dual_exponent_curves(rates: np.ndarray, s: Distribution, w: ConditionalDistr
     Lagrangian lattice, so the curves are true exponents rather than E_0
     lower bounds.
     """
-    return _envelope_curves(np.asarray(rates, dtype=float), *_fixed_input_lattices(s, w))
+    return _fixed_input_lattice(s, w).curves(rates)
 
 
 def primal_exponent_curves(
@@ -621,36 +644,31 @@ def _e0_star_on_lattice(
     return np.maximum(-np.log2(f), 0.0), s, gap
 
 
-def _e0_star_lattices(w: ConditionalDistribution):
-    """The certified E_0* solves of W, each (values, laws, gaps): the unit
-    lattice's, and a thunk for the tail's, which only sphere-packing
-    envelopes below the critical rate need. :func:`optimize_input`,
-    :func:`uniform_input_is_optimal_premise` and
-    :func:`input_optimized_curves` read them."""
-    unit = _e0_star_on_lattice(_RHO_UNIT, w.matrix)
-    return unit, lambda: _e0_star_on_lattice(_RHO_TAIL, w.matrix)
+def _e0_star_lattice(w: ConditionalDistribution) -> _Lattice:
+    """The certified E_0* solves of W, each (values, laws, gaps), which
+    :func:`optimize_input` and :func:`uniform_input_is_optimal_premise` read."""
+    return _Lattice(_RHO_UNIT, _RHO_TAIL, lambda rhos: _e0_star_on_lattice(rhos, w.matrix))
 
 
-def _input_optimized_lattices(w: ConditionalDistribution):
-    """The lattices :func:`input_optimized_curves` reads, as
-    :func:`_envelope_curves` takes them, with a memoized tail: E_0 of the
-    uniform input on a Gallager-symmetric channel, E_0* otherwise. Envelopes
-    of several rate grids over one channel can share them; only the values
-    are kept."""
+def _input_optimized_lattice(w: ConditionalDistribution) -> _Lattice:
+    """The lattice :func:`input_optimized_curves` reads: E_0 of the uniform
+    input on a Gallager-symmetric channel, E_0* otherwise. Envelopes of
+    several rate grids over one channel can share it; only the values are
+    kept."""
     if is_gallager_symmetric(w)[0]:
-        uniform = Distribution.uniform(w.input_size)
-        rho_unit, rho_tail, unit, tail = _fixed_input_lattices(uniform, w)
-        return rho_unit, rho_tail, unit, functools.cache(tail)
-    unit, tail = _e0_star_lattices(w)
-    return _RHO_UNIT, _RHO_TAIL, unit[0], functools.cache(lambda: tail()[0])
+        return _fixed_input_lattice(Distribution.uniform(w.input_size), w)
+    return _Lattice(_RHO_UNIT, _RHO_TAIL, lambda rhos: _e0_star_on_lattice(rhos, w.matrix)[:1])
 
 
-def _optimal_law(r, value, er_value, unit, tail, k):
-    """Maximizing law at the lattice rho that attains ``value``; values at most
-    1e-12 break the tie toward the uniform law."""
+def _optimal_law(r, value, er_value, lattice: _Lattice, k):
+    """Maximizing law at the lattice rho that attains ``value`` on an E_0*
+    lattice; values at most 1e-12 break the tie toward the uniform law."""
     if value <= 1e-12:
         return Distribution.uniform(k)
-    rhos, (e0, laws, _) = (_RHO_UNIT, unit) if value == er_value else (_RHO_TAIL, tail())
+    if value == er_value:
+        rhos, (e0, laws, _) = lattice.rho_unit, lattice.unit
+    else:
+        rhos, (e0, laws, _) = lattice.rho_tail, lattice.tail()
     return Distribution(laws[int(np.argmax(e0 - rhos * r))])
 
 
@@ -667,13 +685,11 @@ def optimize_input(
         raise ValueError("which must be 'random' or 'sphere'")
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    unit, tail = _e0_star_lattices(w)
-    tail = functools.cache(tail)
-    er, esp = _envelope_curves(
-        np.array([float(r)]), _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0]
-    )
-    value = float(er[0] if which == "random" else esp[0])
-    return _optimal_law(r, value, er[0], unit, tail, w.input_size), value
+    lattice = _e0_star_lattice(w)
+    curve = lattice.curve([float(r)])
+    er = curve.values[0]
+    value = float(er if which == "random" else curve.resolve()[0])
+    return _optimal_law(r, value, er, lattice, w.input_size), value
 
 
 def capacity(w: ConditionalDistribution, tol: float = 1e-9, max_iter: int = 200000) -> float:
@@ -826,13 +842,13 @@ def uniform_input_is_optimal_premise(
     the unit lattice's laws are read, so no tail lattice is solved."""
     cap = capacity(w)
     rates = rate_grid(rate_step, max(cap - rate_step, rate_step))
-    unit, tail = _e0_star_lattices(w)
-    best = _lazy_envelope(rates, _RHO_UNIT, _RHO_TAIL, unit[0], lambda: tail()[0])[0]
+    star = _e0_star_lattice(w)
+    best = star.curve(rates).values
     m = len(rates) // 2
-    mid = _optimal_law(rates[m], best[m], best[m], unit, tail, w.input_size)
+    mid = _optimal_law(rates[m], best[m], best[m], star, w.input_size)
     # the candidate input is held fixed, so its values must come from the
     # exact fixed-input Lagrangian, not the E_0 lower bound
-    fixed = _lazy_envelope(rates, *_fixed_input_lattices(mid, w))[0]
+    fixed = _fixed_input_lattice(mid, w).curve(rates).values
     off = np.flatnonzero(np.abs(best - fixed) > tol)
     if off.size:
         return False, float(rates[off[0]])
@@ -847,4 +863,4 @@ def input_optimized_curves(rates: np.ndarray, w: ConditionalDistribution):
     E_0*(rho) = max_s E_0(rho, s), so E_0* is computed once with a certified
     gap on the rho lattices and every rate reads its envelope.
     """
-    return _envelope_curves(np.asarray(rates, dtype=float), *_input_optimized_lattices(w))
+    return _input_optimized_lattice(w).curves(rates)

@@ -17,7 +17,11 @@ input-optimized and source lattices. Build one for (p, W, rate step) and
 pass it as `evaluator=` to share its curves across calls; without it every
 call solves its own, and nothing is kept between calls.
 
-Every sphere-packing curve is first known by its random-coding values, which
+Every curve here, channel, source, fixed-marginal or input-optimized, comes
+from one rho-lattice type of `channel_exponents`: it solves E(rho) on the
+unit lattice at once and on the tail lattice (rho >= 1) on first use, and
+reads a curve off it as the Legendre envelope max_rho [E(rho) - rho R]. A
+sphere-packing curve is first known by its random-coding values, which
 equal it wherever the unit-interval envelope peaks below rho = 1 and bound it
 from below, float for float, elsewhere. A curve's tail lattice is solved only
 when a reduction over the payoff table could pick one of the entries it
@@ -31,17 +35,17 @@ smallest achieving rate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel_exponents import (
-    _envelope_curves,
-    _fixed_input_lattices,
-    _input_optimized_lattices,
-    _lazy_envelope,
-    _with_tail,
+    _Curve,
+    _fixed_input_lattice,
+    _input_optimized_lattice,
+    _Lattice,
     capacity,
     critical_rate,
     is_gallager_symmetric,
@@ -55,7 +59,7 @@ from .probkit import (
     JointDistribution,
     conditional_entropy,
 )
-from .source_si_exponents import _lazy_fixed_marginal_curve, _source_curves, _source_dual_lattices
+from .source_si_exponents import _fixed_marginal_curve, _source_curves, _source_lattice
 
 UNRELIABLE_FLAG = "conditional entropy is at or above capacity; reliable transmission fails"
 ALL_INFINITE_FLAG = "source exponent infinite across the whole rate range"
@@ -220,21 +224,6 @@ def _fine_window(point: np.ndarray, span: float) -> np.ndarray:
     return fine[np.abs(fine - point[None, :]).max(axis=1) <= span + 1e-12]
 
 
-class _Curve:
-    """A curve that equals `values` off `pending` and is bounded below by it,
-    float for float, on `pending` until :meth:`resolve` solves `tail` and
-    raises it there (:func:`_with_tail`)."""
-
-    def __init__(self, values: np.ndarray, pending: np.ndarray, tail):
-        self.values, self.pending = values, pending
-        self._tail = tail if pending.any() else None
-
-    def resolve(self) -> None:
-        if self._tail is not None:
-            self.values, self._tail = _with_tail(self.values, self.pending, self._tail), None
-            self.pending = np.zeros_like(self.pending)
-
-
 class _Payoff:
     """The (|S_X|, |R|) payoff source(Q_A) + channel(S_X) from the curves'
     current values: an entry is exact unless one of its two curves is
@@ -272,8 +261,6 @@ class NestedEvaluator:
         self.rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
         self._channel: dict[bytes, tuple[_Curve, _Curve]] = {}
         self._source: dict[bytes, _Curve] = {}
-        self._optimized = None
-        self._source_lattices = None
 
     def check(self, w: ConditionalDistribution, rate_step: float, p=None) -> None:
         """Refuse a call for another channel or rate step, or for another
@@ -292,35 +279,35 @@ class NestedEvaluator:
         evaluator.check(w, rate_step, p)
         return evaluator
 
+    @functools.cached_property
+    def _optimized_lattice(self) -> _Lattice:
+        return _input_optimized_lattice(self.w)
+
+    @functools.cached_property
+    def _es_lattice(self) -> _Lattice:
+        return _source_lattice(self.p)
+
     def input_optimized_curves(self, rates: np.ndarray):
-        """`input_optimized_curves(rates, w)`, from lattices solved once."""
-        if self._optimized is None:
-            self._optimized = _input_optimized_lattices(self.w)
-        return _envelope_curves(np.asarray(rates, dtype=float), *self._optimized)
+        """`input_optimized_curves(rates, w)`, from a lattice solved once."""
+        return self._optimized_lattice.curves(rates)
 
     def source_dual_curves(self, rates: np.ndarray):
-        """`source_dual_curves(rates, p)`, from lattices solved once."""
-        if self._source_lattices is None:
-            self._source_lattices = _source_dual_lattices(self.p)
-        return _source_curves(rates, self.p, self._source_lattices)
+        """`source_dual_curves(rates, p)`, from a lattice solved once."""
+        return _source_curves(rates, self.p, self._es_lattice)
 
     def channel(self, s_arr: np.ndarray) -> tuple[_Curve, _Curve]:
         """The random-coding and sphere-packing curves at input law s_arr."""
         key = s_arr.tobytes()
         if key not in self._channel:
-            lattices = _fixed_input_lattices(Distribution(s_arr), self.w)
-            er, needs_tail, tail = _lazy_envelope(self.rates, *lattices)
-            exact = np.zeros_like(needs_tail)
-            self._channel[key] = (_Curve(er, exact, None), _Curve(er, needs_tail, tail))
+            esp = _fixed_input_lattice(Distribution(s_arr), self.w).curve(self.rates)
+            self._channel[key] = (_Curve(esp.values, np.zeros_like(esp.pending), None), esp)
         return self._channel[key]
 
     def source(self, qa_arr: np.ndarray) -> _Curve:
         """The fixed-marginal source curve at Q_A = qa_arr."""
         key = qa_arr.tobytes()
         if key not in self._source:
-            self._source[key] = _Curve(
-                *_lazy_fixed_marginal_curve(self.rates, self.p, Distribution(qa_arr))
-            )
+            self._source[key] = _fixed_marginal_curve(self.rates, self.p, Distribution(qa_arr))
         return self._source[key]
 
     def payoff(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int) -> _Payoff:

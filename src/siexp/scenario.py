@@ -379,23 +379,8 @@ def curve_table(
     return "\n".join(lines) + "\n"
 
 
-def emit_curves(
-    scenario: Scenario,
-    which: set[str] | None = None,
-    rate_step: float | None = None,
-) -> str:
-    """Curve table with the fixed column set.
-
-    ``which`` only validates requested curve ids against the available
-    columns; the emitted table always carries every column so downstream
-    parsing never depends on the request.
-    """
-    if which is not None:
-        bad = set(which) - set(CURVE_COLUMNS[1:])
-        if bad:
-            raise ConfigError(
-                f"unknown curve ids {sorted(bad)}; available: {list(CURVE_COLUMNS[1:])}"
-            )
+def emit_curves(scenario: Scenario, rate_step: float | None = None) -> str:
+    """Curve table with the fixed column set."""
     return curve_table(scenario, rate_step)
 
 

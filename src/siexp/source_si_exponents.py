@@ -19,14 +19,13 @@ entropy the support of P allows) come out infinite as well.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _envelope_curves, _fixed_input_lattices
-from .channel_exponents import _lazy_envelope, _power_sum_on_lattice, _primal_tables, _with_tail
+from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _Curve, _fixed_input_lattice, _Lattice
+from .channel_exponents import _power_sum_on_lattice, _primal_tables
 from .channel_exponents import constant_composition_e0, sphere_packing_exponent
 from .numerics import (
     concave_dual_max,
@@ -228,20 +227,17 @@ def e_upper_dual(r: float, p: JointDistribution) -> SourceExponentResult:
     )
 
 
-def _source_dual_lattices(p: JointDistribution):
-    """The rho lattices of -E_s as :func:`_envelope_curves` takes them, with a
-    memoized tail: every rate grid over one source can share them."""
-    pm = p.matrix
-    tail = functools.cache(lambda: -_es_on_lattice(_RHO_TAIL, pm))
-    return _RHO_UNIT, _RHO_TAIL, -_es_on_lattice(_RHO_UNIT, pm), tail
+def _source_lattice(p: JointDistribution) -> _Lattice:
+    """The lattice of -E_s: every rate grid over one source can share it."""
+    return _Lattice(_RHO_UNIT, _RHO_TAIL, lambda rhos: (-_es_on_lattice(rhos, p.matrix),))
 
 
-def _source_curves(rates: np.ndarray, p: JointDistribution, lattices):
-    """:func:`source_dual_curves` over the lattices of :func:`_source_dual_lattices`."""
+def _source_curves(rates: np.ndarray, p: JointDistribution, lattice: _Lattice):
+    """:func:`source_dual_curves` over the lattice of :func:`_source_lattice`."""
     rates = np.asarray(rates, dtype=float)
     # rho R - E_s(rho) == -E_s(rho) - rho (-R) as floats, so the channel
     # envelope of -E_s at the rates -R gives the source curves exactly
-    el, eu = _envelope_curves(-rates, *lattices)
+    el, eu = lattice.curves(-rates)
     eu[_at_or_above_lossless_rate(rates, p)] = np.inf
     return el, eu
 
@@ -254,7 +250,7 @@ def source_dual_curves(rates: np.ndarray, p: JointDistribution):
     saturates, and exact e_lower == e_upper floats wherever the optimizer
     stays inside [0, 1].
     """
-    return _source_curves(rates, p, _source_dual_lattices(p))
+    return _source_curves(rates, p, _source_lattice(p))
 
 
 def source_primal_curves(rates: np.ndarray, p: JointDistribution, grid_step: float = 0.01):
@@ -335,32 +331,26 @@ def e_upper_fixed_marginal(
     )
 
 
-def _lazy_fixed_marginal_curve(rates: np.ndarray, p: JointDistribution, q_a: Distribution):
-    """:func:`fixed_marginal_dual_curve` with its tail deferred: a lower bound,
-    the mask where only the tail can raise it, and a thunk for the curve on
-    that mask. The bound is d_marg + E_r at the rates H(q_a) - R, the curve
-    d_marg + E_sp."""
+def _fixed_marginal_curve(rates: np.ndarray, p: JointDistribution, q_a: Distribution) -> _Curve:
+    """:func:`fixed_marginal_dual_curve` with its tail deferred: d_marg + E_r
+    at the rates H(q_a) - R, pending d_marg + E_sp."""
+    if q_a.size != p.shape[0]:
+        raise ValueError("marginal alphabet does not match the joint law")
     rates = np.asarray(rates, dtype=float)
-    out = np.full(len(rates), math.inf)
-    pending = np.zeros(len(rates), dtype=bool)
     d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
     h_qa = float(entropy_bits(q_a.probs))
     valid = ~_at_or_above_lossless_rate(rates, p) & (h_qa - rates >= -1e-12)
     if math.isinf(d_marg) or not np.any(valid):
-        return out, pending, None
-    channel_rates = np.maximum(h_qa - rates[valid], 0.0)
-    er, pending[valid], tail = _lazy_envelope(
-        channel_rates, *_fixed_input_lattices(q_a, p.conditional_rows())
-    )
-    out[valid] = d_marg + er
-    return out, pending, lambda: d_marg + tail()
+        return _Curve(np.full(len(rates), math.inf), np.zeros(len(rates), dtype=bool), None)
+    lattice = _fixed_input_lattice(q_a, p.conditional_rows())
+    return lattice.curve(np.maximum(h_qa - rates, 0.0), d_marg, valid)
 
 
 def fixed_marginal_dual_curve(
     rates: np.ndarray, p: JointDistribution, q_a: Distribution
 ) -> np.ndarray:
     """Fixed-marginal exponent across a rate vector (dual route)."""
-    return _with_tail(*_lazy_fixed_marginal_curve(rates, p, q_a))
+    return _fixed_marginal_curve(rates, p, q_a).resolve()
 
 
 # ---------------------------------------------------------------------------

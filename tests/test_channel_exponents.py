@@ -5,7 +5,6 @@ Frozen reference numbers come from independent mpmath computations (40
 digits): closed forms where available, otherwise high-precision ternary
 search on the one-dimensional convex/concave subproblems.
 """
-import functools
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siexp import channel_exponents, source_si_exponents
+from siexp import channel_exponents
 from siexp.channel_exponents import (
     RHO_MAX,
     _CC_RHO_TAIL,
@@ -993,23 +992,38 @@ _PROPERTY_RATES = np.linspace(0.0, 1.6, 161)
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(_channel_pairs, _source_joints)
 def test_envelope_matches_dense_table_on_random_instances(pair, joint):
-    envelope, calls = channel_exponents._envelope_curves, []
+    envelope, calls = channel_exponents._Lattice.curves, []
 
-    def recording(rates, rho_unit, rho_tail, unit, tail_fn):
-        tail_fn = functools.cache(tail_fn)
-        out = envelope(rates, rho_unit, rho_tail, unit, tail_fn)
-        # copies: source_dual_curves marks its lossless rates in place
-        calls.append(((out[0].copy(), out[1].copy()), rates, rho_unit, rho_tail, unit, tail_fn()))
+    def recording(lattice, rates):
+        out = envelope(lattice, rates)
+        # copies: source_dual_curves marks its lossless rates in place; the
+        # tail is memoized, so reading it solves nothing the call did not
+        calls.append(((out[0].copy(), out[1].copy()), rates, lattice.rho_unit, lattice.rho_tail,
+                      lattice.unit[0], lattice.tail()[0]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channel_exponents, "_envelope_curves", recording)
-        mp.setattr(source_si_exponents, "_envelope_curves", recording)
+        mp.setattr(channel_exponents._Lattice, "curves", recording)
         dual_exponent_curves(_PROPERTY_RATES, Distribution(pair[0]), ConditionalDistribution(pair[1]))
         source_dual_curves(_PROPERTY_RATES, JointDistribution(joint / joint.sum()))
     assert len(calls) == 2
     for call in calls:
         assert _matches_dense(*call)
+
+
+def test_curve_pairs_are_two_arrays_where_no_rate_needs_the_tail():
+    # every unit argmax peaks below rho = 1, so the two curves hold the same
+    # floats; a caller writing into one must not change the other
+    source = JointDistribution(np.array([[0.5, 0.0], [0.05, 0.45]]))
+    skewed = Distribution(np.array([0.3, 0.7]))
+    pairs = [
+        dual_exponent_curves(np.linspace(0.5, 0.7, 5), uniform2(), bsc(0.025)),
+        dual_exponent_curves(np.linspace(0.4, 0.6, 5), skewed, bsc(0.025)),
+        input_optimized_curves(np.linspace(0.3, 0.5, 5), ConditionalDistribution(np.array(ASYM_TWO))),
+        source_dual_curves(np.linspace(0.25, 0.4, 4), source),
+    ]
+    for a, b in pairs:
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

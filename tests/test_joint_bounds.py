@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from siexp import channel_exponents, joint_bounds
+from siexp import channel_exponents, joint_bounds, scenario
 from siexp.channel_exponents import bsc, capacity, critical_rate
 from siexp.errors import BudgetError, EvaluatorMismatchError, PremiseViolationError
 from siexp.joint_bounds import (
@@ -266,18 +266,28 @@ def test_asymmetric_report_solves_e0_star_once_per_lattice(monkeypatch):
 
 
 def test_worked_report_solves_fewer_tails_than_it_holds(monkeypatch):
-    held, solved = [], []
+    held, solved, evaluators = [], [], []
 
-    class Spy(joint_bounds._Curve):
+    class Spy(channel_exponents._Curve):
         def __init__(self, values, pending, tail):
             super().__init__(values, pending, tail)
             if self._tail is not None:
                 held.append(self)
                 self._tail = lambda: solved.append(self) or tail()
 
-    monkeypatch.setattr(joint_bounds, "_Curve", Spy)
+    class Recording(NestedEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    monkeypatch.setattr(channel_exponents, "_Curve", Spy)
+    monkeypatch.setattr(scenario, "NestedEvaluator", Recording)
     report(worked_example(), nested=True, rate_step=1e-3)
-    assert 0 < len(solved) < len(held)
+    # the flat-bound and critical-rate curves solve their tails at once: only
+    # the evaluator's payoff curves count
+    (ev,) = evaluators
+    kept = {id(c) for c in [esp for _, esp in ev._channel.values()] + list(ev._source.values())}
+    assert 0 < sum(id(c) in kept for c in solved) < sum(id(c) in kept for c in held)
 
 
 def test_evaluator_for_another_instance_is_refused():

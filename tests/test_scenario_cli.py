@@ -17,7 +17,6 @@ from siexp.scenario import (
     Tolerances,
     curve_table,
     emit_config,
-    emit_curves,
     format_number,
     parse_config,
     parse_curve_table,
@@ -156,14 +155,6 @@ def test_curve_table_structure():
     np.testing.assert_allclose(
         cols["e_U_plus_E_r"][fin], (cols["e_U"] + cols["E_r"])[fin], atol=1e-6
     )
-
-
-def test_emit_curves_validates_requested_ids():
-    sc = worked_example()
-    ok = emit_curves(sc, which={"e_L", "E_sp"}, rate_step=0.25)
-    assert ok.startswith("R,")
-    with pytest.raises(ConfigError):
-        emit_curves(sc, which={"bogus"}, rate_step=0.25)
 
 
 def test_curve_table_independent_source_matches_marginal_only_exponent():

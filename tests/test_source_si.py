@@ -216,6 +216,21 @@ def test_fixed_marginal_dual_curve_matches_per_rate():
         assert curve[i] == pytest.approx(per_rate, abs=5e-7)
 
 
+def test_mismatched_input_law_is_refused_by_name():
+    from siexp.channel_exponents import bsc, dual_exponent_curves
+    from siexp.joint_bounds import best_input_for_marginal
+
+    p, w = worked(), bsc(0.025)
+    for law in (Distribution(np.array([1.0])), Distribution.uniform(3)):
+        for rates in (np.array([0.1]), np.array([0.0, 0.1])):
+            with pytest.raises(ValueError, match="alphabet"):
+                fixed_marginal_dual_curve(rates, p, law)
+            with pytest.raises(ValueError, match="alphabet"):
+                dual_exponent_curves(rates, law, w)
+        with pytest.raises(ValueError, match="alphabet"):
+            best_input_for_marginal(p, w, law, rate_step=0.1)
+
+
 def test_fixed_marginal_splits_into_kl_plus_kernel_term():
     # The pinned minimization separates: the marginal mismatch KL plus the
     # sphere-packing exponent of the B|A kernel at input q_a and channel
