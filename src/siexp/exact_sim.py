@@ -366,21 +366,66 @@ def _sweep_plan(logjoint_ab: np.ndarray, rows: int) -> list:
     return plan
 
 
-def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab, plan, scratch) -> SimulationResult:
-    """One codebook's exact result, walking the side sequences in the blocks
-    of ``plan``, so the score and mask buffers of ``scratch`` never hold every
-    state.
+def _word_table(rows: np.ndarray, mi: np.ndarray, cond_h: np.ndarray):
+    """MMI's scoring rows of one codebook, whose source sequence a has the
+    codeword row ``rows[a]`` of ``mi``: one row per distinct codeword.
 
-    MAP scores each side b only over its candidates of finite log-mass (the
-    others score -inf and never come near a finite top), while MMI, blind to
-    the distribution, scores every candidate but builds the error mask and
-    its product with W^n only on the rows with mass. The rows' products are
-    scattered into zeros before the block's dot with P^n(a, b), so the sum
-    takes the same terms in the same order as over every cell: the dropped
-    ones are exact zeros."""
+    Candidates sharing a codeword differ only in their penalty H(a|b), and
+    the rounded score mi - h never rises with h, so at each side b the top
+    over candidates is, bit for bit, the top over the words scored with their
+    least penalty. A penalty more than delta = _TIE_TOL + 8 eps (max|mi| +
+    max|h|) above its word's least is never near the top; a closer one off
+    the least gets a row of its own. Returns the words' mi rows, the least
+    penalty per (side, word), {b: (the words, the penalties)} of the rows of
+    their own at the sides that have any, and per (candidate, side) the
+    row whose near flag decides it: its word's if it alone is on the least,
+    its own, or -1 when it never decodes (one of several on the least, or
+    more than delta off it)."""
+    words, word = np.unique(rows, return_inverse=True)
+    order = np.argsort(word)  # the candidates grouped by word
+    starts = np.searchsorted(word[order], np.arange(len(words)))
+    least = np.minimum.reduceat(cond_h[order], starts, axis=0)
+    gap = least[word]
+    np.subtract(cond_h, gap, out=gap)  # exactly 0 where h is its word's least
+    on = gap == 0
+    alone = np.add.reduceat(on[order], starts, axis=0, dtype=np.intp) == 1
+    rep = np.where(on & alone[word], word[:, None], -1)
+    x_tab = mi[words]
+    delta = _TIE_TOL + 8 * np.finfo(float).eps * (np.abs(x_tab).max() + np.abs(cond_h).max())
+    close = (gap > 0) & (gap <= delta)
+    sides, cands = np.nonzero(close.T)  # by side, then candidate
+    rep[cands, sides] = len(words) + np.arange(len(sides)) - np.searchsorted(sides, sides)
+    own_rows = {}
+    for group in np.split(np.arange(len(sides)), np.flatnonzero(np.diff(sides)) + 1):
+        if len(group):
+            b = int(sides[group[0]])
+            own_rows[b] = (word[cands[group]], cond_h[cands[group], b])
+    return x_tab, np.ascontiguousarray(least.T), own_rows, rep
+
+
+def _sweep(decoder: str, n: int, tables, wxy, pab, plan, scratch) -> SimulationResult:
+    """One codebook's exact result, walking the side sequences in the blocks
+    of ``plan``, so the buffers of ``scratch`` never hold every state.
+
+    ``tables`` are MAP's (log2 W^n(y|x(a)), log2 P^n(a, b)), or MMI's
+    :func:`_word_table`. MAP scores each side b only over its candidates of
+    finite log-mass (the others score -inf and never come near a finite top);
+    MMI, blind to the distribution, scores the codewords of every candidate
+    and reads each candidate's near flag off its row. Either builds the error
+    mask and its product with W^n only on the rows with mass. The rows'
+    products are scattered into zeros before the block's dot with P^n(a, b),
+    so the sum takes the same terms in the same order as over every cell: the
+    dropped ones are exact zeros."""
     op, tol, finite_only = _SCORES[decoder]
-    na_n, ny_n = x_tab.shape
-    score, near_buf, mask_buf = scratch
+    na_n, ny_n = wxy.shape
+    score, near_buf, err_buf, mask_buf, prod_buf, dots_buf = scratch
+    if finite_only:
+        x_tab, ab_tab = tables
+    else:
+        x_tab, least, own_rows, rep = tables
+        words = _view(score, len(x_tab), ny_n)
+        near_rows = near_buf.reshape(na_n + 1, ny_n)
+        near_rows[-1] = False  # the row of index -1: never decoded
     pe = 0.0
     for blk, sources, n_src, sides in plan:
         k = blk.stop - blk.start
@@ -388,16 +433,26 @@ def _sweep(decoder: str, n: int, x_tab, ab_tab, wxy, pab, plan, scratch) -> Simu
         if k > 1:  # a pair without mass meets P^n = 0 in the dot: keep it finite
             mask.fill(0.0)
         for j, b, own, n_own, pos in sides:
-            if finite_only:
+            if finite_only:  # each candidate of finite mass is a word of its own
                 s = op(x_tab[own], ab_tab[own, b, None], out=_view(score, n_own, ny_n))
-                err = _error_mask(s, tol, _view(near_buf, *s.shape))
-            else:
-                s = op(x_tab, ab_tab[:, b, None], out=_view(score, na_n, ny_n))
-                near, tie = _near(s, tol, _view(near_buf, na_n, ny_n))
-                err = _failures(near[own], tie)
-            mask[pos, j] = err
-        dots = np.zeros((na_n, k))
-        dots[sources] = (mask @ wxy[sources, :, None])[:, :, 0]
+                mask[pos, j] = _error_mask(s, tol, _view(near_buf, n_own, ny_n))
+                continue
+            s = op(x_tab, least[b, :, None], out=words)
+            if b in own_rows:  # rows of their own follow the words'
+                own_words, pen = own_rows[b]
+                s = _view(score, len(x_tab) + len(pen), ny_n)
+                rows = x_tab.take(own_words, axis=0, out=s[len(x_tab) :])
+                op(rows, pen[:, None], out=rows)
+            tie = _near(s, tol, near_rows[: len(s)])[1]
+            out = _view(err_buf, n_own, ny_n)  # each candidate takes its row's flag
+            err = near_rows.take(rep[own, b], axis=0, out=out, mode="wrap")
+            mask[pos, j] = _failures(err, tie)
+        prod = np.matmul(mask, wxy[sources, :, None], out=_view(prod_buf, n_src, k, 1))[:, :, 0]
+        dots = prod
+        if n_src < na_n:
+            dots = _view(dots_buf, na_n, k)
+            dots.fill(0.0)
+            dots[sources] = prod
         pe += float(np.vdot(pab[:, blk], dots))
     pe = min(max(pe, 0.0), 1.0)
     return SimulationResult(n, decoder, pe, _empirical_exponent(pe, n), "exact")
@@ -414,9 +469,9 @@ def exact_error_probabilities(
 
     The (source, side) tables and the sweep's blocks are built once, the
     (codeword, output) tables once over the distinct codewords of all the
-    codebooks if there are at most |A|^n (else per codebook). MMI builds
-    entropy tables, MAP log-joints. Every sweep reuses one set of score and
-    mask buffers."""
+    codebooks if there are at most |A|^n (else per codebook), and MMI's word
+    table once per codebook. MMI builds entropy tables, MAP log-joints. Every
+    sweep reuses one set of score, mask and product buffers."""
     if any(d not in _SCORES for d in decoders):
         raise ValueError("decoder must be 'mmi' or 'map'")
     (na, nb), (nx, ny), ns = p.shape, w.shape, {cb.n for cb in codebooks}
@@ -435,19 +490,25 @@ def exact_error_probabilities(
     rows = min(nb**n, max(1, _SWEEP_BLOCK_CELLS // (na * ny) ** n))
     plan = _sweep_plan(logjoint_ab, rows)
     cells = (na * ny) ** n
-    scratch = (np.empty(cells), np.empty(cells, dtype=bool), np.empty(cells * rows))
+    scratch = (
+        np.empty(cells),
+        np.empty(cells + ny**n, dtype=bool),
+        np.empty(cells, dtype=bool),
+        np.empty(cells * rows),
+        np.empty(na**n * rows),
+        np.empty(na**n * rows),
+    )
     # return_inverse keeps numpy's unique from importing numpy.ma mid-pass
     words = np.unique(np.vstack([cb.codewords for cb in codebooks]), axis=0, return_inverse=True)[0]
     for run in [codebooks] if len(words) <= na**n else [[cb] for cb in codebooks]:
         (logjoint_xy, mi), rows_of = _codeword_tables(run, w, mmi)
-        wxy, tabs = np.exp2(logjoint_xy), {"mmi": (mi, cond_h), "map": (logjoint_xy, logjoint_ab)}
+        wxy = np.exp2(logjoint_xy)
         for r in rows_of:
-            results.append(
-                {
-                    d: _sweep(d, n, tabs[d][0][r], tabs[d][1], wxy[r], pab, plan, scratch)
-                    for d in decoders
-                }
-            )
+            res = {}
+            for d in decoders:
+                tables = (logjoint_xy[r], logjoint_ab) if d == "map" else _word_table(r, mi, cond_h)
+                res[d] = _sweep(d, n, tables, wxy[r], pab, plan, scratch)
+            results.append(res)
     return results
 
 
@@ -478,7 +539,8 @@ def monte_carlo_error_probability(
     (codeword, output) sequence pair, |A|^n * max(|B|^n * |A||B|, |Y|^n *
     |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``. The counts are
     taken in blocks, and so are the samples' sequences derived and scored,
-    after every sample is drawn."""
+    after every sample is drawn; a block scores each distinct (side, output)
+    pair it holds once."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
     if samples < 1:
@@ -511,8 +573,9 @@ def monte_carlo_error_probability(
         a_idx = _lex_index(a, na)
         x = codebook.codewords[a_idx]
         y_idx = _lex_index((u[j, :, None] > cum[x]).sum(axis=2), ny)
-        err = _error_mask(op(x_tab[:, y_idx], ab_tab[:, _lex_index(b, nb)]), tol)
-        errors += int(np.count_nonzero(err[a_idx, np.arange(err.shape[1])]))
+        seen, obs = np.unique(_lex_index(b, nb) * ny**n + y_idx, return_inverse=True)
+        err = _error_mask(op(x_tab[:, seen % ny**n], ab_tab[:, seen // ny**n]), tol)
+        errors += int(np.count_nonzero(err[a_idx, obs]))
     pe = errors / samples
     return SimulationResult(
         n=n,

@@ -6,9 +6,7 @@ here so the exponent modules stay focused on the formulas.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,31 +25,30 @@ def grid_resolution(step: float) -> int:
     return max(1, int(round(1.0 / step)))
 
 
-@lru_cache(maxsize=32)
 def _compositions(total: int, k: int) -> np.ndarray:
     """Nonnegative integer k-tuples summing to total, lexicographically ordered.
 
-    Stars-and-bars: each tuple corresponds to the k-1 bar positions among
-    total + k - 1 slots, and iterating bar positions in combination order
-    yields exactly the lexicographic tuple order.
+    Built one part at a time: each prefix, in order, is followed by every
+    value of the next part from 0 up to what the prefix leaves, which yields
+    exactly the lexicographic tuple order. Each level keeps only its new part
+    and the row of its prefix; the columns are gathered at the end.
     """
-    if k == 1:
-        out = np.array([[total]], dtype=np.int32)
-        out.flags.writeable = False
-        return out
-    n_slots = total + k - 1
-    count = math.comb(n_slots, k - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_slots), k - 1)),
-        dtype=np.int32,
-        count=count * (k - 1),
-    ).reshape(count, k - 1)
-    out = np.empty((count, k), dtype=np.int32)
-    out[:, 0] = bars[:, 0]
-    if k > 2:
-        out[:, 1:-1] = bars[:, 1:] - bars[:, :-1] - 1
-    out[:, -1] = n_slots - 1 - bars[:, -1]
-    out.flags.writeable = False
+    room = np.array([total], dtype=np.int32)  # what each prefix leaves
+    parts, parents = [], []
+    for _ in range(k - 1):
+        counts = room + 1
+        parent = np.repeat(np.arange(len(room), dtype=np.int32), counts)
+        first = np.cumsum(counts, dtype=np.int32) - counts
+        part = np.arange(len(parent), dtype=np.int32) - first[parent]
+        room = room[parent] - part
+        parts.append(part)
+        parents.append(parent)
+    out = np.empty((len(room), k), dtype=np.int32)
+    out[:, -1] = room
+    rows = np.arange(len(room))  # each output row's index at level j
+    for j in range(k - 2, -1, -1):
+        out[:, j] = parts[j][rows]
+        rows = parents[j][rows]
     return out
 
 

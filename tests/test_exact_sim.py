@@ -360,8 +360,24 @@ PRUNING_CASES = {
 }
 
 
+def _spy_scores(monkeypatch) -> dict:
+    """Record the shape of every score table each decoder fills."""
+    scored = {"mmi": [], "map": []}
+
+    def spy(decoder, op):
+        def scores(x, y, out):
+            scored[decoder].append(out.shape)
+            return op(x, y, out=out)
+
+        return scores
+
+    spies = {d: (spy(d, op), *rest) for d, (op, *rest) in exact_sim._SCORES.items()}
+    monkeypatch.setattr(exact_sim, "_SCORES", spies)
+    return scored
+
+
 @pytest.mark.parametrize("block", ["default", "one_row", "ragged"])
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 6])
 @pytest.mark.parametrize("case", list(PRUNING_CASES))
 def test_pruned_sweep_equals_todays_sweep_bit_for_bit(case, n, block, monkeypatch):
     joint, channel = PRUNING_CASES[case]
@@ -370,29 +386,48 @@ def test_pruned_sweep_equals_todays_sweep_bit_for_bit(case, n, block, monkeypatc
     cells = {"default": exact_sim._SWEEP_BLOCK_CELLS, "one_row": 1, "ragged": 3 * row_cells}
     monkeypatch.setattr(exact_sim, "_SWEEP_BLOCK_CELLS", cells[block])
     cbs = build_codebooks(n, p, w, "uniform", (0, 1))
-    for cb, res in zip(cbs, exact_error_probabilities(cbs, p, w)):
+    scored = _spy_scores(monkeypatch)
+    results = exact_error_probabilities(cbs, p, w)
+    for cb, res in zip(cbs, results):
         for decoder in ("mmi", "map"):
             assert res[decoder].error_probability == _todays_pe(cb, p, w, decoder)
+    # at n = 6 conditional entropies of candidates sharing a codeword differ by
+    # ulps, so MMI scores such candidates on rows of their own beyond the words
+    a_seqs = exact_sim._all_sequences(p.shape[0], n)
+    sides = np.count_nonzero((exact_sim._pair_tables(a_seqs, p.matrix, None)[0] > -np.inf).any(0))
+    words = sum(len(np.unique(cb.codewords, axis=0)) for cb in cbs) * sides * w.output_size**n
+    mmi = sum(math.prod(shape) for shape in scored["mmi"])
+    assert mmi >= words and (mmi > words) == (n == 6)
+
+
+def _close_candidates(cb, p, w) -> int:
+    """The (side, candidate) pairs whose H(a|b) exceeds the least over the
+    candidates of its codeword, but by at most MMI's delta."""
+    a_seqs = exact_sim._all_sequences(p.shape[0], cb.n)
+    cond_h = exact_sim._pair_tables(a_seqs, p.matrix, "cond")[1]
+    (_, mi), (rows,) = exact_sim._codeword_tables([cb], w, True)
+    delta = 1e-12 + 8 * np.finfo(float).eps * (np.abs(mi[rows]).max() + np.abs(cond_h).max())
+    close = 0
+    for r in np.unique(rows):
+        gap = cond_h[rows == r] - cond_h[rows == r].min(axis=0)
+        close += int(np.count_nonzero((gap > 0) & (gap <= delta)))
+    return close
 
 
 def test_map_scores_only_candidates_of_finite_mass(monkeypatch):
     p, w = worked_pair()
     cb = build_codebook(6, p, w, "uniform", seed=0)
-    cells = {}
-
-    def spy(decoder, op):
-        def scored(x, y, out):
-            cells[decoder] = cells.get(decoder, 0) + out.size
-            return op(x, y, out=out)
-
-        return scored
-
-    scores = {d: (spy(d, op), *rest) for d, (op, *rest) in exact_sim._SCORES.items()}
-    monkeypatch.setattr(exact_sim, "_SCORES", scores)
+    scored = _spy_scores(monkeypatch)
     (res,) = exact_error_probabilities([cb], p, w)
+    cells = {d: sum(math.prod(shape) for shape in shapes) for d, shapes in scored.items()}
     # P(a=0, b=1) = 0, so a side sequence with k ones leaves 2^(6-k) candidates
-    # of finite mass, 3^6 over all side sequences; MMI still scores them all
-    assert cells == {"map": 3**6 * 2**6, "mmi": 4**6 * 2**6}
+    # of finite mass, 3^6 over all side sequences. MMI scores each distinct
+    # codeword once per side sequence, and on rows of their own the candidates
+    # whose penalty lies within ulps of their codeword's least
+    words = len(np.unique(cb.codewords, axis=0))
+    assert cells["map"] == 3**6 * 2**6
+    assert cells["mmi"] == (words * 2**6 + _close_candidates(cb, p, w)) * 2**6
+    assert cells["mmi"] < 4**6 * 2**6
     for decoder in ("mmi", "map"):
         assert res[decoder].error_probability == _todays_pe(cb, p, w, decoder)
 
