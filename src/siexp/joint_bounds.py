@@ -43,6 +43,7 @@ import numpy as np
 
 from .channel_exponents import (
     _Curve,
+    _curves,
     _fixed_input_lattice,
     _input_optimized_lattice,
     _Lattice,
@@ -59,7 +60,7 @@ from .probkit import (
     JointDistribution,
     conditional_entropy,
 )
-from .source_si_exponents import _fixed_marginal_curve, _source_curves, _source_lattice
+from .source_si_exponents import _fixed_marginal_curves, _source_curves, _source_lattice
 
 UNRELIABLE_FLAG = "conditional entropy is at or above capacity; reliable transmission fails"
 ALL_INFINITE_FLAG = "source exponent infinite across the whole rate range"
@@ -231,22 +232,34 @@ class _Payoff:
 
     def __init__(self, source: _Curve, rows: list[_Curve]):
         self.source, self.rows = source, rows
-        self._update()
+        self._build()
 
-    def _update(self) -> None:
+    def _build(self) -> None:
         # summed in place: no second table-sized temporary
         self.table = np.vstack([c.values for c in self.rows])
         self.table += self.source.values
         self.pending = np.vstack([c.pending for c in self.rows])
-        self.pending |= self.source.pending
-        self.pending &= np.isfinite(self.table)
+        self._mask(slice(None))
 
-    def resolve(self, s_idx: int, cols: np.ndarray) -> None:
+    def _mask(self, rows) -> None:
+        self.pending[rows] |= self.source.pending
+        self.pending[rows] &= np.isfinite(self.table[rows])
+
+    def resolve(self, s_idx: int, cols: np.ndarray):
         """Solve the source's tail if it is pending in `cols`, else row
-        s_idx's channel tail."""
-        curve = self.source if self.source.pending[cols].any() else self.rows[s_idx]
+        s_idx's channel tail. Returns the rows that changed: every row, or
+        the rows of that channel curve."""
+        if self.source.pending[cols].any():
+            self.source.resolve()
+            self._build()
+            return slice(None)
+        curve = self.rows[s_idx]
         curve.resolve()
-        self._update()
+        rows = [i for i, c in enumerate(self.rows) if c is curve]
+        self.table[rows] = curve.values + self.source.values
+        self.pending[rows] = curve.pending
+        self._mask(rows)
+        return rows
 
 
 class NestedEvaluator:
@@ -297,23 +310,41 @@ class NestedEvaluator:
 
     def channel(self, s_arr: np.ndarray) -> tuple[_Curve, _Curve]:
         """The random-coding and sphere-packing curves at input law s_arr."""
-        key = s_arr.tobytes()
-        if key not in self._channel:
-            esp = _fixed_input_lattice(Distribution(s_arr), self.w).curve(self.rates)
+        if s_arr.tobytes() not in self._channel:
+            self.solve_channels(s_arr[None])
+        return self._channel[s_arr.tobytes()]
+
+    def solve_channels(self, sx_grid: np.ndarray) -> None:
+        """Solve the curves of :meth:`channel` for every row of sx_grid not
+        yet kept, their unit lattices together."""
+        todo = {s.tobytes(): s for s in sx_grid if s.tobytes() not in self._channel}
+        lattices = [(_fixed_input_lattice(Distribution(s), self.w), self.rates, -0.0, slice(None))
+                    for s in todo.values()]
+        for key, esp in zip(todo, _curves(lattices)):
             self._channel[key] = (_Curve(esp.values, np.zeros_like(esp.pending), None), esp)
-        return self._channel[key]
 
     def source(self, qa_arr: np.ndarray) -> _Curve:
         """The fixed-marginal source curve at Q_A = qa_arr."""
-        key = qa_arr.tobytes()
-        if key not in self._source:
-            self._source[key] = _fixed_marginal_curve(self.rates, self.p, Distribution(qa_arr))
-        return self._source[key]
+        if qa_arr.tobytes() not in self._source:
+            self.solve_sources(qa_arr[None])
+        return self._source[qa_arr.tobytes()]
+
+    def solve_sources(self, qa_grid: np.ndarray) -> None:
+        """Solve the curves of :meth:`source` for every row of qa_grid not
+        yet kept, their unit lattices together."""
+        todo = {q.tobytes(): Distribution(q) for q in qa_grid if q.tobytes() not in self._source}
+        self._source.update(zip(todo, _fixed_marginal_curves(self.rates, self.p, todo.values())))
 
     def payoff(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int) -> _Payoff:
         """Payoff source(Q_A) + channel(S_X)[which] over the rows of sx_grid,
         where which = 0 is the random-coding and 1 the sphere-packing exponent."""
+        self.solve_channels(sx_grid)
         return _Payoff(self.source(qa_arr), [self.channel(s)[which] for s in sx_grid])
+
+
+def _row_mins(table: np.ndarray, pending: np.ndarray):
+    """Each row's min over its entries and over its exact (not pending) ones."""
+    return np.where(np.isfinite(table), table, np.inf).min(axis=1), np.where(pending, np.inf, table).min(axis=1)
 
 
 def _max_min(pay: _Payoff, rates: np.ndarray):
@@ -322,20 +353,20 @@ def _max_min(pay: _Payoff, rates: np.ndarray):
 
     A row's min lies between the min of its current entries and the min of
     its exact ones. Tails are solved while some row that could still be the
-    first maximizer has a pending entry at or below its exact min."""
+    first maximizer has a pending entry at or below its exact min; the row
+    mins are recomputed only on the rows a solve changed."""
+    mins, exact_mins = _row_mins(pay.table, pay.pending)
     while True:
-        table, pending = pay.table, pay.pending
-        mins = np.where(np.isfinite(table), table, np.inf).min(axis=1)
-        exact_mins = np.where(pending, np.inf, table).min(axis=1)
-        live = exact_mins >= mins.max()
-        open_ = pending & (table <= exact_mins[:, None]) & live[:, None]
+        live = np.flatnonzero(exact_mins >= mins.max())
+        open_ = pay.pending[live] & (pay.table[live] <= exact_mins[live, None])
         rows = np.flatnonzero(open_.any(axis=1))
         if rows.size == 0:
             break
-        s_idx = rows[np.argmax(exact_mins[rows])]
-        pay.resolve(s_idx, open_[s_idx])
+        pick = rows[np.argmax(exact_mins[live[rows]])]
+        changed = pay.resolve(live[pick], open_[pick])
+        mins[changed], exact_mins[changed] = _row_mins(pay.table[changed], pay.pending[changed])
     s_idx = int(np.argmax(mins))
-    val, rate = _first_finite_min(rates, table[s_idx])
+    val, rate = _first_finite_min(rates, pay.table[s_idx])
     return val, s_idx, rate
 
 
@@ -385,6 +416,7 @@ def _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax)
             qa_span /= 5.0
             sx_span /= 5.0
         best_maxmin = best_minmax = (math.inf, None, None, None)
+        ev.solve_sources(qa_grid)
         for qa_arr in qa_grid:
             pay = ev.payoff(qa_arr, sx_grid, which)
             maxmin_qa, s_idx, rate = _max_min(pay, ev.rates)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _Curve, _fixed_input_lattice, _Lattice
+from .channel_exponents import _RHO_TAIL, _RHO_UNIT, _Curve, _curves, _fixed_input_lattice, _Lattice
 from .channel_exponents import _power_sum_on_lattice, _primal_tables
 from .channel_exponents import constant_composition_e0, sphere_packing_exponent
 from .numerics import (
@@ -331,26 +331,33 @@ def e_upper_fixed_marginal(
     )
 
 
-def _fixed_marginal_curve(rates: np.ndarray, p: JointDistribution, q_a: Distribution) -> _Curve:
-    """:func:`fixed_marginal_dual_curve` with its tail deferred: d_marg + E_r
-    at the rates H(q_a) - R, pending d_marg + E_sp."""
-    if q_a.size != p.shape[0]:
-        raise ValueError("marginal alphabet does not match the joint law")
+def _fixed_marginal_curves(rates: np.ndarray, p: JointDistribution, laws) -> list[_Curve]:
+    """:func:`fixed_marginal_dual_curve` at each marginal q_a of `laws` with
+    its tail deferred: d_marg + E_r at the rates H(q_a) - R, pending
+    d_marg + E_sp. Their unit lattices are solved together."""
     rates = np.asarray(rates, dtype=float)
-    d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
-    h_qa = float(entropy_bits(q_a.probs))
-    valid = ~_at_or_above_lossless_rate(rates, p) & (h_qa - rates >= -1e-12)
-    if math.isinf(d_marg) or not np.any(valid):
-        return _Curve(np.full(len(rates), math.inf), np.zeros(len(rates), dtype=bool), None)
-    lattice = _fixed_input_lattice(q_a, p.conditional_rows())
-    return lattice.curve(np.maximum(h_qa - rates, 0.0), d_marg, valid)
+    w = p.conditional_rows()
+    out, specs = [], []
+    for q_a in laws:
+        if q_a.size != p.shape[0]:
+            raise ValueError("marginal alphabet does not match the joint law")
+        d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
+        h_qa = float(entropy_bits(q_a.probs))
+        valid = ~_at_or_above_lossless_rate(rates, p) & (h_qa - rates >= -1e-12)
+        if math.isinf(d_marg) or not np.any(valid):
+            out.append(_Curve(np.full(len(rates), math.inf), np.zeros(len(rates), dtype=bool), None))
+        else:
+            out.append(None)
+            specs.append((_fixed_input_lattice(q_a, w), np.maximum(h_qa - rates, 0.0), d_marg, valid))
+    solved = iter(_curves(specs))
+    return [next(solved) if curve is None else curve for curve in out]
 
 
 def fixed_marginal_dual_curve(
     rates: np.ndarray, p: JointDistribution, q_a: Distribution
 ) -> np.ndarray:
     """Fixed-marginal exponent across a rate vector (dual route)."""
-    return _fixed_marginal_curve(rates, p, q_a).resolve()
+    return _fixed_marginal_curves(rates, p, [q_a])[0].resolve()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from siexp.channel_exponents import (
     _RHO_TAIL,
     _RHO_UNIT,
     _cc_e0_on_lattice,
+    _cc_upper,
     _e0_on_lattice,
     _e0_star_on_lattice,
     bec,
@@ -343,13 +344,16 @@ def test_uniform_premise_solves_no_tail_lattice(matrix, monkeypatch):
     solved = []
     for name in ("_cc_e0_on_lattice", "_e0_on_lattice", "_e0_star_on_lattice"):
         real = getattr(channel_exponents, name)
-        spy = lambda rhos, *args, real=real: solved.append(len(rhos)) or real(rhos, *args)
+        spy = lambda rhos, *args, name=name, real=real: solved.append((name, rhos)) or real(rhos, *args)
         monkeypatch.setattr(channel_exponents, name, spy)
     w = ConditionalDistribution(np.array(matrix))
     assert uniform_input_is_optimal_premise(w) == (False, 0.05)
-    assert sorted(solved) == [len(_CC_RHO_UNIT), len(_RHO_UNIT)]
+    # E_0* on the unit lattice once, the fixed input's Lagrangian on unit points
+    assert [rhos is _RHO_UNIT for name, rhos in solved if name == "_e0_star_on_lattice"] == [True]
+    assert all(rhos.max() <= 1.0 for name, rhos in solved if name == "_cc_e0_on_lattice")
+    assert {name for name, _ in solved} == {"_e0_star_on_lattice", "_cc_e0_on_lattice"}
     assert channel_exponents.input_optimized_curves(np.array([0.05]), w)[1] > 0.0
-    assert len(_RHO_TAIL) in solved
+    assert any(rhos is _RHO_TAIL for _, rhos in solved)
 
 
 def test_input_optimized_curves_on_symmetric_channel():
@@ -587,7 +591,12 @@ def _lattice_first_value(q, wpow, rhos, sl):
     tilted = wpow * np.power(q, (rhos / (1.0 + rhos))[:, None])[:, None, :]
     row = tilted.sum(axis=2)
     with np.errstate(divide="ignore"):
-        return -(1.0 + rhos) * (np.log2(row) @ sl), tilted, row
+        logs = np.log2(row)
+    # the sum over inputs in sequence
+    total = sl[0] * logs[:, 0]
+    for x in range(1, len(sl)):
+        total = total + sl[x] * logs[:, x]
+    return -(1.0 + rhos) * total, tilted, row
 
 
 def _lattice_first_terms(q, wpow, rhos, sl):
@@ -602,9 +611,11 @@ def _lattice_first_gap(q, q_next, rhos):
     return np.where(np.isnan(gap), np.inf, gap)
 
 
-def _lattice_first_reference(rhos, s, w, newton_steps=30, tol=1e-13, max_iter=6000):
+def _lattice_first_reference(rhos, s, w, newton=None, newton_steps=30, tol=1e-13, max_iter=6000):
     """The fixed-input Lagrangian as the solver computed it with the lattice
-    on the first axis of every array, whose floats the solver keeps."""
+    on the first axis of every array, whose floats the solver keeps: the
+    value sums the inputs in sequence, and Newton steps run on the points
+    flagged `newton`, by default those with rho >= 1."""
     live = s > 0
     sl, wl = s[live], w[live]
     wpow = np.power(wl[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
@@ -612,7 +623,7 @@ def _lattice_first_reference(rhos, s, w, newton_steps=30, tol=1e-13, max_iter=60
     vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
     reach = sl @ wl > 0.0
     nq, nw = q[:, reach], wpow[:, :, reach]
-    newton = (rhos >= 1.0) & (rhos.max(initial=0.0) > 1.0)
+    newton = np.broadcast_to(rhos >= 1.0 if newton is None else newton, rhos.shape)
     active = np.flatnonzero(newton)
     steps = min(newton_steps, max_iter)
     for it in range(steps + 1):
@@ -700,9 +711,11 @@ def _assert_same_floats(got, want):
 @pytest.mark.parametrize("case", list(BIT_IDENTITY_CASES))
 def test_cc_lattice_keeps_the_lattice_first_floats(case):
     s, w = BIT_IDENTITY_CASES[case]
-    # on two points the one that settles later is swept alone
-    for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL, np.array([0.05, 0.9])):
-        _assert_same_floats(_cc_e0_on_lattice(rhos, s, w), _lattice_first_reference(rhos, s, w))
+    # on two points the one that settles later is swept alone; the unit
+    # lattice takes no Newton step, the tail lattice one on every point
+    for rhos, newton in ((_CC_RHO_UNIT, False), (_CC_RHO_TAIL, True), (np.array([0.05, 0.9]), None)):
+        got = _cc_e0_on_lattice(rhos, s, w, newton)
+        _assert_same_floats(got, _lattice_first_reference(rhos, s, w, newton))
 
 
 @pytest.mark.parametrize("case", ["3x3", "4x2", "source-0.45", "vanishing-output"])
@@ -713,14 +726,94 @@ def test_cc_lattice_keeps_the_lattice_first_floats_without_newton(case, monkeypa
     _assert_same_floats(got, _lattice_first_reference(_CC_RHO_TAIL, s, w, newton_steps=0))
 
 
-@pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
-def test_one_point_cc_e0_keeps_the_lattice_first_float(rho):
-    # a point solved alone takes the one-row gemv, which rounds differently
+@pytest.mark.parametrize("point", [("unit", 600), ("unit", 1999), ("tail", 0), ("tail", 500)])
+def test_one_point_cc_e0_keeps_the_lattice_first_float(point):
+    # a point solved alone has its float on the whole lattice, whose floats
+    # are the lattice-first ones: the unit lattice's below rho = 1, the tail
+    # lattice's, Newton-certified, from rho = 1 on
+    rhos, k = (_CC_RHO_UNIT, _CC_RHO_TAIL)[point[0] == "tail"], point[1]
     for case in ("2x2", "3x3", "4x3", "source-0.45"):
-        s, w = BIT_IDENTITY_CASES[case]
-        s, w = Distribution(s), ConditionalDistribution(w)
-        got = constant_composition_e0(rho, s, w)
-        assert got == _lattice_first_reference(np.array([rho]), s.probs, w.matrix)[0][0]
+        s, w = (f(a) for f, a in zip((Distribution, ConditionalDistribution), BIT_IDENTITY_CASES[case]))
+        got = constant_composition_e0(rhos[k], s, w)
+        assert got == _cc_e0_on_lattice(rhos, s.probs, w.matrix, point[0] == "tail")[0][k]
+
+
+# ---------------------------------------------------------------------------
+# fixed-input Lagrangian: sub-lattice and stacked solves
+
+
+SUBSET_CASES = ["2x2", "3x4", "4x4", "asym-0.30", "source-0.45", "mass-1e-30", "vanishing-output"]
+
+
+@pytest.mark.parametrize("case", SUBSET_CASES)
+def test_cc_lattice_subsets_and_stacks_keep_the_whole_lattice_floats(case):
+    s, w = BIT_IDENTITY_CASES[case]
+    rng = np.random.default_rng(len(case))
+    # a second law on the same support, to stack with the first
+    other = np.where(s > 0, rng.dirichlet(np.ones(len(s))) + 0.1, 0.0)
+    other /= other.sum()
+    for rhos, newton in ((_CC_RHO_UNIT, False), (_CC_RHO_TAIL, True)):
+        whole = [_cc_e0_on_lattice(rhos, law, w, newton)[0] for law in (s, other)]
+        # each end alone: at rho = 1 a batch of one once took a square root
+        for idx in ([0], [len(rhos) - 1]):
+            assert np.array_equal(_cc_e0_on_lattice(rhos[idx], s, w, newton)[0], whole[0][idx])
+        for size in (1, 2, 7, 33, 200):
+            idx = np.sort(rng.choice(len(rhos), size, replace=False))
+            assert np.array_equal(_cc_e0_on_lattice(rhos[idx], s, w, newton)[0], whole[0][idx])
+            # the two laws' points interleaved in one call, one law per point
+            jdx = np.sort(rng.choice(len(rhos), size, replace=False))
+            laws = np.vstack([np.repeat(s[None], size, 0), np.repeat(other[None], size, 0)])
+            order = rng.permutation(2 * size)
+            got = _cc_e0_on_lattice(np.r_[rhos[idx], rhos[jdx]][order], laws[order], w, newton)[0]
+            assert np.array_equal(got, np.r_[whole[0][idx], whole[1][jdx]][order])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4])).flatmap(
+    # (input law, channel) on up to 4 x 4, zero entries and masses included
+    lambda km: st.tuples(_stochastic(1, km[0]).map(lambda m: m[0]), _stochastic(*km))
+))
+def test_cc_upper_bounds_every_value(pair):
+    s, w = pair
+    for rhos, newton in ((_CC_RHO_UNIT, False), (_CC_RHO_TAIL, True)):
+        vals, upper = _cc_e0_on_lattice(rhos, s, w, newton)[0], _cc_upper(rhos, s, w)
+        assert np.all(vals <= upper)
+
+
+@pytest.mark.parametrize("case", list(BIT_IDENTITY_CASES))
+def test_cc_upper_bounds_every_value_on_the_bit_identity_cases(case):
+    s, w = BIT_IDENTITY_CASES[case]
+    for rhos, newton in ((_CC_RHO_UNIT, False), (_CC_RHO_TAIL, True)):
+        assert np.all(_cc_e0_on_lattice(rhos, s, w, newton)[0] <= _cc_upper(rhos, s, w))
+
+
+def _curve_floats(curve):
+    return curve.values.copy(), curve.pending.copy(), curve.resolve()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(_stochastic(1, k).map(lambda m: m[0]), _stochastic(k, k))))
+def test_sparse_curves_equal_the_whole_lattice_curves(pair):
+    s, w = Distribution(pair[0]), ConditionalDistribution(pair[1])
+    for step in (0.1, 0.01):
+        rates = rate_grid(step, math.log2(w.input_size), include_zero=True)
+        sparse = _curve_floats(channel_exponents._fixed_input_lattice(s, w).curve(rates))
+        with pytest.MonkeyPatch.context() as mp:
+            # every lattice at least as small as its rates: solved whole
+            mp.setattr(channel_exponents, "_ENTRIES", len(_CC_RHO_UNIT))
+            whole = _curve_floats(channel_exponents._fixed_input_lattice(s, w).curve(rates))
+        for got, want in zip(sparse, whole):
+            _assert_same_floats([got], [want])
+
+
+def test_sparse_curves_solve_a_fraction_of_the_lattice(monkeypatch):
+    solved = []
+    real = channel_exponents._cc_e0_on_lattice
+    spy = lambda rhos, *args: solved.append(len(rhos)) or real(rhos, *args)
+    monkeypatch.setattr(channel_exponents, "_cc_e0_on_lattice", spy)
+    s, w = Distribution(np.array([0.3, 0.7])), ConditionalDistribution(np.array(ASYM_TWO))
+    dual_exponent_curves(rate_grid(0.1, 1.0, include_zero=True), s, w)
+    assert 0 < sum(solved) <= (len(_CC_RHO_UNIT) + len(_CC_RHO_TAIL)) // 4
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +981,12 @@ def _matches_dense(got, rates, rho_unit, rho_tail, unit, tail, table=_channel_ta
     return True
 
 
+def _cc_lattices(s, w):
+    """The fixed-input Lagrangian on the unit lattice, without Newton steps,
+    and on the tail lattice, with them, as its curves solve it."""
+    return _cc_e0_on_lattice(_CC_RHO_UNIT, s, w, False)[0], _cc_e0_on_lattice(_CC_RHO_TAIL, s, w, True)[0]
+
+
 def _dense_rows(monkeypatch):
     """Spy on the envelope's dense fallback: a list of the rates it was given."""
     seen = []
@@ -910,7 +1009,7 @@ def test_blocked_envelope_matches_dense_table(monkeypatch, block):
     # sphere-packing curve diverges below H(S)
     s, w = np.array([0.45, 0.55]), np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6]])
     got = dual_exponent_curves(rates, Distribution(s), ConditionalDistribution(w))
-    unit, tail = (_cc_e0_on_lattice(rhos, s, w)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
+    unit, tail = _cc_lattices(s, w)
     assert np.isinf(got[1]).any() and np.isfinite(got[1][1:]).any()
     assert _matches_dense(got, rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
     # input-optimized curves over the E_0* lattice
@@ -942,7 +1041,7 @@ def test_blocked_envelope_matches_dense_table(monkeypatch, block):
     # every lattice point, so it takes the dense fallback
     s = np.array([1.0, 0.0])
     got = dual_exponent_curves(bsc_rates, Distribution(s), w)
-    unit, tail = (_cc_e0_on_lattice(rhos, s, w.matrix)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
+    unit, tail = _cc_lattices(s, w.matrix)
     assert _matches_dense(got, bsc_rates, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
     assert len(dense_rows) == 1 and np.array_equal(dense_rows.pop(), [0.0])
     # the zero entry of CC_KERNEL caps the fixed-input Lagrangian, so its tail
@@ -950,7 +1049,7 @@ def test_blocked_envelope_matches_dense_table(monkeypatch, block):
     s, w = cc_pair()
     tiny = np.concatenate([[0.0, 1e-14, 1e-13, 1e-12], bsc_rates[1:]])
     got = dual_exponent_curves(tiny, s, w)
-    unit, tail = (_cc_e0_on_lattice(rhos, s.probs, w.matrix)[0] for rhos in (_CC_RHO_UNIT, _CC_RHO_TAIL))
+    unit, tail = _cc_lattices(s.probs, w.matrix)
     assert _matches_dense(got, tiny, _CC_RHO_UNIT, _CC_RHO_TAIL, unit, tail)
     assert dense_rows and all(np.all(r <= 1e-12) for r in dense_rows)
 

@@ -350,6 +350,24 @@ def test_figures_read_their_source_lattices_from_one_evaluator(monkeypatch):
     assert solved == 2 * [len(channel_exponents._RHO_UNIT), len(channel_exponents._RHO_TAIL)]
 
 
+# fixed-input Lagrangian points the nested report on the worked source over
+# 0.9 0.1 ; 0.2 0.8 solved when every curve solved its whole unit lattice
+# (2,001 points) and each tail it read (1,201 points): 58 and 22 of them
+ASYM_REPORT_WHOLE_LATTICE_POINTS = 58 * 2001 + 22 * 1201
+
+
+def test_asym_report_solves_a_quarter_of_its_lattice_points(tmp_path, capsys, monkeypatch):
+    matrix = "channel.kind = matrix\nchannel.matrix = 0.9 0.1 ; 0.2 0.8\n"
+    cfg = write(tmp_path, "a.cfg", "source.preset = worked_example\n" + matrix)
+    solved = []
+    real = channel_exponents._cc_e0_on_lattice
+    spy = lambda rhos, *args: solved.append(len(rhos)) or real(rhos, *args)
+    monkeypatch.setattr(channel_exponents, "_cc_e0_on_lattice", spy)
+    assert cli.main(["report", "--config", cfg, "--nested", "--rate-step", "0.1"]) == 0
+    capsys.readouterr()
+    assert 0 < sum(solved) <= ASYM_REPORT_WHOLE_LATTICE_POINTS // 4
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert cli.main(["curves", "--config", missing]) == 2
