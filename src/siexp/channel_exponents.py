@@ -77,16 +77,10 @@ _CC_RHO_TAIL = np.geomspace(1.0, RHO_MAX, 1201)
 # rates per block of the envelope's dense fallback: a block's table is at
 # most 128 x 10001 floats
 _RATE_BLOCK = 128
-# the envelope reads 2 W + 3 table entries per rate around each peak
-# (:func:`_lattice_argmax`); a lattice with no more points per rate is
-# solved whole
-_WINDOW = 2
-_ENTRIES = 2 * _WINDOW + 3
-# point-channel cells (points x |X| x |Y|) per stacked solve of the
-# fixed-input Lagrangian, about those of one unit lattice of a 2 x 2 channel,
-# and lattice points whose curves are solved together
-_STACK_CELLS = 2**13
-_STACK_POINTS = 2**14
+# table entries per rate that :func:`_lattice_argmax` reads, 2 W + 3 for its
+# window W = 2; a lattice with no more points per rate is solved whole
+_ENTRIES = 7
+_STACK_CELLS = 2**13  # points x |X| x |Y| per stacked fixed-input solve, a 2 x 2 unit lattice
 
 
 def bsc(eps: float) -> ConditionalDistribution:
@@ -155,14 +149,14 @@ class ChannelExponentResult:
 
 
 _CC_NEWTON_STEPS = 30
+_CC_TOL = 1e-13  # the accuracy _cc_e0_on_lattice certifies and _cc_upper adds
 
 
 def _cc_value(q, wpow, rhos, sl):
     """The Lagrangian G(q) in bits at output laws q (|Y|, n), with the tilted
-    channel (|X|, |Y|, n), its row sums and the input weights sl (|X|, n). A
-    live input none of whose outputs q reaches (its row sum underflows to 0)
-    makes G(q) infinite. The sum over inputs is sequential, so a point's
-    float does not depend on the points solved with it."""
+    channel (|X|, |Y|, n), its row sums and the input weights sl (|X|, n),
+    summed in sequence. A live input none of whose outputs q reaches (its row
+    sum underflows to 0) makes G(q) infinite."""
     tilted = wpow * _power(q, rhos / (1.0 + rhos))
     row = tilted.sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -170,10 +164,9 @@ def _cc_value(q, wpow, rhos, sl):
 
 
 def _power(base, exponent):
-    """base ** exponent over the points on the last axis. In a batch of one
-    point the exponent is spelled out to the full shape: numpy takes an
-    exponent constant along its inner loop as a scalar, and 0.5 then as a
-    square root, which rounds differently from the power of larger batches."""
+    """base ** exponent over the points on the last axis, the exponent spelled
+    out for a batch of one point: numpy takes an exponent constant along its
+    inner loop as a scalar, and 0.5 then as a square root, which rounds apart."""
     if base.shape[-1] == 1:
         exponent = np.broadcast_to(exponent, np.broadcast_shapes(base.shape, exponent.shape)).copy()
     return np.power(base, exponent)
@@ -193,34 +186,28 @@ def _cc_gap(q, q_next, rhos):
 
 
 def _cc_start(rhos, s, w):
-    """The set-up shared by :func:`_cc_e0_on_lattice` and :func:`_cc_upper`:
-    the live inputs' weights per point, C-ordered (n, |X|) and (|X|, n), the
-    channel powers (|X|, |Y|, n) and the start q_0 = S W (|Y|, n), one
-    product per run of equal laws."""
-    rhos, n = np.asarray(rhos, dtype=float), len(rhos)
-    live = (s if s.ndim == 1 else s[0]) > 0
+    """The live inputs' weights per point, C-ordered (n, |X|) and (|X|, n), the
+    channel powers (|X|, |Y|, n) and the start q_0 = S W (|Y|, n), one product
+    per run of equal laws, for :func:`_cc_e0_on_lattice` and :func:`_cc_upper`."""
+    rhos, live = np.asarray(rhos, dtype=float), (s if s.ndim == 1 else s[0]) > 0
     wl = w[live]
-    wpow = _power(wl[:, :, None], 1.0 / (1.0 + rhos))
-    sn = np.ascontiguousarray(np.broadcast_to(s, (n, len(w)))[:, live])
-    new_law = np.ones(n, dtype=bool)
-    np.any(sn[1:] != sn[:-1], axis=1, out=new_law[1:])
-    runs = np.flatnonzero(new_law)
-    q0 = np.array([sn[i] @ wl for i in runs]).T
-    return rhos, sn, np.ascontiguousarray(sn.T), wpow, q0[:, np.cumsum(new_law) - 1]
+    sn = np.ascontiguousarray(np.broadcast_to(s, (len(rhos), len(w)))[:, live])
+    new_law = np.r_[True, np.any(sn[1:] != sn[:-1], axis=1)]
+    q0 = np.array([sn[i] @ wl for i in np.flatnonzero(new_law)]).T[:, np.cumsum(new_law) - 1]
+    return rhos, sn, np.ascontiguousarray(sn.T), _power(wl[:, :, None], 1.0 / (1.0 + rhos)), q0
 
 
-def _cc_upper(rhos, s, w, tol=1e-13):
+def _cc_upper(rhos, s, w):
     """An upper bound on every value :func:`_cc_e0_on_lattice` returns, from
-    two alternating updates q_0 -> q_1 -> q_2 of q_0 = S W. A swept point
-    settles at q_1, where this bound reads G(q_1) as the sweeps do, or
-    descends from q_2; a Newton value lies within tol * max(|G|, 1) of
-    min G <= G(q_2). The bound adds that tolerance and 32 (1 + rho) eps
-    max(|G|, 1) for the rounding of either evaluation."""
+    two alternating updates q_0 -> q_1 -> q_2. A swept point settles at q_1,
+    where this bound reads G(q_1) as the sweeps do, or descends from q_2; a
+    Newton value lies within _CC_TOL * max(|G|, 1) of min G <= G(q_2). The bound
+    adds that and 32 (1 + rho) eps max(|G|, 1) for either evaluation's rounding."""
     rhos, _, sw, wpow, q = _cc_start(rhos, s, w)
     g0, q = _cc_terms(q, wpow, rhos, sw)
     g1, q = _cc_terms(q, wpow, rhos, sw)
-    g = np.where(np.abs(g1 - g0) < tol, g1, _cc_value(q, wpow, rhos, sw)[0])
-    slack = (tol + 32.0 * np.finfo(float).eps * (1.0 + rhos)) * np.maximum(np.abs(g), 1.0)
+    g = np.where(np.abs(g1 - g0) < _CC_TOL, g1, _cc_value(q, wpow, rhos, sw)[0])
+    slack = (_CC_TOL + 32.0 * np.finfo(float).eps * (1.0 + rhos)) * np.maximum(np.abs(g), 1.0)
     return np.where(rhos > 0.0, np.maximum(g + slack, 0.0), 0.0)
 
 
@@ -229,7 +216,6 @@ def _cc_e0_on_lattice(
     s: np.ndarray,
     w: np.ndarray,
     newton=None,
-    tol: float = 1e-13,
     max_iter: int = 6000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """min over kernels V of D(V||W|S) + rho * I(S;V), for every rho at once.
@@ -240,20 +226,18 @@ def _cc_e0_on_lattice(
     toward q, for fixed kernel the best q is its output marginal. Eliminating
     the kernel leaves the convex G(q) = -(1+rho) sum_x s_x log2 sum_y
     W(y|x)^(1/(1+rho)) q_y^(rho/(1+rho)). Alternating minimization, the two
-    blocks in turn, settles to ``tol`` within 16 sweeps for rho <= 1 but takes
-    some 10 rho sweeps beyond, so the points flagged ``newton`` (by default
-    rho >= 1; the tail lattice flags all its points, the unit lattice none)
-    take Newton steps in q until the Frank-Wolfe gap of G, which bounds
-    G(q) - min G, certifies the value to tol * max(|G|, 1). The points left
-    are swept from the start.
+    blocks in turn, settles to ``_CC_TOL`` within 16 sweeps for rho <= 1 but
+    takes some 10 rho sweeps beyond, so the points flagged ``newton`` (by
+    default rho >= 1) take Newton steps in q until the Frank-Wolfe gap of G,
+    which bounds G(q) - min G, certifies the value to _CC_TOL * max(|G|, 1).
+    The points left are swept from the start.
 
-    ``s`` is one input law, or one law per point, (n, |X|), for points of
-    several inputs solved together; they share a support. Every point's
-    floats are those it gets when solved alone, so any subset of a lattice,
-    or of a stack of lattices, gives the whole lattice's floats there: every
-    per-point array holds the lattice on its last, contiguous axis, the sums
-    over inputs are sequential, and the Newton einsums read C-ordered
-    (n, |X|) weights.
+    ``s`` is one input law, or one law per point (n, |X|) for inputs of one
+    support solved together. A point's floats are those it gets alone, so a
+    subset of a lattice, or of a stack of lattices, has the whole lattice's
+    floats: per-point arrays hold the lattice on their last, contiguous axis,
+    the sums over inputs are sequential, and the Newton einsums read
+    C-ordered (n, |X|) weights.
 
     Returns (values, output laws q of shape (n, |Y|), gaps in bits); swept
     points report the law after their last sweep and its true gap, mostly
@@ -274,23 +258,22 @@ def _cc_e0_on_lattice(
     steps = min(_CC_NEWTON_STEPS, max_iter)
     for it in range(steps + 1):
         r, wa, qa = rhos[active], np.take(nw, active, axis=2), np.take(nq, active, axis=1)
-        sa = sn[active]
         g, tilted, row = _cc_value(qa, wa, r, sw[:, active])
         # the kernel held (n, |Y|, |X|) in memory, as the Newton einsums read it
         v = (tilted / row[:, None, :]).transpose(2, 1, 0).copy().transpose(0, 2, 1)
         del tilted, row
-        q_next = np.einsum("nx,nxy->ny", sa, v)
+        q_next = np.einsum("nx,nxy->ny", sn[active], v)
         vals[active], gap[active] = g, _cc_gap(qa, q_next.T, r)
         # a point whose q_next loses an output mass leaves Newton for the sweeps
-        keep = (gap[active] > tol * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
-        active, r, g, q_next, v, sa = (a[keep] for a in (active, r, g, q_next, v, sa))
+        keep = (gap[active] > _CC_TOL * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
+        active, r, g, q_next, v = (a[keep] for a in (active, r, g, q_next, v))
         wa, qa = np.compress(keep, wa, axis=2), np.compress(keep, qa, axis=1)
         if active.size == 0 or it == steps:
             break
         m, sc = qa.shape[0], 1.0 / np.sqrt(q_next)
         ks = v * sc[:, None, :]
         kkt = np.zeros((active.size, m + 1, m + 1))
-        kkt[:, :m, :m] = r[:, None, None] * np.einsum("nx,nxy,nxz->nyz", sa, ks, ks) + np.eye(m)
+        kkt[:, :m, :m] = r[:, None, None] * np.einsum("nx,nxy,nxz->nyz", sn[active], ks, ks) + np.eye(m)
         kkt[:, :m, m] = kkt[:, m, :m] = qa.T * sc
         rhs = np.concatenate([(1.0 + r)[:, None] / sc, np.zeros((active.size, 1))], axis=1)
         delta = (sc * np.linalg.solve(kkt, rhs[:, :, None])[:, :m, 0]).T
@@ -302,9 +285,7 @@ def _cc_e0_on_lattice(
         t, todo = np.ones(active.size), np.arange(active.size)
         for _ in range(40):
             q_t = np.take(qa, todo, axis=1) * np.exp(t[todo] * np.take(delta, todo, axis=1))
-            g_t = _cc_value(
-                q_t / q_t.sum(axis=0), np.take(wa, todo, axis=2), r[todo], sw[:, active[todo]]
-            )[0]
+            g_t = _cc_value(q_t / q_t.sum(axis=0), np.take(wa, todo, axis=2), r[todo], sw[:, active[todo]])[0]
             ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=0)
             if (todo := todo[~ok]).size == 0:
                 break
@@ -313,7 +294,7 @@ def _cc_e0_on_lattice(
         qa = qa * np.exp(t * delta)
         nq[:, active] = qa / qa.sum(axis=0)
         active = active[t > 0.0]
-    done = newton & (gap <= tol * np.maximum(np.abs(vals), 1.0))
+    done = newton & (gap <= _CC_TOL * np.maximum(np.abs(vals), 1.0))
     q[np.ix_(reach, done)] = nq[:, done]
     # alternating minimization for the other points, from the start; the
     # batch sheds settled points once fewer than half of it, or one, is open
@@ -329,7 +310,7 @@ def _cc_e0_on_lattice(
                 np.compress(open_, a, axis=-1) for a in (idx, qs, ws, rs, ss, prev, open_)
             ]
         new_vals, qs = _cc_terms(qs, ws, rs, ss)
-        settled = open_ & (np.abs(new_vals - prev) < tol)
+        settled = open_ & (np.abs(new_vals - prev) < _CC_TOL)
         vals[idx[settled]], q[:, idx[settled]] = new_vals[settled], qs[:, settled]
         prev, open_ = new_vals, open_ & ~settled
     if open_.any():
@@ -347,8 +328,7 @@ def constant_composition_e0(rho: float, s: Distribution, w: ConditionalDistribut
     at least ``gallager_e0(rho, s, w)``, with equality when s maximizes E_0 at
     this rho; legendre-transforming this function over rho therefore yields
     the exact fixed-input exponents rather than a lower bound. The float is
-    the lattice's at rho: the unit lattice's below 1, the tail lattice's,
-    from Newton steps, from 1 on.
+    the unit lattice's at rho below 1 and the tail lattice's from 1 on.
     """
     if s.size != w.input_size:
         raise ValueError("input distribution does not match channel input alphabet")
@@ -462,7 +442,7 @@ def _lattice_argmax(rates, rhos, vals):
     the window's maximum by more than two entries' rounding bound, the peak
     lies strictly between them, so every entry outside the window is below
     that maximum too. Every other rate falls back to :func:`_dense_argmax`."""
-    w, n = _WINDOW, len(rhos)
+    w, n = 2, len(rhos)
     fi = np.finfo(float)
     idx, best = np.empty(len(rates), dtype=np.intp), np.empty(len(rates))
     fast = np.zeros(len(rates), dtype=bool)
@@ -495,13 +475,18 @@ def _lattice_argmax(rates, rhos, vals):
     return idx, best
 
 
-def _dense_argmax(rates, rhos, vals):
-    """:func:`_lattice_argmax` from the whole table, ``_RATE_BLOCK`` rows at a time."""
-    idx, best = np.empty(len(rates), dtype=np.intp), np.empty(len(rates))
+def _tables(rates, rhos, vals):
+    """The table fl(vals[k] - fl(rate * rhos[k])), ``_RATE_BLOCK`` rates at a time."""
     for lo in range(0, len(rates), _RATE_BLOCK):
         blk = slice(lo, lo + _RATE_BLOCK)
         table = np.multiply(rates[blk, None], rhos[None, :])
-        np.subtract(vals[None, :], table, out=table)
+        yield blk, np.subtract(vals[None, :], table, out=table)
+
+
+def _dense_argmax(rates, rhos, vals):
+    """:func:`_lattice_argmax` from the whole table."""
+    idx, best = np.empty(len(rates), dtype=np.intp), np.empty(len(rates))
+    for blk, table in _tables(rates, rhos, vals):
         idx[blk] = np.argmax(table, axis=1)
         best[blk] = table[np.arange(len(table)), idx[blk]]
     return idx, best
@@ -527,133 +512,78 @@ class _Curve:
         return self.values
 
 
-class _Part:
-    """E on one rho lattice: the tuple ``solve(rhos)``, whose first item is
-    E(rho), solved whole; or the fixed-input Lagrangian of ``law`` = (s, w),
-    solved point by point into ``vals`` (nan where unsolved), with the Newton
-    flag ``newton`` on every point and the bound ``upper`` of
-    :func:`_cc_upper` once :func:`_argmax_many` needs it."""
-
-    def __init__(self, rhos: np.ndarray, solve=None, law=None, newton: bool = False):
-        self.rhos, self._solve, self.law, self.newton = rhos, solve, law, newton
-        self.vals = self.upper = None
-
-    @functools.cached_property
-    def whole(self) -> tuple:
-        if self.law is None:
-            return self._solve(self.rhos)
-        self.vals = _cc_e0_on_lattice(self.rhos, *self.law, self.newton)[0]
-        return (self.vals,)
-
-    def values(self) -> np.ndarray:
-        """E wherever it is solved so far."""
-        return self.whole[0] if self.law is None else self.vals
-
-
-def _stacked(items, field: str) -> None:
-    """Fill ``field`` of each (part, idx), "vals" with the fixed-input
-    Lagrangian or "upper" with its bound :func:`_cc_upper`, at the points
-    idx that lack it. Parts over one channel and input support share calls
-    of at most ``_STACK_CELLS`` point-channel cells; a point's float does not
-    depend on the points it is solved with."""
+def _stacked(items) -> None:
+    """Solve each fixed-input (lattice, idx) into ``lattice.vals`` at the unit
+    points idx not yet solved, lattices of one channel and input support in
+    calls of at most ``_STACK_CELLS`` point-channel cells."""
     groups: dict[tuple, list] = {}
-    for part, idx in items:
-        if getattr(part, field) is None:
-            setattr(part, field, np.full(len(part.rhos), np.nan))
-        idx = idx[np.isnan(getattr(part, field)[idx])]
-        if idx.size:
-            s, w = part.law
-            groups.setdefault((w.tobytes(), w.shape, (s > 0).tobytes()), []).append((part, idx))
+    for lat, idx in items:
+        if (idx := idx[np.isnan(lat.vals[idx])]).size:
+            s, w = lat.law
+            groups.setdefault((w.tobytes(), w.shape, (s > 0).tobytes()), []).append((lat, idx))
     for group in groups.values():
-        w = group[0][0].law[1]
-        laws, newton = np.array([p.law[0] for p, _ in group]), np.array([p.newton for p, _ in group])
-        owner = np.repeat(np.arange(len(group)), [len(idx) for _, idx in group])
-        rhos = np.concatenate([part.rhos[idx] for part, idx in group])
+        w, sizes = group[0][0].law[1], [len(idx) for _, idx in group]
+        rhos = np.concatenate([lat.rho_unit[idx] for lat, idx in group])
+        laws = np.repeat([lat.law[0] for lat, _ in group], sizes, axis=0)
         step = max(1, _STACK_CELLS // w.size)
-        out = np.concatenate([
-            _cc_e0_on_lattice(rhos[c], laws[owner[c]], w, newton[owner[c]])[0] if field == "vals"
-            else _cc_upper(rhos[c], laws[owner[c]], w)
-            for c in (slice(lo, lo + step) for lo in range(0, len(rhos), step))
-        ])
-        for (part, idx), vals in zip(group, np.split(out, np.cumsum([len(i) for _, i in group]))):
-            getattr(part, field)[idx] = vals
+        vals = np.concatenate([_cc_e0_on_lattice(rhos[lo : lo + step], laws[lo : lo + step], w, False)[0]
+                               for lo in range(0, len(rhos), step)])
+        for (lat, idx), v in zip(group, np.split(vals, np.cumsum(sizes)[:-1])):
+            lat.vals[idx] = v
 
 
-def _argmax_many(requests) -> list:
-    """:func:`_lattice_argmax` for each (part, rates, must) request, with
-    the parts of the fixed-input Lagrangian solved only where it can matter.
+def _unit_argmax(requests) -> list:
+    """:func:`_lattice_argmax` on the unit lattice of each (lattice, rates).
 
-    A part is solved whole when it is not the Lagrangian's, or when its
-    lattice has at most ``_ENTRIES`` points per rate, as many as the whole
-    lattice's envelope reads. Otherwise the bound U >= E of :func:`_cc_upper`
-    steers the solves: first the peak of each rate's U table and the points
-    ``must``, then every point whose U entry fl(U_k - fl(rate rho_k)), which
-    bounds its E entry since rounding is monotone, reaches some rate's best
-    solved entry. Every point left unsolved is then strictly below that
-    best entry, so the first argmax over the solved points is, index and
-    float, that of the whole (rates x lattice) table."""
-    dense = [part.law is None or _ENTRIES * len(rates) >= len(part.rhos) for part, rates, _ in requests]
-    sparse = [(p, r, m) for (p, r, m), d in zip(requests, dense) if not d and len(r)]
-    _stacked([(p, np.arange(len(p.rhos))) for p, _, _ in sparse], "upper")
-    peaks = []
-    for p, r, m in sparse:
-        first = np.zeros(len(p.rhos), dtype=bool)
-        first[_table_argmax(r, p.rhos, p.upper)[0]] = first[m] = True
-        peaks.append((p, np.flatnonzero(first)))
-    _stacked(peaks, "vals")
+    A fixed-input Lagrangian's lattice with more than ``_ENTRIES`` points per
+    rate is solved only where the bound U >= E of :func:`_cc_upper` lets the
+    envelope peak: first at the peak of each rate's U table, then at every
+    point whose U entry fl(U_k - fl(rate rho_k)), which bounds its E entry
+    since rounding is monotone, reaches some rate's best solved entry. Every
+    point left is strictly below that entry, so the first argmax over the
+    solved points is, index and float, the whole (rates x lattice) table's."""
+    thin = [lat.law is not None and len(lat.rho_unit) > _ENTRIES * len(r) for lat, r in requests]
+    sparse = [(lat, r) for (lat, r), t in zip(requests, thin) if t and len(r)]
+    for lat, _ in sparse:
+        lat.upper, lat.vals = _cc_upper(lat.rho_unit, *lat.law), np.full(len(lat.rho_unit), np.nan)
+    _stacked([(lat, _dense_argmax(r, lat.rho_unit, lat.upper)[0]) for lat, r in sparse])
     reached = []
-    for p, r, _ in sparse:
-        solved = np.flatnonzero(~np.isnan(p.vals))
-        best = _table_argmax(r, p.rhos[solved], p.vals[solved])[1]
-        reach = np.zeros(len(p.rhos), dtype=bool)
-        for blk in _rate_blocks(len(r), len(p.rhos)):
-            reach |= np.any(p.upper - r[blk, None] * p.rhos >= best[blk, None], axis=0)
-        reached.append((p, np.flatnonzero(reach)))
-    _stacked(reached, "vals")
+    for lat, r in sparse:
+        solved = np.flatnonzero(~np.isnan(lat.vals))
+        best = _dense_argmax(r, lat.rho_unit[solved], lat.vals[solved])[1]
+        reach = np.zeros(len(lat.rho_unit), dtype=bool)
+        for blk, table in _tables(r, lat.rho_unit, lat.upper):
+            reach |= np.any(table >= best[blk, None], axis=0)
+        reached.append((lat, np.flatnonzero(reach)))
+    _stacked(reached)
     out = []
-    for (part, rates, _), d in zip(requests, dense):
+    for (lat, rates), t in zip(requests, thin):
         if not len(rates):
             out.append((np.empty(0, dtype=np.intp), np.empty(0)))
-        elif d:
-            out.append(_lattice_argmax(rates, part.rhos, part.whole[0]))
+        elif not t:
+            out.append(_lattice_argmax(rates, lat.rho_unit, lat.unit[0]))
         else:
-            solved = np.flatnonzero(~np.isnan(part.vals))
-            idx, best = _table_argmax(rates, part.rhos[solved], part.vals[solved])
+            solved = np.flatnonzero(~np.isnan(lat.vals))
+            idx, best = _dense_argmax(rates, lat.rho_unit[solved], lat.vals[solved])
             out.append((solved[idx], best))
     return out
 
 
-def _rate_blocks(n_rates: int, n_points: int):
-    """Slices of the rates whose tables hold at most ``_STACK_CELLS`` entries."""
-    step = max(1, _STACK_CELLS // n_points)
-    return [slice(lo, lo + step) for lo in range(0, n_rates, step)]
-
-
-def _table_argmax(rates, rhos, vals):
-    """:func:`_dense_argmax` over tables of at most ``_STACK_CELLS`` entries."""
-    found = [_dense_argmax(rates[blk], rhos, vals) for blk in _rate_blocks(len(rates), len(rhos))]
-    return np.concatenate([f[0] for f in found]), np.concatenate([f[1] for f in found])
-
-
 class _Lattice:
-    """A function E on the unit rho lattice and on the tail lattice, each a
-    :class:`_Part` solved on first use and kept: whole by ``solve``, whose
-    tuple's first item is E(rho) (the E_0* solve adds its laws and gaps), or
-    point by point for the fixed-input Lagrangian of ``law``, where the unit
-    lattice takes no Newton step and the tail lattice takes them from its
-    first point, rho = 1, on."""
+    """A function E on the unit rho lattice and on the tail lattice, each
+    solved whole on first use and kept: ``solve(rhos)`` returns a tuple whose
+    first item is E(rho) (the E_0* solve adds its laws and gaps). With the
+    fixed-input Lagrangian's ``law`` (s, w), :func:`_unit_argmax` may solve the
+    unit lattice point by point into ``vals`` (nan where unsolved)."""
 
-    def __init__(self, rho_unit: np.ndarray, rho_tail: np.ndarray, solve=None, law=None):
-        self.rho_unit, self.rho_tail = rho_unit, rho_tail
-        self._unit = _Part(rho_unit, solve, law, False)
-        self._tail = _Part(rho_tail, solve, law, True)
+    def __init__(self, rho_unit: np.ndarray, rho_tail: np.ndarray, solve, law=None):
+        self.rho_unit, self.rho_tail, self.law, self._solve = rho_unit, rho_tail, law, solve
+        self.tail = functools.cache(lambda: solve(rho_tail))
+        self.vals = self.upper = None
 
-    @property
+    @functools.cached_property
     def unit(self) -> tuple:
-        return self._unit.whole
-
-    def tail(self) -> tuple:
-        return self._tail.whole
+        return self._solve(self.rho_unit)
 
     def curve(self, rates, shift: float = -0.0, where=slice(None)) -> _Curve:
         """shift + the Legendre envelope max_rho [E(rho) - rho R] at the
@@ -662,9 +592,9 @@ class _Lattice:
         There the tail envelope (inf while it still climbs) raises it, so
         er <= esp float for float; off the mask esp is er, preserving exact
         coincidence above the critical rate. Each argmax is that of
-        :func:`_argmax_many`, so every value is the float the whole
-        (rates x lattice) table gives. The default shift, -0.0, is the
-        identity of float addition."""
+        :func:`_unit_argmax` or :func:`_lattice_argmax`, so every value is the
+        float the whole (rates x lattice) table gives. The default shift,
+        -0.0, is the identity of float addition."""
         return _curves([(self, rates, shift, where)])[0]
 
     def curves(self, rates):
@@ -677,9 +607,7 @@ def _curves(specs) -> list[_Curve]:
     """:meth:`_Lattice.curve` for each (lattice, rates, shift, where), the
     unit lattices solved together."""
     specs = [(lat, np.asarray(rates, dtype=float), shift, where) for lat, rates, shift, where in specs]
-    units = [(lat._unit, rates[where], np.arange(0)) for lat, rates, _, where in specs]
-    batch = max(1, _STACK_POINTS // len(_CC_RHO_UNIT))
-    found = [f for lo in range(0, len(units), batch) for f in _argmax_many(units[lo : lo + batch])]
+    found = _unit_argmax([(lat, rates[where]) for lat, rates, _, where in specs])
     out = []
     for (lat, rates, shift, where), (idx, best) in zip(specs, found):
         values, pending = np.full(len(rates), np.inf), np.zeros(len(rates), dtype=bool)
@@ -687,16 +615,16 @@ def _curves(specs) -> list[_Curve]:
         pending[where] = idx == len(lat.rho_unit) - 1
         # the tail holds only what it reads: a pending curve must not keep
         # the unit lattice alive
-        out.append(_Curve(values, pending, functools.partial(_tail_envelope, lat._tail, rates[pending], shift)))
+        tail = functools.partial(_tail_envelope, lat.tail, lat.rho_tail, rates[pending], shift)
+        out.append(_Curve(values, pending, tail))
     return out
 
 
-def _tail_envelope(part: _Part, rates: np.ndarray, shift: float) -> np.ndarray:
-    """shift + the tail envelope at `rates`, inf where it still climbs at
-    the last lattice point, which it reads with the point before."""
-    rhos = part.rhos
-    ((idx, best),) = _argmax_many([(part, rates, np.arange(len(rhos) - 2, len(rhos)))])
-    end = part.values()[-2:] - rates[:, None] * rhos[-2:]
+def _tail_envelope(solve_tail, rhos: np.ndarray, rates: np.ndarray, shift: float) -> np.ndarray:
+    """shift + the tail envelope at `rates`, inf where it still climbs at its end."""
+    vals = solve_tail()[0]
+    idx, best = _lattice_argmax(rates, rhos, vals)
+    end = vals[-2:] - rates[:, None] * rhos[-2:]
     slope_end = (end[:, 1] - end[:, 0]) / (rhos[-1] - rhos[-2])
     still_climbing = (idx == len(rhos) - 1) & (slope_end > 1e-12)
     return shift + np.where(still_climbing, np.inf, best)
@@ -721,7 +649,9 @@ def _fixed_input_lattice(s: Distribution, w: ConditionalDistribution) -> _Lattic
         raise ValueError("input distribution does not match channel input alphabet")
     if _uniform_on_symmetric(s, w):
         return _Lattice(_RHO_UNIT, _RHO_TAIL, lambda r: (_e0_on_lattice(r, s.probs, w.matrix),))
-    return _Lattice(_CC_RHO_UNIT, _CC_RHO_TAIL, law=(s.probs, w.matrix))
+    # Newton steps on the tail lattice, which starts at rho = 1
+    solve = lambda r: _cc_e0_on_lattice(r, s.probs, w.matrix, r[0] >= 1.0)[:1]
+    return _Lattice(_CC_RHO_UNIT, _CC_RHO_TAIL, solve, (s.probs, w.matrix))
 
 
 def dual_exponent_curves(rates: np.ndarray, s: Distribution, w: ConditionalDistribution):

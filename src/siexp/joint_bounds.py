@@ -232,18 +232,15 @@ class _Payoff:
 
     def __init__(self, source: _Curve, rows: list[_Curve]):
         self.source, self.rows = source, rows
-        self._build()
+        self._update()
 
-    def _build(self) -> None:
+    def _update(self) -> None:
         # summed in place: no second table-sized temporary
         self.table = np.vstack([c.values for c in self.rows])
         self.table += self.source.values
         self.pending = np.vstack([c.pending for c in self.rows])
-        self._mask(slice(None))
-
-    def _mask(self, rows) -> None:
-        self.pending[rows] |= self.source.pending
-        self.pending[rows] &= np.isfinite(self.table[rows])
+        self.pending |= self.source.pending
+        self.pending &= np.isfinite(self.table)
 
     def resolve(self, s_idx: int, cols: np.ndarray):
         """Solve the source's tail if it is pending in `cols`, else row
@@ -251,14 +248,13 @@ class _Payoff:
         the rows of that channel curve."""
         if self.source.pending[cols].any():
             self.source.resolve()
-            self._build()
+            self._update()
             return slice(None)
         curve = self.rows[s_idx]
         curve.resolve()
         rows = [i for i, c in enumerate(self.rows) if c is curve]
         self.table[rows] = curve.values + self.source.values
-        self.pending[rows] = curve.pending
-        self._mask(rows)
+        self.pending[rows] = (curve.pending | self.source.pending) & np.isfinite(self.table[rows])
         return rows
 
 
@@ -310,13 +306,13 @@ class NestedEvaluator:
 
     def channel(self, s_arr: np.ndarray) -> tuple[_Curve, _Curve]:
         """The random-coding and sphere-packing curves at input law s_arr."""
-        if s_arr.tobytes() not in self._channel:
+        if (key := s_arr.tobytes()) not in self._channel:
             self.solve_channels(s_arr[None])
-        return self._channel[s_arr.tobytes()]
+        return self._channel[key]
 
     def solve_channels(self, sx_grid: np.ndarray) -> None:
-        """Solve the curves of :meth:`channel` for every row of sx_grid not
-        yet kept, their unit lattices together."""
+        """Solve the random-coding and sphere-packing curves at every input
+        law of sx_grid not yet kept, their unit lattices together."""
         todo = {s.tobytes(): s for s in sx_grid if s.tobytes() not in self._channel}
         lattices = [(_fixed_input_lattice(Distribution(s), self.w), self.rates, -0.0, slice(None))
                     for s in todo.values()]
@@ -325,12 +321,12 @@ class NestedEvaluator:
 
     def source(self, qa_arr: np.ndarray) -> _Curve:
         """The fixed-marginal source curve at Q_A = qa_arr."""
-        if qa_arr.tobytes() not in self._source:
+        if (key := qa_arr.tobytes()) not in self._source:
             self.solve_sources(qa_arr[None])
-        return self._source[qa_arr.tobytes()]
+        return self._source[key]
 
     def solve_sources(self, qa_grid: np.ndarray) -> None:
-        """Solve the curves of :meth:`source` for every row of qa_grid not
+        """Solve the fixed-marginal source curve at every Q_A of qa_grid not
         yet kept, their unit lattices together."""
         todo = {q.tobytes(): Distribution(q) for q in qa_grid if q.tobytes() not in self._source}
         self._source.update(zip(todo, _fixed_marginal_curves(self.rates, self.p, todo.values())))
@@ -353,8 +349,8 @@ def _max_min(pay: _Payoff, rates: np.ndarray):
 
     A row's min lies between the min of its current entries and the min of
     its exact ones. Tails are solved while some row that could still be the
-    first maximizer has a pending entry at or below its exact min; the row
-    mins are recomputed only on the rows a solve changed."""
+    first maximizer has a pending entry at or below its exact min, and the
+    mins of the rows each solve changes are recomputed."""
     mins, exact_mins = _row_mins(pay.table, pay.pending)
     while True:
         live = np.flatnonzero(exact_mins >= mins.max())

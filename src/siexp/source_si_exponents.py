@@ -334,23 +334,18 @@ def e_upper_fixed_marginal(
 def _fixed_marginal_curves(rates: np.ndarray, p: JointDistribution, laws) -> list[_Curve]:
     """:func:`fixed_marginal_dual_curve` at each marginal q_a of `laws` with
     its tail deferred: d_marg + E_r at the rates H(q_a) - R, pending
-    d_marg + E_sp. Their unit lattices are solved together."""
-    rates = np.asarray(rates, dtype=float)
-    w = p.conditional_rows()
-    out, specs = [], []
+    d_marg + E_sp, inf where d_marg is. Their unit lattices are solved
+    together."""
+    rates, w = np.asarray(rates, dtype=float), p.conditional_rows()
+    lossy, specs = ~_at_or_above_lossless_rate(rates, p), []
     for q_a in laws:
         if q_a.size != p.shape[0]:
             raise ValueError("marginal alphabet does not match the joint law")
         d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
         h_qa = float(entropy_bits(q_a.probs))
-        valid = ~_at_or_above_lossless_rate(rates, p) & (h_qa - rates >= -1e-12)
-        if math.isinf(d_marg) or not np.any(valid):
-            out.append(_Curve(np.full(len(rates), math.inf), np.zeros(len(rates), dtype=bool), None))
-        else:
-            out.append(None)
-            specs.append((_fixed_input_lattice(q_a, w), np.maximum(h_qa - rates, 0.0), d_marg, valid))
-    solved = iter(_curves(specs))
-    return [next(solved) if curve is None else curve for curve in out]
+        valid = lossy & (h_qa - rates >= -1e-12) & math.isfinite(d_marg)
+        specs.append((_fixed_input_lattice(q_a, w), np.maximum(h_qa - rates, 0.0), d_marg, valid))
+    return _curves(specs)
 
 
 def fixed_marginal_dual_curve(

@@ -353,19 +353,25 @@ def test_figures_read_their_source_lattices_from_one_evaluator(monkeypatch):
 # fixed-input Lagrangian points the nested report on the worked source over
 # 0.9 0.1 ; 0.2 0.8 solved when every curve solved its whole unit lattice
 # (2,001 points) and each tail it read (1,201 points): 58 and 22 of them
-ASYM_REPORT_WHOLE_LATTICE_POINTS = 58 * 2001 + 22 * 1201
+ASYM_REPORT_UNIT_POINTS, ASYM_REPORT_TAILS = 58 * 2001, 22
 
 
-def test_asym_report_solves_a_quarter_of_its_lattice_points(tmp_path, capsys, monkeypatch):
+def test_asym_report_solves_a_quarter_of_its_unit_lattice_points(tmp_path, capsys, monkeypatch):
     matrix = "channel.kind = matrix\nchannel.matrix = 0.9 0.1 ; 0.2 0.8\n"
     cfg = write(tmp_path, "a.cfg", "source.preset = worked_example\n" + matrix)
-    solved = []
+    unit, tail = [], []
     real = channel_exponents._cc_e0_on_lattice
-    spy = lambda rhos, *args: solved.append(len(rhos)) or real(rhos, *args)
+
+    def spy(rhos, s, w, newton=None, *args):
+        (tail if np.any(newton) else unit).append(len(rhos))
+        return real(rhos, s, w, newton, *args)
+
     monkeypatch.setattr(channel_exponents, "_cc_e0_on_lattice", spy)
     assert cli.main(["report", "--config", cfg, "--nested", "--rate-step", "0.1"]) == 0
     capsys.readouterr()
-    assert 0 < sum(solved) <= ASYM_REPORT_WHOLE_LATTICE_POINTS // 4
+    assert 0 < sum(unit) <= ASYM_REPORT_UNIT_POINTS // 4
+    # tails are solved whole, and no more of them than before
+    assert set(tail) == {len(channel_exponents._CC_RHO_TAIL)} and len(tail) <= ASYM_REPORT_TAILS
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
