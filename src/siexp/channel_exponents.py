@@ -186,15 +186,18 @@ def _cc_gap(q, q_next, rhos):
 
 
 def _cc_start(rhos, s, w):
-    """The live inputs' weights per point, C-ordered (n, |X|) and (|X|, n), the
+    """The first input law, the live inputs' weights per point (|X|, n), the
     channel powers (|X|, |Y|, n) and the start q_0 = S W (|Y|, n), one product
     per run of equal laws, for :func:`_cc_e0_on_lattice` and :func:`_cc_upper`."""
-    rhos, live = np.asarray(rhos, dtype=float), (s if s.ndim == 1 else s[0]) > 0
-    wl = w[live]
-    sn = np.ascontiguousarray(np.broadcast_to(s, (len(rhos), len(w)))[:, live])
-    new_law = np.r_[True, np.any(sn[1:] != sn[:-1], axis=1)]
-    q0 = np.array([sn[i] @ wl for i in np.flatnonzero(new_law)]).T[:, np.cumsum(new_law) - 1]
-    return rhos, sn, np.ascontiguousarray(sn.T), _power(wl[:, :, None], 1.0 / (1.0 + rhos)), q0
+    rhos, n, live = np.asarray(rhos, dtype=float), len(rhos), (s if s.ndim == 1 else s[0]) > 0
+    wl, sn = w[live], np.atleast_2d(s)[:, live]
+    if s.ndim == 1:
+        q0 = np.repeat((sn[0] @ wl)[:, None], n, axis=1)
+    else:
+        new_law = np.r_[True, np.any(sn[1:] != sn[:-1], axis=1)]
+        q0 = np.array([sn[i] @ wl for i in np.flatnonzero(new_law)]).T[:, np.cumsum(new_law) - 1]
+    sw = np.ascontiguousarray(np.broadcast_to(sn.T, (len(wl), n)))
+    return rhos, sn[0], sw, _power(wl[:, :, None], 1.0 / (1.0 + rhos)), q0
 
 
 def _cc_upper(rhos, s, w):
@@ -233,19 +236,20 @@ def _cc_e0_on_lattice(
     The points left are swept from the start.
 
     ``s`` is one input law, or one law per point (n, |X|) for inputs of one
-    support solved together. A point's floats are those it gets alone, so a
-    subset of a lattice, or of a stack of lattices, has the whole lattice's
-    floats: per-point arrays hold the lattice on their last, contiguous axis,
-    the sums over inputs are sequential, and the Newton einsums read
-    C-ordered (n, |X|) weights.
+    support solved together without Newton steps. A point's floats are those
+    it gets alone, so any subset of a lattice, or of a stack of lattices, has
+    the whole lattice's floats: the lattice sits on the last, contiguous axis
+    of every per-point array and the sums over inputs are sequential.
 
     Returns (values, output laws q of shape (n, |Y|), gaps in bits); swept
     points report the law after their last sweep and its true gap, mostly
     above that bound. Points still moving after ``max_iter`` sweeps raise
     instead of returning an unconverged upper bound.
     """
-    rhos, sn, sw, wpow, q = _cc_start(rhos, s, w)
+    rhos, sv, sw, wpow, q = _cc_start(rhos, s, w)
     newton = np.broadcast_to(rhos >= 1.0 if newton is None else newton, rhos.shape)
+    if s.ndim > 1 and newton.any():
+        raise ValueError("Newton steps take one input law")
     vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
     # Newton steps on the simplex. The KKT system of the quadratic model is
     # solved for the relative step delta = d / q, scaled by 1/sqrt(q_next),
@@ -258,11 +262,11 @@ def _cc_e0_on_lattice(
     steps = min(_CC_NEWTON_STEPS, max_iter)
     for it in range(steps + 1):
         r, wa, qa = rhos[active], np.take(nw, active, axis=2), np.take(nq, active, axis=1)
-        g, tilted, row = _cc_value(qa, wa, r, sw[:, active])
+        g, tilted, row = _cc_value(qa, wa, r, sv[:, None])
         # the kernel held (n, |Y|, |X|) in memory, as the Newton einsums read it
         v = (tilted / row[:, None, :]).transpose(2, 1, 0).copy().transpose(0, 2, 1)
         del tilted, row
-        q_next = np.einsum("nx,nxy->ny", sn[active], v)
+        q_next = np.einsum("x,nxy->ny", sv, v)
         vals[active], gap[active] = g, _cc_gap(qa, q_next.T, r)
         # a point whose q_next loses an output mass leaves Newton for the sweeps
         keep = (gap[active] > _CC_TOL * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
@@ -273,7 +277,7 @@ def _cc_e0_on_lattice(
         m, sc = qa.shape[0], 1.0 / np.sqrt(q_next)
         ks = v * sc[:, None, :]
         kkt = np.zeros((active.size, m + 1, m + 1))
-        kkt[:, :m, :m] = r[:, None, None] * np.einsum("nx,nxy,nxz->nyz", sn[active], ks, ks) + np.eye(m)
+        kkt[:, :m, :m] = r[:, None, None] * np.einsum("x,nxy,nxz->nyz", sv, ks, ks) + np.eye(m)
         kkt[:, :m, m] = kkt[:, m, :m] = qa.T * sc
         rhs = np.concatenate([(1.0 + r)[:, None] / sc, np.zeros((active.size, 1))], axis=1)
         delta = (sc * np.linalg.solve(kkt, rhs[:, :, None])[:, :m, 0]).T
@@ -285,7 +289,7 @@ def _cc_e0_on_lattice(
         t, todo = np.ones(active.size), np.arange(active.size)
         for _ in range(40):
             q_t = np.take(qa, todo, axis=1) * np.exp(t[todo] * np.take(delta, todo, axis=1))
-            g_t = _cc_value(q_t / q_t.sum(axis=0), np.take(wa, todo, axis=2), r[todo], sw[:, active[todo]])[0]
+            g_t = _cc_value(q_t / q_t.sum(axis=0), np.take(wa, todo, axis=2), r[todo], sv[:, None])[0]
             ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=0)
             if (todo := todo[~ok]).size == 0:
                 break
@@ -535,13 +539,12 @@ def _stacked(items) -> None:
 def _unit_argmax(requests) -> list:
     """:func:`_lattice_argmax` on the unit lattice of each (lattice, rates).
 
-    A fixed-input Lagrangian's lattice with more than ``_ENTRIES`` points per
-    rate is solved only where the bound U >= E of :func:`_cc_upper` lets the
-    envelope peak: first at the peak of each rate's U table, then at every
-    point whose U entry fl(U_k - fl(rate rho_k)), which bounds its E entry
-    since rounding is monotone, reaches some rate's best solved entry. Every
-    point left is strictly below that entry, so the first argmax over the
-    solved points is, index and float, the whole (rates x lattice) table's."""
+    A fixed-input lattice with more than ``_ENTRIES`` points per rate is
+    solved at the peak of each rate's table of the bound U >= E of
+    :func:`_cc_upper`, then at every point whose U entry fl(U_k - fl(rate
+    rho_k)), which bounds its E entry as rounding is monotone, reaches some
+    rate's best solved entry. The points left lie strictly below it, so the
+    first argmax over the solved points is the whole table's, index and float."""
     thin = [lat.law is not None and len(lat.rho_unit) > _ENTRIES * len(r) for lat, r in requests]
     sparse = [(lat, r) for (lat, r), t in zip(requests, thin) if t and len(r)]
     for lat, _ in sparse:
@@ -579,7 +582,6 @@ class _Lattice:
     def __init__(self, rho_unit: np.ndarray, rho_tail: np.ndarray, solve, law=None):
         self.rho_unit, self.rho_tail, self.law, self._solve = rho_unit, rho_tail, law, solve
         self.tail = functools.cache(lambda: solve(rho_tail))
-        self.vals = self.upper = None
 
     @functools.cached_property
     def unit(self) -> tuple:
@@ -649,8 +651,7 @@ def _fixed_input_lattice(s: Distribution, w: ConditionalDistribution) -> _Lattic
         raise ValueError("input distribution does not match channel input alphabet")
     if _uniform_on_symmetric(s, w):
         return _Lattice(_RHO_UNIT, _RHO_TAIL, lambda r: (_e0_on_lattice(r, s.probs, w.matrix),))
-    # Newton steps on the tail lattice, which starts at rho = 1
-    solve = lambda r: _cc_e0_on_lattice(r, s.probs, w.matrix, r[0] >= 1.0)[:1]
+    solve = lambda r: _cc_e0_on_lattice(r, s.probs, w.matrix, r[0] >= 1.0)[:1]  # Newton from rho = 1
     return _Lattice(_CC_RHO_UNIT, _CC_RHO_TAIL, solve, (s.probs, w.matrix))
 
 

@@ -760,10 +760,15 @@ def test_cc_lattice_subsets_and_stacks_keep_the_whole_lattice_floats(case):
         for size in (1, 2, 7, 33, 200):
             idx = np.sort(rng.choice(len(rhos), size, replace=False))
             assert np.array_equal(_cc_e0_on_lattice(rhos[idx], s, w, newton)[0], whole[0][idx])
-            # the two laws' points interleaved in one call, one law per point
+            # the two laws' points interleaved in one call, one law per point;
+            # Newton steps take one law
             jdx = np.sort(rng.choice(len(rhos), size, replace=False))
             laws = np.vstack([np.repeat(s[None], size, 0), np.repeat(other[None], size, 0)])
             order = rng.permutation(2 * size)
+            if newton:
+                with pytest.raises(ValueError, match="one input law"):
+                    _cc_e0_on_lattice(np.r_[rhos[idx], rhos[jdx]][order], laws[order], w, newton)
+                continue
             got = _cc_e0_on_lattice(np.r_[rhos[idx], rhos[jdx]][order], laws[order], w, newton)[0]
             assert np.array_equal(got, np.r_[whole[0][idx], whole[1][jdx]][order])
 
