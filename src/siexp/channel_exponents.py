@@ -154,8 +154,8 @@ _CC_TOL = 1e-13  # the accuracy _cc_e0_on_lattice certifies and _cc_upper adds
 
 def _cc_value(q, wpow, rhos, sl):
     """The Lagrangian G(q) in bits at output laws q (|Y|, n), with the tilted
-    channel (|X|, |Y|, n), its row sums and the input weights sl (|X|, n),
-    summed in sequence. A live input none of whose outputs q reaches (its row
+    channel (|X|, |Y|, n), its row sums and the input weights sl (|X|, n or
+    1), summed in sequence. A live input none of whose outputs q reaches (its row
     sum underflows to 0) makes G(q) infinite."""
     tilted = wpow * _power(q, rhos / (1.0 + rhos))
     row = tilted.sum(axis=1)
