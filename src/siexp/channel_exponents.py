@@ -214,6 +214,21 @@ def _cc_upper(rhos, s, w):
     return np.where(rhos > 0.0, np.maximum(g + slack, 0.0), 0.0)
 
 
+def _bordered_solve(h, a, b):
+    """u of [h a; a' 0] [u; lam] = [b; 0] at each point on the last axis, h (m, m, n) >= I read from
+    its lower triangle: lam = a' h^-1 b / a' h^-1 a (the Schur complement) and u = h^-1 (b - lam a),
+    from y = L^-1 [a, b] for the Cholesky factor L of h, whose pivots are all at least 1."""
+    low, y = np.zeros_like(h), np.stack([a, b], axis=1)
+    for j in range(len(a)):
+        low[j, j] = np.sqrt(h[j, j] - (low[j, :j] * low[j, :j]).sum(axis=0))
+        low[j + 1 :, j] = (h[j + 1 :, j] - (low[j + 1 :, :j] * low[j, :j]).sum(axis=1)) / low[j, j]
+        y[j] = (y[j] - (low[j, :j, None] * y[:j]).sum(axis=0)) / low[j, j]
+    u = y[:, 1] - (y[:, 0] * y[:, 1]).sum(axis=0) / (y[:, 0] * y[:, 0]).sum(axis=0) * y[:, 0]
+    for i in reversed(range(len(a))):
+        u[i] = (u[i] - (low[i + 1 :, i] * u[i + 1 :]).sum(axis=0)) / low[i, i]
+    return u
+
+
 def _cc_e0_on_lattice(
     rhos: np.ndarray,
     s: np.ndarray,
@@ -231,15 +246,14 @@ def _cc_e0_on_lattice(
     W(y|x)^(1/(1+rho)) q_y^(rho/(1+rho)). Alternating minimization, the two
     blocks in turn, settles to ``_CC_TOL`` within 16 sweeps for rho <= 1 but
     takes some 10 rho sweeps beyond, so the points flagged ``newton`` (by
-    default rho >= 1) take Newton steps in q until the Frank-Wolfe gap of G,
-    which bounds G(q) - min G, certifies the value to _CC_TOL * max(|G|, 1).
-    The points left are swept from the start.
+    default rho >= 1) take Newton steps in q (:func:`_bordered_solve`) until
+    the Frank-Wolfe gap of G, which bounds G(q) - min G, certifies the value
+    to _CC_TOL * max(|G|, 1). The points left are swept from the start.
 
     ``s`` is one input law, or one law per point (n, |X|) for inputs of one
-    support solved together without Newton steps. A point's floats are those
-    it gets alone, so any subset of a lattice, or of a stack of lattices, has
-    the whole lattice's floats: the lattice sits on the last, contiguous axis
-    of every per-point array and the sums over inputs are sequential.
+    support solved together without Newton steps. Every per-point array holds
+    the lattice on its last, contiguous axis and sums over inputs in sequence,
+    so a point's floats are those it gets alone, in any subset or stack.
 
     Returns (values, output laws q of shape (n, |Y|), gaps in bits); swept
     points report the law after their last sweep and its true gap, mostly
@@ -251,40 +265,34 @@ def _cc_e0_on_lattice(
     if s.ndim > 1 and newton.any():
         raise ValueError("Newton steps take one input law")
     vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
-    # Newton steps on the simplex. The KKT system of the quadratic model is
-    # solved for the relative step delta = d / q, scaled by 1/sqrt(q_next),
-    # and q * exp(t delta) stays positive, so masses of 1e-20 and less
-    # (erasure and Z channels at large rho) take a few steps. Outputs the
-    # input law cannot reach stay out.
+    # Newton steps on the simplex, for the relative step delta = d / q scaled by
+    # 1/sqrt(q_next): the KKT system's Hessian block is then I + rho K' diag(s) K
+    # for the kernel K so scaled. q * exp(t delta) stays positive, so masses of
+    # 1e-20 and less (erasure and Z channels at large rho) take a few steps.
+    # Outputs the input law cannot reach stay out.
     reach = q[:, 0] > 0.0
     nq, nw = q[reach], wpow if reach.all() else np.compress(reach, wpow, axis=1)
     active = np.flatnonzero(newton & (rhos > 0.0))
     steps = min(_CC_NEWTON_STEPS, max_iter)
     for it in range(steps + 1):
         r, wa, qa = rhos[active], np.take(nw, active, axis=2), np.take(nq, active, axis=1)
-        g, tilted, row = _cc_value(qa, wa, r, sv[:, None])
-        # the kernel held (n, |Y|, |X|) in memory, as the Newton einsums read it
-        v = (tilted / row[:, None, :]).transpose(2, 1, 0).copy().transpose(0, 2, 1)
-        del tilted, row
-        q_next = np.einsum("x,nxy->ny", sv, v)
-        vals[active], gap[active] = g, _cc_gap(qa, q_next.T, r)
+        g, kernel, row = _cc_value(qa, wa, r, sv[:, None])
+        kernel /= row[:, None, :]
+        q_next = (sv[:, None, None] * kernel).sum(axis=0)
+        vals[active], gap[active] = g, _cc_gap(qa, q_next, r)
         # a point whose q_next loses an output mass leaves Newton for the sweeps
-        keep = (gap[active] > _CC_TOL * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=1)
-        active, r, g, q_next, v = (a[keep] for a in (active, r, g, q_next, v))
-        wa, qa = np.compress(keep, wa, axis=2), np.compress(keep, qa, axis=1)
+        keep = (gap[active] > _CC_TOL * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=0)
+        active, r, g, q_next, kernel, wa, qa = (
+            np.compress(keep, a, axis=-1) for a in (active, r, g, q_next, kernel, wa, qa))
         if active.size == 0 or it == steps:
             break
-        m, sc = qa.shape[0], 1.0 / np.sqrt(q_next)
-        ks = v * sc[:, None, :]
-        kkt = np.zeros((active.size, m + 1, m + 1))
-        kkt[:, :m, :m] = r[:, None, None] * np.einsum("x,nxy,nxz->nyz", sv, ks, ks) + np.eye(m)
-        kkt[:, :m, m] = kkt[:, m, :m] = qa.T * sc
-        rhs = np.concatenate([(1.0 + r)[:, None] / sc, np.zeros((active.size, 1))], axis=1)
-        delta = (sc * np.linalg.solve(kkt, rhs[:, :, None])[:, :m, 0]).T
+        ks = kernel * (sc := 1.0 / np.sqrt(q_next))
+        h = r * (sv[:, None, None, None] * ks[:, :, None] * ks[:, None]).sum(axis=0)
+        delta = sc * _bordered_solve(h + np.eye(len(qa))[:, :, None], qa * sc, (1.0 + r) / sc)
         # back onto sum(d) = 0, lest a rounding residue outweigh the true slope
         delta -= (qa * delta).sum(axis=0)
         # Armijo: descend by 1e-4 of the slope, up to the rounding error of G
-        slope = 1e-4 * r / math.log(2.0) * ((qa - q_next.T) * delta).sum(axis=0)
+        slope = 1e-4 * r / math.log(2.0) * ((qa - q_next) * delta).sum(axis=0)
         floor = 16.0 * np.finfo(float).eps * (1.0 + r) * np.maximum(np.abs(g), 1.0)
         t, todo = np.ones(active.size), np.arange(active.size)
         for _ in range(40):
@@ -547,9 +555,11 @@ def _unit_argmax(requests) -> list:
     first argmax over the solved points is the whole table's, index and float."""
     thin = [lat.law is not None and len(lat.rho_unit) > _ENTRIES * len(r) for lat, r in requests]
     sparse = [(lat, r) for (lat, r), t in zip(requests, thin) if t and len(r)]
-    for lat, _ in sparse:
+    peaks = [np.zeros(len(lat.rho_unit), dtype=bool) for lat, _ in sparse]
+    for (lat, r), peak in zip(sparse, peaks):
         lat.upper, lat.vals = _cc_upper(lat.rho_unit, *lat.law), np.full(len(lat.rho_unit), np.nan)
-    _stacked([(lat, _dense_argmax(r, lat.rho_unit, lat.upper)[0]) for lat, r in sparse])
+        peak[_dense_argmax(r, lat.rho_unit, lat.upper)[0]] = True  # a peak that rates share, once
+    _stacked([(lat, np.flatnonzero(peak)) for (lat, _), peak in zip(sparse, peaks)])
     reached = []
     for lat, r in sparse:
         solved = np.flatnonzero(~np.isnan(lat.vals))

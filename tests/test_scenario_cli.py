@@ -374,6 +374,21 @@ def test_asym_report_solves_a_quarter_of_its_unit_lattice_points(tmp_path, capsy
     assert set(tail) == {len(channel_exponents._CC_RHO_TAIL)} and len(tail) <= ASYM_REPORT_TAILS
 
 
+def test_asym_report_stacks_each_unit_point_once(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "a.cfg", ASYM_NESTED_CFG)
+    calls, real = [], channel_exponents._stacked
+
+    def spy(items):
+        items = list(items)
+        calls.append([(id(lat), int(k)) for lat, idx in items for k in idx])
+        return real(items)
+
+    monkeypatch.setattr(channel_exponents, "_stacked", spy)
+    assert cli.main(["report", "--config", cfg, "--nested", "--rate-step", "0.1"]) == 0
+    capsys.readouterr()
+    assert calls and all(len(points) == len(set(points)) for points in calls)
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert cli.main(["curves", "--config", missing]) == 2
