@@ -55,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
 from .numerics import (
     DUAL_RHO_MAX,
     concave_dual_max,
@@ -649,10 +648,7 @@ def _uniform_on_symmetric(s: Distribution, w: ConditionalDistribution) -> bool:
     probs = s.probs
     if np.any(np.abs(probs - probs[0]) > 1e-15):
         return False
-    try:
-        return bool(is_gallager_symmetric(w)[0])
-    except BudgetError:
-        return False
+    return is_gallager_symmetric(w)[0]
 
 
 def _fixed_input_lattice(s: Distribution, w: ConditionalDistribution) -> _Lattice:
@@ -916,52 +912,36 @@ def critical_rate(
 # symmetry
 
 
-def _set_partitions(n: int):
-    """Set partitions of range(n) in restricted-growth-string order."""
-    rgs = [0] * n
-
-    def blocks():
-        out: dict[int, list[int]] = {}
-        for idx, lab in enumerate(rgs):
-            out.setdefault(lab, []).append(idx)
-        return tuple(tuple(b) for b in out.values())
-
-    def rec(pos: int, maxlab: int):
-        if pos == n:
-            yield blocks()
-            return
-        for lab in range(maxlab + 2):
-            rgs[pos] = lab
-            yield from rec(pos + 1, max(maxlab, lab))
-
-    if n == 0:
-        return
-    yield from rec(1, 0)
-
-
 def is_gallager_symmetric(
     w: ConditionalDistribution, atol: float = 1e-9
 ) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Whether the outputs split into groups whose submatrices have mutually
-    permuted rows and mutually permuted columns. Returns (flag, partition)."""
-    ny = w.output_size
-    if ny > 10:
-        raise BudgetError("symmetry search over more than 10 outputs is not supported")
-    for partition in _set_partitions(ny):
-        ok = True
-        for part in partition:
-            sub = w.matrix[:, list(part)]
-            rows = np.sort(sub, axis=1)
-            if not np.all(np.abs(rows - rows[0]) <= atol):
-                ok = False
+    permuted rows and mutually permuted columns (Gallager 1968, section 4.5).
+    Returns (flag, partition).
+
+    The groups are the column classes: each output joins the first class
+    whose first sorted column matches its own within ``atol``. Every block of
+    a valid partition lies inside one column class, and a union of valid
+    blocks in one class is valid, since each row's multiset over the union is
+    the union of its multisets over the blocks. So a valid partition exists
+    exactly when every column class passes the row test (given that any two
+    entries lie within atol or more than 2 atol apart). The partition
+    returned lists each class in ascending output order, ordered by first
+    output."""
+    cols = np.sort(w.matrix, axis=0)
+    classes: list[list[int]] = []
+    for y in range(w.output_size):
+        for group in classes:
+            if np.all(np.abs(cols[:, y] - cols[:, group[0]]) <= atol):
+                group.append(y)
                 break
-            cols = np.sort(sub, axis=0)
-            if not np.all(np.abs(cols - cols[:, :1]) <= atol):
-                ok = False
-                break
-        if ok:
-            return True, partition
-    return False, None
+        else:
+            classes.append([y])
+    for group in classes:
+        rows = np.sort(w.matrix[:, group], axis=1)
+        if not np.all(np.abs(rows - rows[0]) <= atol):
+            return False, None
+    return True, tuple(tuple(group) for group in classes)
 
 
 def uniform_input_is_optimal_premise(

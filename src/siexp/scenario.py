@@ -11,7 +11,6 @@ dotted sections, chosen to be hand-editable and diff-friendly:
     grids.simplex_step = 0.05
     grids.refinement_levels = 1
     tolerances.matching = 0.0001
-    tolerances.agreement = 0.005
     sim.rule = uniform                    # uniform | optimized codeword compositions
     sim.n_cap = 8                         # largest blocklength the simulator accepts
     seed = 0
@@ -71,7 +70,6 @@ _KNOWN_KEYS = frozenset(
         "grids.simplex_step",
         "grids.refinement_levels",
         "tolerances.matching",
-        "tolerances.agreement",
         "sim.rule",
         "sim.n_cap",
         "seed",
@@ -89,7 +87,6 @@ class GridSpec:
 @dataclass(frozen=True)
 class Tolerances:
     matching: float = 1e-4
-    agreement: float = 5e-3
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,6 @@ def parse_config(text: str) -> Scenario:
     )
     tolerances = Tolerances(
         matching=_ranged_float(entries, "tolerances.matching", 1e-4, 0.0, 1.0, lo_open=True),
-        agreement=_ranged_float(entries, "tolerances.agreement", 5e-3, 0.0, 1.0, lo_open=True),
     )
     rule = entries.pop("sim.rule", "uniform")
     if rule not in ("uniform", "optimized"):
@@ -318,7 +314,6 @@ def emit_config(s: Scenario) -> str:
     lines.append(f"grids.simplex_step = {s.grids.simplex_step!r}")
     lines.append(f"grids.refinement_levels = {s.grids.refinement_levels}")
     lines.append(f"tolerances.matching = {s.tolerances.matching!r}")
-    lines.append(f"tolerances.agreement = {s.tolerances.agreement!r}")
     lines.append(f"sim.rule = {s.sim.rule}")
     lines.append(f"sim.n_cap = {s.sim.n_cap}")
     lines.append(f"seed = {s.seed}")

@@ -40,6 +40,7 @@ from siexp.channel_exponents import (
     sphere_packing_exponent,
     uniform_input_is_optimal_premise,
 )
+from siexp.joint_bounds import both_si_bounds
 from siexp.numerics import rate_grid, simplex_grid
 from siexp.probkit import (
     ConditionalDistribution,
@@ -316,6 +317,98 @@ def test_is_gallager_symmetric():
     assert is_gallager_symmetric(ConditionalDistribution(np.eye(2)))[0]
     asym = ConditionalDistribution(np.array([[0.9, 0.1], [0.3, 0.7]]))
     assert not is_gallager_symmetric(asym)[0]
+
+
+def _set_partitions(n: int):
+    """Set partitions of range(n) in restricted-growth-string order."""
+    rgs = [0] * n
+
+    def blocks():
+        out: dict[int, list[int]] = {}
+        for idx, lab in enumerate(rgs):
+            out.setdefault(lab, []).append(idx)
+        return tuple(tuple(b) for b in out.values())
+
+    def rec(pos: int, maxlab: int):
+        if pos == n:
+            yield blocks()
+            return
+        for lab in range(maxlab + 2):
+            rgs[pos] = lab
+            yield from rec(pos + 1, max(maxlab, lab))
+
+    yield from rec(1, 0)
+
+
+def _symmetric_block(matrix, block, atol=1e-9):
+    """Gallager's block test: the rows of the submatrix permute one another,
+    and so do its columns."""
+    sub = matrix[:, list(block)]
+    rows = np.sort(sub, axis=1)
+    cols = np.sort(sub, axis=0)
+    return bool(np.all(np.abs(rows - rows[0]) <= atol) and np.all(np.abs(cols - cols[:, :1]) <= atol))
+
+
+def _symmetric_by_search(w):
+    """Reference: some set partition of the outputs passes the block test."""
+    return any(
+        all(_symmetric_block(w.matrix, block) for block in partition)
+        for partition in _set_partitions(w.output_size)
+    )
+
+
+@st.composite
+def _planted_channels(draw):
+    """Channels on at most 4 inputs and 7 outputs built from 1-3 blocks
+    v[(x + y) mod g] (g dividing |X|), whose rows and columns permute one
+    another; columns and rows shuffled, half of them with one entry moved.
+    Coarse blocks draw entries from {0, ..., 3}, so ties abound."""
+    perturb = draw(st.booleans())  # drawn first, or hypothesis rarely sets it
+    k = draw(st.integers(2, 4))
+    blocks, width = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        room = 7 - width
+        g = draw(st.sampled_from([d for d in range(1, min(k, room) + 1) if k % d == 0]))
+        m = g * draw(st.integers(1, room // g))
+        hi = 3 if draw(st.booleans()) else 50
+        v = draw(st.lists(st.integers(0 if blocks else 1, hi), min_size=g, max_size=g))
+        blocks.append([[v[(x + y) % g] for y in range(m)] for x in range(k)])
+        width += m
+        if width == 7:
+            break
+    mat = np.hstack([np.array(b, dtype=float) for b in blocks])
+    mat = mat[draw(st.permutations(range(k)))][:, draw(st.permutations(range(width)))]
+    if perturb:
+        x, y = draw(st.integers(0, k - 1)), draw(st.integers(0, width - 1))
+        factor = (10 + draw(st.integers(1, 5))) / 10
+        mat[x, y] = mat[x, y] * factor if mat[x, y] else mat[x].sum() / 10
+    return ConditionalDistribution(mat / mat.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_planted_channels())
+def test_is_gallager_symmetric_matches_the_partition_search(w):
+    flag, groups = is_gallager_symmetric(w)
+    assert flag == _symmetric_by_search(w)
+    if flag:
+        assert sorted(y for group in groups for y in group) == list(range(w.output_size))
+        assert list(groups) == sorted(groups) and all(list(g) == sorted(g) for g in groups)
+        assert all(_symmetric_block(w.matrix, group) for group in groups)
+    else:
+        assert groups is None
+
+
+def test_input_optimized_curves_on_eleven_outputs():
+    # E_0* has no limit on the output alphabet, and neither has the symmetry
+    # test that picks between it and the uniform-input lattice
+    w = ConditionalDistribution(np.random.default_rng(11).dirichlet(np.ones(11), size=2))
+    assert not is_gallager_symmetric(w)[0]
+    rates = np.array([0.0, 0.05, 0.1, 0.2])
+    er = input_optimized_curves(rates, w)[0]
+    assert er.tolist() == [optimize_input(r, w)[1] for r in rates]
+    p = JointDistribution(np.array(((0.50, 0.00), (0.05, 0.45))))
+    res = both_si_bounds(p, w, rate_step=0.01)
+    assert 0.0 <= res.lower <= res.upper
 
 
 def test_optimize_input_prefers_uniform_on_bsc():

@@ -1,7 +1,9 @@
 """Tests for config parsing, table/report emission, and the command-line
 driver including its documented exit codes."""
+import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from siexp.errors import ConfigError, EvaluatorMismatchError, PremiseViolationEr
 from siexp.joint_bounds import NestedEvaluator
 from siexp.probkit import Distribution
 from siexp.scenario import (
+    _KNOWN_KEYS,
     GridSpec,
     Scenario,
     SimSpec,
@@ -94,6 +97,7 @@ def test_parse_comments_blanks_and_inline_comments():
         ("source.matrix = 0.5 0.4\nchannel.kind = bsc\nchannel.param = 0.1\n", "deviates"),
         (WORKED_CFG + "justoneword\n", "key = value"),
         (WORKED_CFG + "sim.rule =\n", "empty value"),
+        (WORKED_CFG + "tolerances.agreement = 0.005\n", "tolerances.agreement"),
     ],
 )
 def test_parse_config_rejections(text, fragment):
@@ -110,7 +114,7 @@ def test_emit_parse_round_trip():
             channel_kind="matrix",
             channel_matrix=((0.123456789123456789, 0.876543210876543211), (0.25, 0.75)),
             grids=GridSpec(rate_step=0.0007, simplex_step=0.04, refinement_levels=2),
-            tolerances=Tolerances(matching=2e-4, agreement=1e-3),
+            tolerances=Tolerances(matching=2e-4),
             sim=SimSpec(rule="optimized", n_cap=6),
             seed=12345,
         ),
@@ -118,6 +122,28 @@ def test_emit_parse_round_trip():
     ]
     for sc in scenarios:
         assert parse_config(emit_config(sc)) == sc
+
+
+def _readme_config_table():
+    """(key, default) rows of the README's "Config schema" table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    return [(cells[0].strip(" `"), cells[3].strip(" `")) for cells in rows]
+
+
+def test_readme_config_table_matches_the_parser():
+    table = _readme_config_table()
+    assert {key for key, _ in table} == _KNOWN_KEYS
+    for key, default in table:
+        if default == "—":
+            continue
+        # a documented default holds when the key is left out
+        sc = parse_config("".join(ln + "\n" for ln in WORKED_CFG.splitlines() if not ln.startswith(key)))
+        section, _, name = key.partition(".")
+        part = getattr(sc, section, None)
+        value = getattr(part, name) if dataclasses.is_dataclass(part) else getattr(sc, key.replace(".", "_"))
+        assert value == type(value)(default), key
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +304,22 @@ def test_cli_report_ok(tmp_path, capsys):
     cfg = write(tmp_path, "w.cfg", WORKED_CFG)
     assert cli.main(["report", "--config", cfg]) == 0
     assert "joint_exponent: 0.221589405" in capsys.readouterr().out
+
+
+def test_cli_report_on_twelve_outputs(tmp_path, capsys):
+    # two copies of a 2x6 block whose rows permute each other: Gallager
+    # symmetric over 12 outputs, which have 4,213,597 set partitions
+    half = "0.2 0.01 0.15 0.015 0.1 0.025"
+    swapped = "0.01 0.2 0.015 0.15 0.025 0.1"
+    cfg = write(
+        tmp_path,
+        "wide.cfg",
+        "source.preset = worked_example\nchannel.kind = matrix\n"
+        f"channel.matrix = {half} {half} ; {swapped} {swapped}\n",
+    )
+    assert cli.main(["report", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "channel: matrix 2x12" in lines and "gallager_symmetric: true" in lines
 
 
 def test_cli_simulate_ok(tmp_path, capsys):
