@@ -174,7 +174,7 @@ def _power(base, exponent):
 def _cc_terms(q, wpow, rhos, sl):
     """G(q) of :func:`_cc_value` and the output law of the best kernel for each q."""
     g, tilted, row = _cc_value(q, wpow, rhos, sl)
-    return g, np.einsum("xn,xyn->yn", sl, tilted / row[:, None, :])
+    return g, (sl[:, None] * (tilted / row[:, None, :])).sum(axis=0)
 
 
 def _cc_gap(q, q_next, rhos):
@@ -689,15 +689,39 @@ def primal_exponent_curves(
 
 
 def _line_min(alpha, d, r, hi):
-    """argmin over t in [0, hi] of the convex sum_y (alpha + t d)_y^(1+r), row
-    by row, by bisection on the sign of its derivative."""
-    slope = lambda t: (np.power(np.maximum(alpha + t[:, None] * d, 0.0), r) * d).sum(axis=1)
-    lo, top = np.zeros(len(hi)), hi
-    for _ in range(60):
-        mid = 0.5 * (lo + top)
-        down = slope(mid) < 0.0
-        lo, top = np.where(down, mid, lo), np.where(down, top, mid)
-    return np.where(slope(hi) <= 0.0, hi, 0.5 * (lo + top))
+    """argmin over t in [0, hi] of the convex phi(t) = sum_y (alpha + t d)_y^(1+r), row by
+    row: hi where phi'(hi) <= 0, else 0 where phi'(0) >= 0, else Newton steps on phi' from 0
+    (midpoints where a step would leave the sign bracket [lo, top]) until |phi'| is within its
+    rounding 8 |Y| eps sum_y |terms|, the bracket is 4 eps top wide or 100 steps are taken, on
+    all rows in place. The caller's Frank-Wolfe gap, not this search, certifies each point."""
+    eps, rho, d, t, top, n = np.finfo(float).eps, r[:, 0], d.T, hi.copy(), hi.copy(), len(hi)
+    base, p, g, curv, lo = np.empty(d.shape), np.empty(d.shape), np.zeros(n), np.zeros(n), np.zeros(n)
+
+    def settled(t):  # phi' / (1+r) into g, phi'' / (1+r) into curv; True where a row may stop
+        np.maximum(np.add(alpha.T, np.multiply(d, t, out=base), out=base), 0.0, out=base)
+        np.multiply(np.power(base, rho, out=p), d, out=p).sum(axis=0, out=g)
+        np.copyto(lo, t, where=g < 0.0)
+        np.copyto(top, t, where=g > 0.0)
+        stop = lo >= np.multiply(top, 1.0 - 4.0 * eps, out=curv)
+        np.multiply(np.abs(p, out=p).sum(axis=0, out=curv), 8 * len(d) * eps, out=curv)
+        stop |= (g <= curv) & (g >= np.negative(curv, out=curv))
+        np.divide(np.abs(np.multiply(p, d, out=p), out=p), base, out=p, where=base > 0.0)
+        np.multiply(p.sum(axis=0, out=curv), rho, out=curv)
+        return stop
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf or nan steps bisect
+        done = settled(t) | (g <= 0.0)
+        np.copyto(t, 0.0, where=~done)
+        done |= settled(t) | (g >= 0.0)
+        for _ in range(100):
+            if done.all():
+                break
+            np.subtract(t, np.divide(g, curv, out=curv), out=curv)  # the Newton step
+            np.multiply(np.add(lo, top, out=g), 0.5, out=g)
+            np.copyto(curv, g, where=~((curv > lo) & (curv < top)))
+            np.copyto(t, curv, where=~done)
+            done |= settled(t)
+    return t
 
 
 def _e0_star_on_lattice(
@@ -711,23 +735,24 @@ def _e0_star_on_lattice(
     Each sweep moves mass from the worst input in the support to the best
     input, which alone is exact for two inputs; with more, a Newton step
     within the face of the support follows, which keeps ill-conditioned rho
-    from stalling. Both steps use an exact line search. A lattice point stops
-    once the Frank-Wolfe gap (1+rho)(F - min c), which bounds F(s) - min F,
-    is at most 1e-12 * F, or at most the rounding floor k (1+rho)^2 eps * F
-    of evaluating it from alpha^rho, which is larger only near the top of
-    the tail. Returns (E_0*, maximizing laws, relative gaps); unsettled
-    points after ``max_iter`` sweeps raise.
+    from stalling. Both steps take the bracketed Newton line search of
+    :func:`_line_min`, which stops at its rounding; the Frank-Wolfe gap
+    (1+rho)(F - min c), which bounds F(s) - min F, certifies each point. A
+    point stops once that gap is at most 1e-12 * F, or at most the rounding
+    floor k (1+rho)^2 eps * F of evaluating it from alpha^rho, which is larger
+    only near the top of the tail. Returns (E_0*, maximizing laws, relative
+    gaps); unsettled points after ``max_iter`` sweeps raise.
     """
     rhos = np.asarray(rhos, dtype=float)
     k = w.shape[0]
     tol = np.maximum(1e-12, k * (1.0 + rhos) ** 2 * np.finfo(float).eps)
-    wpow = np.power(w[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
     s = np.full((len(rhos), k), 1.0 / k)
     f = np.ones(len(rhos))
     gap = np.zeros(len(rhos))
     active = np.flatnonzero(rhos > 0.0)
+    wa = np.power(w[None, :, :], (1.0 / (1.0 + rhos[active]))[:, None, None])
     for _ in range(max_iter):
-        r, wa, sa = rhos[active, None], wpow[active], s[active]
+        r, sa = rhos[active, None], s[active]
         alpha = np.einsum("nx,nxy->ny", sa, wa)
         c = np.einsum("nxy,ny->nx", wa, np.power(alpha, r))
         f[active] = (sa * c).sum(axis=1)

@@ -99,13 +99,25 @@ class SimSpec:
 class Scenario:
     source_preset: str | None = None
     source_matrix: tuple[tuple[float, ...], ...] | None = None
-    channel_kind: str = "bsc"
+    channel_kind: str | None = None
     channel_param: float | None = None
     channel_matrix: tuple[tuple[float, ...], ...] | None = None
     grids: GridSpec = field(default_factory=GridSpec)
     tolerances: Tolerances = field(default_factory=Tolerances)
     sim: SimSpec = field(default_factory=SimSpec)
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse an incomplete channel with the ConfigError of :func:`parse_config`."""
+        kind = self.channel_kind
+        if kind not in ("bsc", "bec", "matrix"):
+            raise ConfigError("channel.kind is required" if kind is None
+                              else f"key 'channel.kind': must be bsc, bec, or matrix, got {kind!r}")
+        needed, refused = ("matrix", "param") if kind == "matrix" else ("param", "matrix")
+        if getattr(self, f"channel_{needed}") is None:
+            raise ConfigError(f"channel.kind = {kind} requires channel.{needed}")
+        if getattr(self, f"channel_{refused}") is not None:
+            raise ConfigError(f"channel.{refused} is not accepted with channel.kind = {kind}")
 
     def source_joint(self) -> JointDistribution:
         if self.source_preset is not None:
@@ -227,30 +239,12 @@ def parse_config(text: str) -> Scenario:
         )
     source_matrix = _parse_matrix(matrix_text, "source.matrix") if matrix_text else None
 
-    kind = entries.pop("channel.kind", None)
-    if kind is None:
-        raise ConfigError("channel.kind is required")
-    if kind not in ("bsc", "bec", "matrix"):
-        raise ConfigError(f"key 'channel.kind': must be bsc, bec, or matrix, got {kind!r}")
-    param_text = entries.pop("channel.param", None)
-    chan_matrix_text = entries.pop("channel.matrix", None)
-    if kind in ("bsc", "bec"):
-        if param_text is None:
-            raise ConfigError(f"channel.kind = {kind} requires channel.param")
-        if chan_matrix_text is not None:
-            raise ConfigError(f"channel.matrix is not accepted with channel.kind = {kind}")
-        param = _parse_float(param_text, "channel.param")
-        hi = 0.5 if kind == "bsc" else 1.0
-        if not 0.0 <= param <= hi:
-            raise ConfigError(f"key 'channel.param': {kind} needs a value in [0, {hi}], got {param!r}")
-        channel_matrix = None
-    else:
-        if chan_matrix_text is None:
-            raise ConfigError("channel.kind = matrix requires channel.matrix")
-        if param_text is not None:
-            raise ConfigError("channel.param is not accepted with channel.kind = matrix")
-        param = None
-        channel_matrix = _parse_matrix(chan_matrix_text, "channel.matrix")
+    kind, param, channel_matrix = (entries.pop(f"channel.{key}", None) for key in ("kind", "param", "matrix"))
+    param = None if param is None else _parse_float(param, "channel.param")
+    channel_matrix = _parse_matrix(channel_matrix, "channel.matrix") if channel_matrix else None
+    hi = {"bsc": 0.5, "bec": 1.0}.get(kind)
+    if hi is not None and param is not None and not 0.0 <= param <= hi:
+        raise ConfigError(f"key 'channel.param': {kind} needs a value in [0, {hi}], got {param!r}")
 
     grids = GridSpec(
         rate_step=_ranged_float(entries, "grids.rate_step", 1e-3, 0.0, 0.5, lo_open=True),

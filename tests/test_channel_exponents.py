@@ -566,6 +566,71 @@ def test_lattice_solvers_raise_when_unconverged():
         _e0_star_on_lattice(_RHO_TAIL, np.array(SPARSE_FOUR), max_iter=2)
 
 
+def _bisect_line_min(alpha, d, r, hi):
+    """argmin over t in [0, hi] of the convex sum_y (alpha + t d)_y^(1+r), row
+    by row, by 60 bisections on the sign of its derivative: the line search
+    E_0* once took, kept as the reference."""
+    slope = lambda t: (np.power(np.maximum(alpha + t[:, None] * d, 0.0), r) * d).sum(axis=1)
+    lo, top = np.zeros(len(hi)), hi
+    for _ in range(60):
+        mid = 0.5 * (lo + top)
+        down = slope(mid) < 0.0
+        lo, top = np.where(down, mid, lo), np.where(down, top, mid)
+    return np.where(slope(hi) <= 0.0, hi, 0.5 * (lo + top))
+
+
+# (alpha, d, rho, hi): the minimum at 0, the minimum at hi, an output emptying
+# exactly at hi with the minimum 2e-8 below it (rho = 0.1) and closer than
+# rounding (rho = 1e-4), and interior minima at rho = 1e-4 and rho = 100
+LINE_EDGE_ROWS = [
+    ((0.5, 0.5), (0.1, -0.05), 0.5, 0.5),
+    ((0.5, 0.5), (-0.1, 0.05), 0.5, 0.1),
+    ((0.3, 0.7), (-0.6, 0.1), 0.1, 0.5),
+    ((0.3, 0.7), (-0.6, 0.5), 1e-4, 0.5),
+    ((0.6, 0.4), (-0.2, 0.2), 1e-4, 1.0),
+    ((0.6, 0.4), (-0.2, 0.2), 100.0, 1.0),
+]
+
+
+def test_line_search_is_as_good_as_the_bisection_oracle(monkeypatch):
+    calls, real = [], channel_exponents._line_min
+    monkeypatch.setattr(channel_exponents, "_line_min",
+                        lambda *args: calls.append([a.copy() for a in args]) or real(*args))
+    for w in CERTIFIED_KERNELS + [np.array(ASYM_TWO)]:
+        for rhos in (_RHO_UNIT, _RHO_TAIL):
+            _e0_star_on_lattice(rhos, w)
+    # pairwise rows of seeded random 3 x 3 channels, rho log-uniform over the lattices
+    rng = np.random.default_rng(17)
+    s, w = rng.dirichlet(np.ones(3), size=500), rng.dirichlet(np.full(3, 0.5), size=(500, 3))
+    rho = np.exp(rng.uniform(np.log(1e-4), np.log(RHO_MAX), 500))[:, None]
+    wpow = np.power(w, 1.0 / (1.0 + rho)[:, :, None])
+    calls.append([np.einsum("nx,nxy->ny", s, wpow), wpow[:, 1] - wpow[:, 0], rho, s[:, 0]])
+    edges = [np.array(column, dtype=float) for column in zip(*LINE_EDGE_ROWS)]
+    calls.append([edges[0], edges[1], edges[2][:, None], edges[3]])
+    eps = np.finfo(float).eps
+    for alpha, d, r, hi in calls:
+        t, want = real(alpha, d, r, hi), _bisect_line_min(alpha, d, r, hi)
+        assert np.all((0.0 <= t) & (t <= hi))
+        phi = lambda t: (np.maximum(alpha + t[:, None] * d, 0.0) ** (1.0 + r)).sum(axis=1)
+        # phi rounds by about (1 + r) eps phi; the worst row came within 1.5 of that
+        assert np.all(phi(t) <= phi(want) * (1.0 + 4.0 * (1.0 + r[:, 0]) * eps))
+    assert t[0] == 0.0 and t[1] == hi[1]
+
+
+@pytest.mark.parametrize("w, most", [(ASYM_TWO, (16, 16)), (SPARSE_FOUR, (502 // 3, 877 // 3))],
+                         ids=["asym", "sparse4x4"])
+def test_e0_star_lattice_makes_few_power_calls(w, most, monkeypatch):
+    # the 60-bisection line search made 64 calls per lattice on ASYM_TWO, and
+    # 502 (unit) and 877 (tail) on SPARSE_FOUR
+    real = np.power
+    for rhos, limit in zip((_RHO_UNIT, _RHO_TAIL), most):
+        calls = []
+        monkeypatch.setattr(np, "power", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        _e0_star_on_lattice(rhos, np.array(w))
+        monkeypatch.undo()
+        assert 0 < len(calls) <= limit
+
+
 # ---------------------------------------------------------------------------
 # fixed-input Lagrangian: Newton solve against alternating minimization
 
@@ -1023,6 +1088,21 @@ def test_cc_lattice_subsets_and_stacks_keep_the_whole_lattice_floats(case):
                 continue
             got = _cc_e0_on_lattice(np.r_[rhos[idx], rhos[jdx]][order], laws[order], w, newton)[0]
             assert np.array_equal(got, np.r_[whole[0][idx], whole[1][jdx]][order])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, 3, 4])).flatmap(
+    lambda km: st.tuples(_stochastic(1, km[0]).map(lambda m: m[0]), _stochastic(*km),
+                         st.sets(st.integers(0, len(_CC_RHO_UNIT) - 1), min_size=1, max_size=40))
+))
+def test_cc_unit_lattice_subsets_keep_the_whole_lattice_floats(case):
+    # the swept sums over inputs run in sequence, not in an order numpy picks:
+    # einsum once summed the inputs of a one-output, one-point batch as a dot
+    s, w, picked = case
+    whole = _cc_e0_on_lattice(_CC_RHO_UNIT, s, w, False)
+    for idx in [np.array(sorted(picked))] + [np.array([k]) for k in sorted(picked)[:3]]:
+        got = _cc_e0_on_lattice(_CC_RHO_UNIT[idx], s, w, False)
+        _assert_same_floats(got, [part[idx] for part in whole])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

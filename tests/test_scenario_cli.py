@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siexp import channel_exponents, cli, source_si_exponents
 from siexp.errors import ConfigError, EvaluatorMismatchError, PremiseViolationError
@@ -122,6 +124,66 @@ def test_emit_parse_round_trip():
     ]
     for sc in scenarios:
         assert parse_config(emit_config(sc)) == sc
+
+
+IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "channel,text",
+    [
+        ({}, ""),
+        ({"channel_kind": "bsc"}, "channel.kind = bsc\n"),
+        ({"channel_kind": "bec", "channel_matrix": IDENTITY}, "channel.kind = bec\nchannel.matrix = 1 0 ; 0 1\n"),
+        ({"channel_kind": "matrix"}, "channel.kind = matrix\n"),
+        ({"channel_kind": "bsc", "channel_param": 0.1, "channel_matrix": IDENTITY},
+         "channel.kind = bsc\nchannel.param = 0.1\nchannel.matrix = 1 0 ; 0 1\n"),
+        ({"channel_kind": "matrix", "channel_param": 0.1, "channel_matrix": IDENTITY},
+         "channel.kind = matrix\nchannel.param = 0.1\nchannel.matrix = 1 0 ; 0 1\n"),
+        ({"channel_kind": "laplace", "channel_param": 0.1}, "channel.kind = laplace\nchannel.param = 0.1\n"),
+    ],
+)
+def test_scenario_refuses_an_incomplete_channel(channel, text):
+    # the dataclass once defaulted to a bsc with no crossover, which only
+    # channel_kernel() refused, with a TypeError
+    with pytest.raises(ConfigError) as built:
+        Scenario(source_preset="worked_example", **channel)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("source.preset = worked_example\n" + text)
+    assert str(built.value) == str(parsed.value)
+
+
+def _law_rows(rows, cols, joint=False):
+    """Rows of positive integer weights made a joint law or a row-stochastic matrix."""
+    def normalize(m):
+        m = np.array(m, dtype=float)
+        return tuple(map(tuple, (m / (m.sum() if joint else m.sum(axis=1, keepdims=True))).tolist()))
+    return st.lists(st.lists(st.integers(1, 1000), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(normalize)
+
+
+_unit = st.floats(0.0, 0.5, exclude_min=True)
+_channels = st.one_of(
+    st.builds(dict, channel_kind=st.just("bsc"), channel_param=st.floats(0.0, 0.5)),
+    st.builds(dict, channel_kind=st.just("bec"), channel_param=st.floats(0.0, 1.0)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda km: st.builds(dict, channel_kind=st.just("matrix"), channel_matrix=_law_rows(*km))),
+)
+_sources = st.one_of(
+    st.builds(dict, source_preset=st.just("worked_example")),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda ab: st.builds(dict, source_matrix=_law_rows(*ab, joint=True))),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sources, _channels, st.builds(GridSpec, _unit, _unit, st.integers(0, 4)),
+       st.builds(Tolerances, st.floats(0.0, 1.0, exclude_min=True)),
+       st.builds(SimSpec, st.sampled_from(["uniform", "optimized"]), st.integers(1, 10)),
+       st.integers(0, 2**31 - 1))
+def test_emit_parse_round_trips_every_valid_scenario(source, channel, grids, tolerances, sim, seed):
+    sc = Scenario(**source, **channel, grids=grids, tolerances=tolerances, sim=sim, seed=seed)
+    assert parse_config(emit_config(sc)) == sc
 
 
 def _readme_config_table():
