@@ -140,7 +140,6 @@ class ChannelExponentResult:
     rho: float | None = None
     minimizer: ConditionalDistribution | None = None
     diverged: bool = False
-    constraint_active: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +369,12 @@ def _primal_tables(s: Distribution, w: ConditionalDistribution, step: float):
     return grid, d, i
 
 
-def _result_from_primal(rate, value, idx, grid, method_note_active):
+def _result_from_primal(rate, value, idx, grid):
     return ChannelExponentResult(
         rate=rate,
         value=float(value),
         method="primal_grid",
         minimizer=ConditionalDistribution(grid[idx]) if np.isfinite(value) else None,
-        constraint_active=method_note_active,
     )
 
 
@@ -403,7 +401,7 @@ def random_coding_exponent(
         grid, d, i = _primal_tables(s, w, grid_step)
         vals = d + np.maximum(i - r, 0.0)
         idx = int(np.argmin(vals))
-        return _result_from_primal(r, vals[idx], idx, grid, bool(i[idx] >= r - 1e-12))
+        return _result_from_primal(r, vals[idx], idx, grid)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -432,7 +430,7 @@ def sphere_packing_exponent(
             return ChannelExponentResult(rate=r, value=math.inf, method=method, diverged=True)
         vals = np.where(feasible, d, np.inf)
         idx = int(np.argmin(vals))
-        return _result_from_primal(r, vals[idx], idx, grid, bool(i[idx] >= r - 1e-9))
+        return _result_from_primal(r, vals[idx], idx, grid)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -21,7 +21,7 @@ import sys
 
 from .errors import BudgetError, ConfigError, PremiseViolationError
 from .scenario import (
-    emit_curves,
+    curve_table,
     load_scenario,
     report,
     reproduce_fig1,
@@ -102,7 +102,7 @@ def _checked_step(value: float | None) -> float | None:
 
 def _dispatch(args: argparse.Namespace) -> str:
     if args.command == "curves":
-        return emit_curves(load_scenario(args.config), rate_step=_checked_step(args.rate_step))
+        return curve_table(load_scenario(args.config), rate_step=_checked_step(args.rate_step))
     if args.command == "report":
         return report(
             load_scenario(args.config),

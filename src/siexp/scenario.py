@@ -289,7 +289,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _matrix_text(rows: tuple[tuple[float, ...], ...]) -> str:
-    return " ; ".join(" ".join(repr(v) for v in row) for row in rows)
+    return " ; ".join(" ".join(repr(float(v)) for v in row) for row in rows)
 
 
 def emit_config(s: Scenario) -> str:
@@ -301,13 +301,13 @@ def emit_config(s: Scenario) -> str:
         lines.append(f"source.matrix = {_matrix_text(s.source_matrix)}")
     lines.append(f"channel.kind = {s.channel_kind}")
     if s.channel_param is not None:
-        lines.append(f"channel.param = {s.channel_param!r}")
+        lines.append(f"channel.param = {float(s.channel_param)!r}")
     if s.channel_matrix is not None:
         lines.append(f"channel.matrix = {_matrix_text(s.channel_matrix)}")
-    lines.append(f"grids.rate_step = {s.grids.rate_step!r}")
-    lines.append(f"grids.simplex_step = {s.grids.simplex_step!r}")
+    lines.append(f"grids.rate_step = {float(s.grids.rate_step)!r}")
+    lines.append(f"grids.simplex_step = {float(s.grids.simplex_step)!r}")
     lines.append(f"grids.refinement_levels = {s.grids.refinement_levels}")
-    lines.append(f"tolerances.matching = {s.tolerances.matching!r}")
+    lines.append(f"tolerances.matching = {float(s.tolerances.matching)!r}")
     lines.append(f"sim.rule = {s.sim.rule}")
     lines.append(f"sim.n_cap = {s.sim.n_cap}")
     lines.append(f"seed = {s.seed}")
@@ -366,11 +366,6 @@ def curve_table(
         row = (rates[k], el[k], eu[k], er[k], esp[k], sum_r[k], sum_sp[k])
         lines.append(",".join(format_number(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def emit_curves(scenario: Scenario, rate_step: float | None = None) -> str:
-    """Curve table with the fixed column set."""
-    return curve_table(scenario, rate_step)
 
 
 def report(scenario: Scenario, nested: bool = False, rate_step: float | None = None) -> str:

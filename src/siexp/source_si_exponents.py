@@ -30,7 +30,6 @@ from .channel_exponents import constant_composition_e0, sphere_packing_exponent
 from .numerics import (
     concave_dual_max,
     conditional_grid,
-    golden_section_max,
     hinge_min_increasing,
     min_where_constraint_at_least,
     simplex_grid,
@@ -123,90 +122,34 @@ def e_lower(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _pairwise_descent(q: np.ndarray, p_flat: np.ndarray, r: float, na: int, nb: int):
-    """Polish a feasible joint law by golden-section mass transfers between
-    cell pairs, keeping H(A|B) >= r. The objective is convex along every such
-    line and the feasible slice is an interval, so each 1-D step is exact."""
-
-    def objective(flat):
-        if flat.min() < -1e-15:
-            return math.inf
-        h = entropy_bits(flat) - entropy_bits(flat.reshape(na, nb).sum(axis=0))
-        if h < r - 1e-12:
-            return math.inf
-        return kl_bits(np.maximum(flat, 0.0), p_flat)
-
-    best = q.copy()
-    best_val = objective(best)
-    cells = len(q)
-    for _ in range(60):
-        improved = False
-        for i in range(cells):
-            for j in range(cells):
-                if i == j:
-                    continue
-                span = best[i]
-                if span <= 0:
-                    continue
-
-                def along(t):
-                    cand = best.copy()
-                    cand[i] -= t
-                    cand[j] += t
-                    return -objective(cand)
-
-                t_star, neg = golden_section_max(along, 0.0, span, xtol=1e-12)
-                if -neg < best_val - 1e-14:
-                    best[i] -= t_star
-                    best[j] += t_star
-                    best_val = -neg
-                    improved = True
-        if not improved:
-            break
-    return np.maximum(best, 0.0), best_val
-
-
 def e_upper(
     r: float,
     p: JointDistribution,
     method: str = "primal_grid",
     grid_step: float = 0.01,
-    refine: bool = True,
 ) -> SourceExponentResult:
-    """Constrained-form exponent: min D(Q||P) over H_Q(A|B) >= r."""
+    """Constrained-form exponent: min D(Q||P) over H_Q(A|B) >= r. The primal
+    route returns the grid minimum, like :func:`e_lower`."""
+    if method not in ("primal_grid", "gallager_dual"):
+        raise ValueError(f"unknown method {method!r}")
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if _at_or_above_lossless_rate(r, p):
         return SourceExponentResult(rate=r, value=math.inf, method=method, diverged=True)
     if method == "gallager_dual":
         return e_upper_dual(r, p)
-    if method != "primal_grid":
-        raise ValueError(f"unknown method {method!r}")
 
-    na, nb = p.shape
     flat, d, h_cond = _joint_tables(p, grid_step)
     feasible = h_cond >= r - 1e-12
     if not np.any(feasible):
         return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
     vals = np.where(feasible, d, np.inf)
     idx = int(np.argmin(vals))
-    best = flat[idx].copy()
-    best_val = float(vals[idx])
-    if refine and math.isfinite(best_val):
-        p_flat = p.matrix.reshape(-1)
-        seeds = [best]
-        h_p = float(entropy_bits(p_flat) - entropy_bits(p.matrix.sum(axis=0)))
-        if h_p >= r - 1e-12:
-            seeds.append(p_flat.copy())
-        for seed in seeds:
-            polished, val = _pairwise_descent(seed, p_flat, r, na, nb)
-            if val < best_val:
-                best, best_val = polished, val
     return SourceExponentResult(
         rate=r,
-        value=best_val,
+        value=float(vals[idx]),
         method=method,
-        minimizer=JointDistribution(best.reshape(na, nb)),
+        minimizer=JointDistribution(flat[idx].reshape(p.shape)),
     )
 
 
@@ -290,6 +233,8 @@ def e_upper_fixed_marginal(
     rather than the E_0 form, which is only a lower bound off its maximizing
     input and would break the ordering against the unconstrained exponent.
     """
+    if method not in ("primal_grid", "gallager_dual"):
+        raise ValueError(f"unknown method {method!r}")
     na, nb = p.shape
     if q_a.size != na:
         raise ValueError("marginal alphabet does not match the joint law")
@@ -314,8 +259,6 @@ def e_upper_fixed_marginal(
             diverged=diverged,
         )
 
-    if method != "primal_grid":
-        raise ValueError(f"unknown method {method!r}")
     joints, flat, h_cond = _fixed_marginal_joints(q_a, conditional_grid(na, nb, grid_step))
     d = kl_bits(flat, p.matrix.reshape(-1)[None, :], axis=1)
     vals = np.where(h_cond >= r - 1e-12, d, np.inf)
@@ -368,8 +311,8 @@ def independent_si_exponent(
     """Exponent when the side information is independent of the source, which
     reduces to compressing A alone: min D(Q||P_A) over H(Q) >= r. A side
     letter independent of A carries nothing, so this is :func:`e_upper` of
-    P_A as a joint law with one column, its grid unrefined."""
-    return e_upper(r, JointDistribution(p_a.probs[:, None]), method, grid_step, refine=False)
+    P_A as a joint law with one column."""
+    return e_upper(r, JointDistribution(p_a.probs[:, None]), method, grid_step)
 
 
 # ---------------------------------------------------------------------------

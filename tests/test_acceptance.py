@@ -207,7 +207,7 @@ def test_2_flat_bound_minimum_matching_and_separation():
     argmin_joint = argmax_sep = math.nan
     for step in (0.02, 0.01, 0.005):
         sums = [
-            e_upper(float(rr), p, "primal_grid", step, refine=False).value
+            e_upper(float(rr), p, "primal_grid", step).value
             + random_coding_exponent(float(rr), s_x, w, "primal_grid", step).value
             for rr in win_joint
         ]
@@ -283,7 +283,7 @@ def test_3_primal_dual_agreement_on_random_instances():
         r_s = hc + (1.0 - hc) * float(rng.uniform(0.2, 0.8))
         eu_dual = e_upper_dual(r_s, p).value
         gaps_s = [
-            e_upper(r_s, p, "primal_grid", g, refine=False).value - eu_dual
+            e_upper(r_s, p, "primal_grid", g).value - eu_dual
             for g in steps
         ]
 

@@ -121,6 +121,15 @@ def test_emit_parse_round_trip():
             seed=12345,
         ),
         Scenario(source_preset="worked_example", channel_kind="bec", channel_param=0.3),
+        # numpy floats subclass float, but their repr is no config number
+        Scenario(
+            source_matrix=tuple(map(tuple, np.array([[0.4, 0.1], [0.2, 0.3]]))),
+            channel_kind="matrix",
+            channel_matrix=tuple(map(tuple, np.array([[0.9, 0.1], [0.2, 0.8]]))),
+            grids=GridSpec(rate_step=np.float64(0.01), simplex_step=np.float64(0.05)),
+            tolerances=Tolerances(matching=np.float64(1e-3)),
+        ),
+        Scenario(source_preset="worked_example", channel_kind="bec", channel_param=np.float64(0.9)),
     ]
     for sc in scenarios:
         assert parse_config(emit_config(sc)) == sc

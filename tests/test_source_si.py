@@ -97,15 +97,26 @@ def test_e_upper_infinite_at_log_alphabet():
     assert independent_si_exponent(1.0, Distribution.uniform(2)).value == math.inf
 
 
+@pytest.mark.parametrize("r", [0.3, 1.0, 1.5])
+def test_unknown_method_is_refused_at_every_rate(r):
+    # from log2|A| up the value is infinite whatever the method, so the
+    # method has to be checked before the rate
+    p = worked()
+    with pytest.raises(ValueError, match="unknown method"):
+        e_upper(r, p, method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        e_upper_fixed_marginal(r, p, Distribution.uniform(2), method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        independent_si_exponent(r, Distribution.uniform(2), method="bogus")
+
+
 def test_e_upper_primal_vs_dual_sandwich():
     p = worked()
     for r in (0.3, 0.48, 0.6):
         dual = e_upper_dual(r, p).value
-        primal = e_upper(r, p, grid_step=0.005, refine=False).value
+        primal = e_upper(r, p, grid_step=0.005).value
         assert primal >= dual - 1e-9  # grid restricts the minimization
         assert primal - dual <= 5e-3
-        refined = e_upper(r, p, grid_step=0.01).value
-        assert dual - 1e-9 <= refined <= primal + 1e-12
 
 
 def test_e_upper_dominates_e_lower():
@@ -124,13 +135,31 @@ def test_primal_vs_dual_on_random_joints():
         hc = conditional_entropy(p)
         r = float(hc + (1.0 - hc) * rng.uniform(0.2, 0.8))
         dual = e_upper_dual(r, p).value
-        primal = e_upper(r, p, grid_step=0.005, refine=False).value
+        primal = e_upper(r, p, grid_step=0.005).value
         assert primal >= dual - 1e-9
         assert primal - dual <= 5e-3
         lo_dual = e_lower(r, p, method="gallager_dual").value
         lo_primal = e_lower(r, p, method="primal_grid", grid_step=0.005).value
         assert lo_primal >= lo_dual - 1e-9
         assert lo_primal - lo_dual <= 5e-3
+
+
+def test_primal_vs_dual_past_binary_alphabets():
+    # resolutions 20 | 40 nest, so the finer grid contains the coarser one
+    # and the primal minimum can only come down toward the dual value
+    rng = np.random.default_rng(20261020)
+    for shape in ((2, 3), (3, 2), (2, 3), (3, 2)):
+        m = rng.random(shape) + 0.05
+        p = JointDistribution(m / m.sum())
+        hc = conditional_entropy(p)
+        r = hc + (math.log2(shape[0]) - hc) * float(rng.uniform(0.2, 0.8))
+        for primal, dual in (
+            (e_upper, e_upper_dual(r, p).value),
+            (e_lower, e_lower(r, p, method="gallager_dual").value),
+        ):
+            gaps = [primal(r, p, "primal_grid", g).value - dual for g in (0.05, 0.025)]
+            assert min(gaps) >= -1e-9, (shape, primal.__name__, gaps)
+            assert gaps[1] <= gaps[0] + 1e-12, (shape, primal.__name__, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +197,7 @@ def test_source_primal_curves_match_per_rate():
             e_lower(float(r), p, method="primal_grid", grid_step=0.02).value, abs=1e-12
         )
         assert eu[i] == pytest.approx(
-            e_upper(float(r), p, method="primal_grid", grid_step=0.02, refine=False).value,
+            e_upper(float(r), p, method="primal_grid", grid_step=0.02).value,
             abs=1e-12,
         )
 
