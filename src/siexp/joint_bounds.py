@@ -257,6 +257,11 @@ class _Payoff:
         self.pending[rows] = (curve.pending | self.source.pending) & np.isfinite(self.table[rows])
         return rows
 
+    def max_min_floor(self) -> float:
+        """max over rows of min over R of the current entries. No entry falls
+        when a tail is solved, so this bounds the exact max-min from below."""
+        return float(np.where(np.isfinite(self.table), self.table, np.inf).min(axis=1).max())
+
 
 class NestedEvaluator:
     """Per-input channel curves, per-marginal source curves and the
@@ -395,6 +400,14 @@ def _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax)
     windows five times finer around the max-min incumbent (and, with
     `follow_minmax`, around the min-max one) against the coarse S_X grid plus
     a finer window around the max-min S_X.
+
+    Without `follow_minmax`, each level visits its Q_A grid best first, by
+    the max-min of the payoff's current entries (`_Payoff.max_min_floor`),
+    a lower bound on the exact one, and stops at the first Q_A whose bound
+    exceeds the incumbent: neither it nor any later one can be the minimum.
+    Each visited Q_A is solved exactly and ties go to the first grid index,
+    so the result is the grid-order scan's. With `follow_minmax` every Q_A
+    is visited in grid order, as the largest inner gap needs them all.
     """
     sx_coarse = simplex_grid(ev.w.input_size, sx_step)
     qa_grid, sx_grid = simplex_grid(ev.p.shape[0], qa_step), sx_coarse
@@ -413,11 +426,18 @@ def _nested_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax)
             sx_span /= 5.0
         best_maxmin = best_minmax = (math.inf, None, None, None)
         ev.solve_sources(qa_grid)
-        for qa_arr in qa_grid:
+        keys = np.full(len(qa_grid), -math.inf)
+        if not follow_minmax:
+            keys = np.array([ev.payoff(q, sx_grid, which).max_min_floor() for q in qa_grid])
+        best_at = len(qa_grid)
+        for i in np.argsort(keys, kind="stable"):
+            if keys[i] > best_maxmin[0]:
+                break  # this Q_A's max-min, and every later one's, exceeds the incumbent
+            qa_arr = qa_grid[i]
             pay = ev.payoff(qa_arr, sx_grid, which)
             maxmin_qa, s_idx, rate = _max_min(pay, ev.rates)
-            if maxmin_qa < best_maxmin[0]:
-                best_maxmin = (maxmin_qa, qa_arr, sx_grid[s_idx], rate)
+            if math.isfinite(maxmin_qa) and (maxmin_qa, i) < (best_maxmin[0], best_at):
+                best_maxmin, best_at = (maxmin_qa, qa_arr, sx_grid[s_idx], rate), i
             if not follow_minmax:
                 continue
             minmax_qa, r_idx, s_at = _min_max(pay)
@@ -440,6 +460,11 @@ def theorem1_bounds(
 ) -> JointBoundResult:
     """Nested bounds min_{Q_A} max_{S_X} min_R of (fixed-marginal source
     exponent + channel exponent), with grid refinement around incumbents.
+
+    Each grid of marginals is searched best first and cut off once a lower
+    bound on a Q_A's value exceeds the best found, so no tail lattice is
+    solved for a Q_A that bound rules out; the values, rates, marginal and
+    input law are those of the exhaustive scan.
 
     Pass an `evaluator` built for (p, w, rate_step) to share its curves with
     other calls; without one, a fresh evaluator serves this call alone."""

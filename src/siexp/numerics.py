@@ -15,7 +15,8 @@ from .errors import BudgetError
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Hard cap on enumerated grid points; primal sweeps past this are a sign the
-# caller wants a coarser step, not a bigger machine.
+# caller wants a coarser step, not a bigger machine. It counts points, not
+# bytes: the primal source oracle peaks at about 3.3 times its grid array.
 GRID_POINT_BUDGET = 4_000_000
 
 

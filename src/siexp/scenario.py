@@ -140,7 +140,7 @@ class Scenario:
 
     def channel_label(self) -> str:
         if self.channel_kind in ("bsc", "bec"):
-            return f"{self.channel_kind}({self.channel_param!r})"
+            return f"{self.channel_kind}({float(self.channel_param)!r})"
         rows = len(self.channel_matrix)
         cols = len(self.channel_matrix[0])
         return f"matrix {rows}x{cols}"

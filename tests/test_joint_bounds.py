@@ -189,6 +189,149 @@ def test_lazy_tails_give_the_fully_solved_results(case, monkeypatch):
         assert any(np.isinf(esp.values).any() for _, esp in eager_ev._channel.values())
 
 
+def _grid_order_sweep(ev, qa_step, sx_step, refinement_levels, which, follow_minmax):
+    """Reference for `joint_bounds._nested_sweep`: every Q_A of every level
+    solved in grid order, the first strict improvement kept."""
+    sx_coarse = simplex_grid(ev.w.input_size, sx_step)
+    qa_grid, sx_grid = simplex_grid(ev.p.shape[0], qa_step), sx_coarse
+    qa_span, sx_span = qa_step, sx_step
+    worst_inner = 0.0
+    for level in range(max(0, refinement_levels) + 1):
+        if level:
+            if best_maxmin[1] is None:
+                break
+            centers = [best_maxmin[1]]
+            if follow_minmax and best_minmax[1] is not None:
+                centers.append(best_minmax[1])
+            qa_grid = np.vstack([joint_bounds._fine_window(c, qa_span) for c in centers])
+            sx_grid = np.vstack([sx_coarse, joint_bounds._fine_window(best_maxmin[2], sx_span)])
+            qa_span /= 5.0
+            sx_span /= 5.0
+        best_maxmin = best_minmax = (math.inf, None, None, None)
+        ev.solve_sources(qa_grid)
+        for qa_arr in qa_grid:
+            pay = ev.payoff(qa_arr, sx_grid, which)
+            maxmin_qa, s_idx, rate = joint_bounds._max_min(pay, ev.rates)
+            if maxmin_qa < best_maxmin[0]:
+                best_maxmin = (maxmin_qa, qa_arr, sx_grid[s_idx], rate)
+            if not follow_minmax:
+                continue
+            minmax_qa, r_idx, s_at = joint_bounds._min_max(pay)
+            if math.isfinite(maxmin_qa) and math.isfinite(minmax_qa):
+                worst_inner = max(worst_inner, minmax_qa - maxmin_qa)
+            if minmax_qa < best_minmax[0]:
+                best_minmax = (minmax_qa, qa_arr, sx_grid[s_at], float(ev.rates[r_idx]))
+    return best_maxmin, best_minmax, worst_inner
+
+
+WIDE_CHANNEL = ((0.7, 0.1, 0.2), (0.1, 0.7, 0.2), (0.2, 0.2, 0.6), (0.3, 0.3, 0.4))
+MIRROR_JOINT = ((0.45, 0.05), (0.05, 0.45))
+
+SWEEP_ORACLE_CASES = {
+    **{case: (joint, channel, (rate_step, 0.1, sx_step, 1))
+       for case, (joint, channel, rate_step, sx_step) in LAZY_TAIL_CASES.items()},
+    "wide-channel": (WORKED_JOINT, WIDE_CHANNEL, (0.1, 0.1, 0.1, 1)),
+    # one source letter: no rate is lossy, so every Q_A's value is infinite
+    "one-letter-source": (((0.4, 0.6),), ASYM_CHANNEL, (0.1, 0.1, 0.1, 1)),
+    # noiseless: E_sp is infinite below R = 1 at the uniform input, so every
+    # sphere-packing value is
+    "noiseless-sphere": (WORKED_JOINT, ((1.0, 0.0), (0.0, 1.0)), (0.1, 0.1, 0.1, 1)),
+    # 0.5 is on neither Q_A grid: the mirror points tie at 0.4|0.6 and 0.48|0.52
+    "mirror-ties": (MIRROR_JOINT, ((0.975, 0.025), (0.025, 0.975)), (0.05, 0.2, 0.1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_ORACLE_CASES))
+def test_nested_sweep_equals_the_grid_order_scan(case, monkeypatch):
+    joint, channel, grids = SWEEP_ORACLE_CASES[case]
+    p, w = JointDistribution(np.array(joint)), ConditionalDistribution(np.array(channel))
+
+    def calls():
+        return [theorem1_bounds(p, w, *grids), game_solve(p, w, "random", *grids),
+                game_solve(p, w, "sphere", *grids)]
+
+    got = calls()
+    monkeypatch.setattr(joint_bounds, "_nested_sweep", _grid_order_sweep)
+    # dataclass equality compares every field, floats exactly
+    assert got == calls()
+    nested, _, sphere = got
+    if case == "one-letter-source":
+        assert nested.q_a_star is None and nested.s_x_star is None
+        assert nested.reliability_flag == joint_bounds.ALL_INFINITE_FLAG
+    if case == "noiseless-sphere":
+        assert (nested.upper, nested.r_star_upper) == (math.inf, None)
+        assert sphere.q_a_star is None and math.isinf(sphere.maxmin_value)
+    if case == "mirror-ties":
+        assert nested.q_a_star == Distribution(np.array([0.48, 0.52]))
+        ev = NestedEvaluator(p, w, grids[0])
+        sx_grid = simplex_grid(2, grids[2])
+        ties = [joint_bounds._max_min(ev.payoff(np.array(q), sx_grid, 0), ev.rates)[0]
+                for q in ((0.4, 0.6), (0.6, 0.4))]
+        assert ties[0] == ties[1]
+
+
+def test_best_first_sweep_gives_ties_to_the_first_grid_index():
+    # Q_A = (1, 0), last in grid order, has the lowest order key, and its
+    # tail raises it to tie (0, 1): it is solved first, yet (0, 1) wins
+    sources = {(0.0, 1.0): ([1.0, 3.0], [False, False], []),
+               (0.5, 0.5): ([2.0, 3.0], [False, False], []),
+               (1.0, 0.0): ([0.0, 3.0], [True, False], [1.0])}
+
+    def payoff(qa_arr, sx_grid, which):
+        values, pending, tail = sources[tuple(qa_arr)]
+        source = joint_bounds._Curve(np.array(values), np.array(pending), lambda: np.array(tail))
+        row = joint_bounds._Curve(np.zeros(2), np.zeros(2, dtype=bool), None)
+        return joint_bounds._Payoff(source, [row] * len(sx_grid))
+
+    ev = NestedEvaluator(JointDistribution(np.array(WORKED_JOINT)), bsc(0.1), 0.5)
+    ev.solve_sources, ev.payoff = lambda qa_grid: None, payoff
+    for sweep in (joint_bounds._nested_sweep, _grid_order_sweep):
+        (value, qa_arr, _, rate), _, _ = sweep(ev, 0.5, 0.5, 0, 0, False)
+        assert (value, tuple(qa_arr), rate) == (1.0, (0.0, 1.0), 0.0)
+
+
+# the benchmark pairs: the worked source over both benchmark channels
+BENCHMARK_NESTED = [(ASYM_CHANNEL, 0.1), (((0.975, 0.025), (0.025, 0.975)), 1e-3)]
+
+
+@pytest.mark.parametrize("channel,rate_step", BENCHMARK_NESTED)
+def test_nested_bounds_solve_no_whole_tail(channel, rate_step, monkeypatch):
+    p, w = JointDistribution(np.array(WORKED_JOINT)), ConditionalDistribution(np.array(channel))
+    whole_tails = []
+    real = channel_exponents._cc_e0_on_lattice
+
+    def spy(rhos, *args):
+        whole_tails.append(np.array_equal(rhos, channel_exponents._CC_RHO_TAIL))
+        return real(rhos, *args)
+
+    monkeypatch.setattr(channel_exponents, "_cc_e0_on_lattice", spy)
+    theorem1_bounds(p, w, rate_step)
+    # a grid-order scan solves 22 and 27 whole tails here, most for Q_A whose
+    # lower bound already exceeds the minimum
+    assert len(whole_tails) > 0 and sum(whole_tails) == 0
+
+
+@pytest.mark.parametrize("channel,rate_step", BENCHMARK_NESTED)
+def test_nested_sweep_order_keys_bound_the_exact_values(channel, rate_step, monkeypatch):
+    p, w = JointDistribution(np.array(WORKED_JOINT)), ConditionalDistribution(np.array(channel))
+    keyed = []
+    real = joint_bounds._Payoff.max_min_floor
+
+    def spy(pay):
+        keyed.append((pay, real(pay)))
+        return keyed[-1][1]
+
+    monkeypatch.setattr(joint_bounds._Payoff, "max_min_floor", spy)
+    ev = NestedEvaluator(p, w, rate_step)
+    theorem1_bounds(p, w, rate_step, evaluator=ev)
+    assert keyed
+    for pay, key in keyed:
+        for curve in [pay.source, *pay.rows]:
+            curve.resolve()
+        pay._update()
+        assert key <= joint_bounds._max_min(pay, ev.rates)[0]
+
+
 # small integers tie often, which exercises the first-index rules
 _tie_values = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
 

@@ -135,6 +135,15 @@ def test_emit_parse_round_trip():
         assert parse_config(emit_config(sc)) == sc
 
 
+@pytest.mark.parametrize("kind,param", [("bsc", 0.025), ("bec", 0.3)])
+def test_report_header_prints_a_numpy_parameter_as_a_plain_float(kind, param):
+    plain = Scenario(source_preset="worked_example", channel_kind=kind, channel_param=param)
+    numpy_param = dataclasses.replace(plain, channel_param=np.float64(param))
+    assert numpy_param.channel_label() == f"{kind}({param!r})"
+    # the same floats give the same report bytes
+    assert report(numpy_param, rate_step=0.1) == report(plain, rate_step=0.1)
+
+
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 
