@@ -21,6 +21,7 @@ import sys
 
 from .errors import BudgetError, ConfigError, PremiseViolationError
 from .scenario import (
+    CONFIG_KEYS,
     curve_table,
     load_scenario,
     report,
@@ -46,13 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     def add_rate_step(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--rate-step",
-            type=float,
-            default=None,
-            dest="rate_step",
-            help="override the scenario's rate grid step",
-        )
+        sp.add_argument("--rate-step", type=float, help="override the scenario's rate grid step")
 
     curves = sub.add_parser("curves", help="emit the exponent-curve table")
     curves.add_argument("--config", required=True, help="scenario config file")
@@ -93,22 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _checked_step(value: float | None) -> float | None:
-    if value is None:
-        return None
-    if not 0.0 < value <= 0.5:
-        raise ConfigError(f"--rate-step must lie in (0, 0.5], got {value!r}")
+    lo, hi = CONFIG_KEYS["grids.rate_step"][1]
+    if value is not None and not lo < value <= hi:
+        raise ConfigError(f"--rate-step must lie in ({lo:g}, {hi:g}], got {value!r}")
     return value
 
 
 def _dispatch(args: argparse.Namespace) -> str:
+    step = _checked_step(getattr(args, "rate_step", None))
     if args.command == "curves":
-        return curve_table(load_scenario(args.config), rate_step=_checked_step(args.rate_step))
+        return curve_table(load_scenario(args.config), rate_step=step)
     if args.command == "report":
-        return report(
-            load_scenario(args.config),
-            nested=args.nested,
-            rate_step=_checked_step(args.rate_step),
-        )
+        return report(load_scenario(args.config), nested=args.nested, rate_step=step)
     if args.command == "simulate":
         if args.n < 1:
             raise ConfigError(f"--n must be at least 1, got {args.n}")
@@ -121,11 +112,9 @@ def _dispatch(args: argparse.Namespace) -> str:
             seed_count=args.seeds,
         )
     if args.command == "reproduce-fig1":
-        step = _checked_step(args.rate_step)
-        return reproduce_fig1(1e-3 if step is None else step)
+        return reproduce_fig1() if step is None else reproduce_fig1(step)
     if args.command == "reproduce-fig2":
-        step = _checked_step(args.rate_step)
-        return reproduce_fig2(1e-3 if step is None else step)
+        return reproduce_fig2() if step is None else reproduce_fig2(step)
     raise AssertionError(f"unreachable command {args.command!r}")
 
 

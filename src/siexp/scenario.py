@@ -16,9 +16,10 @@ dotted sections, chosen to be hand-editable and diff-friendly:
     seed = 0
 
 Parsing is strict: unknown keys, duplicate keys, and out-of-range values are
-rejected with the offending key named. ``parse_config(emit_config(s)) == s``
-holds exactly because the scenario stores the raw parsed numbers and ``repr``
-round-trips floats.
+rejected with the offending key named. ``CONFIG_KEYS`` gives each key its type
+and range, and parsing, emission and the checks that a ``Scenario`` makes when
+it is built all read it. So every scenario that can be built round-trips:
+``parse_config(emit_config(s)) == s`` exactly, as ``repr`` round-trips floats.
 
 All emitters in this module produce byte-identical output for a fixed
 scenario: numbers are printed with 9 significant digits, infinities as
@@ -59,22 +60,66 @@ PRESET_SOURCES: dict[str, tuple[tuple[float, ...], ...]] = {
     "worked_example": ((0.50, 0.00), (0.05, 0.45)),
 }
 
-_KNOWN_KEYS = frozenset(
-    {
-        "source.preset",
-        "source.matrix",
-        "channel.kind",
-        "channel.param",
-        "channel.matrix",
-        "grids.rate_step",
-        "grids.simplex_step",
-        "grids.refinement_levels",
-        "tolerances.matching",
-        "sim.rule",
-        "sim.n_cap",
-        "seed",
-    }
-)
+
+# Each config key in emission order, its value's type (a matrix: tuple of row
+# tuples) and range: allowed words, or a number's bounds, open at lo for a float.
+# Scenario checks the preset name and channel.param's range (by channel.kind).
+CONFIG_KEYS: dict[str, tuple[type, tuple]] = {
+    "source.preset": (str, ()),
+    "source.matrix": (tuple, ()),
+    "channel.kind": (str, ("bsc", "bec", "matrix")),
+    "channel.param": (float, ()),
+    "channel.matrix": (tuple, ()),
+    "grids.rate_step": (float, (0.0, 0.5)),
+    "grids.simplex_step": (float, (0.0, 0.5)),
+    "grids.refinement_levels": (int, (0, 4)),
+    "tolerances.matching": (float, (0.0, 1.0)),
+    "sim.rule": (str, ("uniform", "optimized")),
+    "sim.n_cap": (int, (1, 10)),
+    "seed": (int, (0, 2**31 - 1)),
+}
+_KNOWN_KEYS = frozenset(CONFIG_KEYS)
+
+
+def _number(typ: type, key: str, token: str):
+    try:
+        val = typ(token)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {token!r} is not {'an integer' if typ is int else 'a number'}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"key {key!r}: value must be finite, got {token!r}")
+    return val
+
+
+def _parse(key: str, token: str):
+    """The value of ``key`` that ``token`` writes; a token that writes no
+    value in the key's range raises ConfigError."""
+    typ, allowed = CONFIG_KEYS[key]
+    if typ is tuple:
+        rows = tuple(tuple(_number(float, key, tok) for tok in row.split()) for row in token.split(";"))
+        if not all(rows):
+            raise ConfigError(f"key {key!r}: empty row")
+        if len({len(row) for row in rows}) != 1:
+            raise ConfigError(f"key {key!r}: rows have unequal lengths")
+        return rows
+    if typ is str:
+        if allowed and token not in allowed:
+            *head, last = allowed
+            words = f"{', '.join(head)}{',' if len(head) > 1 else ''} or {last}"
+            raise ConfigError(f"key {key!r}: must be {words}, got {token!r}")
+        return token
+    val = _number(typ, key, token)
+    if allowed and not ((allowed[0] < val if typ is float else allowed[0] <= val) and val <= allowed[1]):
+        bracket = "(" if typ is float else "["
+        raise ConfigError(f"key {key!r}: must lie in {bracket}{allowed[0]}, {allowed[1]}], got {val!r}")
+    return val
+
+
+def _token(typ: type, val) -> str:
+    """The config text of a ``typ`` value, a float's as a plain Python float."""
+    if typ is tuple:
+        return " ; ".join(" ".join(repr(float(v)) for v in row) for row in val)
+    return repr(float(val)) if typ is float else str(val)
 
 
 @dataclass(frozen=True)
@@ -95,8 +140,22 @@ class SimSpec:
     n_cap: int = 8
 
 
+_SECTIONS = {"grids": GridSpec, "tolerances": Tolerances, "sim": SimSpec}
+
+
+def _value(s: Scenario, key: str):
+    """The value that ``s`` holds for the config ``key``."""
+    section, _, name = key.partition(".")
+    return getattr(getattr(s, section), name) if section in _SECTIONS else getattr(s, key.replace(".", "_"))
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """One source/channel pair with its grids, tolerances and seed. Building
+    one refuses what parse_config refuses, with the same ConfigError, and any
+    value that its config text reads back as another (a matrix must be a tuple
+    of row tuples), so parse_config(emit_config(s)) == s for every Scenario."""
+
     source_preset: str | None = None
     source_matrix: tuple[tuple[float, ...], ...] | None = None
     channel_kind: str | None = None
@@ -108,16 +167,34 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse an incomplete channel with the ConfigError of :func:`parse_config`."""
-        kind = self.channel_kind
-        if kind not in ("bsc", "bec", "matrix"):
-            raise ConfigError("channel.kind is required" if kind is None
-                              else f"key 'channel.kind': must be bsc, bec, or matrix, got {kind!r}")
+        if (self.source_preset is None) == (self.source_matrix is None):
+            raise ConfigError("exactly one of source.preset / source.matrix is required")
+        if self.source_preset not in (None, *PRESET_SOURCES):
+            raise ConfigError(
+                f"unknown source preset {self.source_preset!r}; available: {sorted(PRESET_SOURCES)}"
+            )
+        for key, (typ, _) in CONFIG_KEYS.items():
+            val = _value(self, key)
+            if val is None and key.startswith(("source.", "channel.")):
+                continue
+            if _parse(key, _token(typ, val)) != val:
+                raise ConfigError(f"key {key!r}: {val!r} is not a {typ.__name__}")
+        kind, param = self.channel_kind, self.channel_param
+        hi = {"bsc": 0.5, "bec": 1.0}.get(kind)
+        if hi is not None and param is not None and not 0.0 <= param <= hi:
+            raise ConfigError(f"key 'channel.param': {kind} needs a value in [0, {hi}], got {param!r}")
+        if kind is None:
+            raise ConfigError("channel.kind is required")
         needed, refused = ("matrix", "param") if kind == "matrix" else ("param", "matrix")
         if getattr(self, f"channel_{needed}") is None:
             raise ConfigError(f"channel.kind = {kind} requires channel.{needed}")
         if getattr(self, f"channel_{refused}") is not None:
             raise ConfigError(f"channel.{refused} is not accepted with channel.kind = {kind}")
+        try:
+            self.source_joint()
+            self.channel_kernel()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def source_joint(self) -> JointDistribution:
         if self.source_preset is not None:
@@ -156,55 +233,6 @@ def worked_example() -> Scenario:
 # config parsing
 
 
-def _parse_float(token: str, key: str) -> float:
-    try:
-        val = float(token)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {token!r} is not a number") from exc
-    if not math.isfinite(val):
-        raise ConfigError(f"key {key!r}: value must be finite, got {token!r}")
-    return val
-
-
-def _parse_int(token: str, key: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {token!r} is not an integer") from exc
-
-
-def _parse_matrix(text: str, key: str) -> tuple[tuple[float, ...], ...]:
-    rows = []
-    for row_text in text.split(";"):
-        tokens = row_text.split()
-        if not tokens:
-            raise ConfigError(f"key {key!r}: empty row")
-        rows.append(tuple(_parse_float(tok, key) for tok in tokens))
-    if len({len(r) for r in rows}) != 1:
-        raise ConfigError(f"key {key!r}: rows have unequal lengths")
-    return tuple(rows)
-
-
-def _ranged_float(entries, key, default, lo, hi, lo_open=False) -> float:
-    if key not in entries:
-        return default
-    val = _parse_float(entries.pop(key), key)
-    ok = (val > lo if lo_open else val >= lo) and val <= hi
-    if not ok:
-        bracket = "(" if lo_open else "["
-        raise ConfigError(f"key {key!r}: must lie in {bracket}{lo}, {hi}], got {val!r}")
-    return val
-
-
-def _ranged_int(entries, key, default, lo, hi) -> int:
-    if key not in entries:
-        return default
-    val = _parse_int(entries.pop(key), key)
-    if not lo <= val <= hi:
-        raise ConfigError(f"key {key!r}: must lie in [{lo}, {hi}], got {val}")
-    return val
-
-
 def parse_config(text: str) -> Scenario:
     """Parse the documented key-value schema; any problem raises ConfigError."""
     entries: dict[str, str] = {}
@@ -229,54 +257,12 @@ def parse_config(text: str) -> Scenario:
             raise ConfigError(f"line {lineno}: key {key!r} has an empty value")
         entries[key] = value
 
-    preset = entries.pop("source.preset", None)
-    matrix_text = entries.pop("source.matrix", None)
-    if (preset is None) == (matrix_text is None):
-        raise ConfigError("exactly one of source.preset / source.matrix is required")
-    if preset is not None and preset not in PRESET_SOURCES:
-        raise ConfigError(
-            f"unknown source preset {preset!r}; available: {sorted(PRESET_SOURCES)}"
-        )
-    source_matrix = _parse_matrix(matrix_text, "source.matrix") if matrix_text else None
-
-    kind, param, channel_matrix = (entries.pop(f"channel.{key}", None) for key in ("kind", "param", "matrix"))
-    param = None if param is None else _parse_float(param, "channel.param")
-    channel_matrix = _parse_matrix(channel_matrix, "channel.matrix") if channel_matrix else None
-    hi = {"bsc": 0.5, "bec": 1.0}.get(kind)
-    if hi is not None and param is not None and not 0.0 <= param <= hi:
-        raise ConfigError(f"key 'channel.param': {kind} needs a value in [0, {hi}], got {param!r}")
-
-    grids = GridSpec(
-        rate_step=_ranged_float(entries, "grids.rate_step", 1e-3, 0.0, 0.5, lo_open=True),
-        simplex_step=_ranged_float(entries, "grids.simplex_step", 0.05, 0.0, 0.5, lo_open=True),
-        refinement_levels=_ranged_int(entries, "grids.refinement_levels", 1, 0, 4),
-    )
-    tolerances = Tolerances(
-        matching=_ranged_float(entries, "tolerances.matching", 1e-4, 0.0, 1.0, lo_open=True),
-    )
-    rule = entries.pop("sim.rule", "uniform")
-    if rule not in ("uniform", "optimized"):
-        raise ConfigError(f"key 'sim.rule': must be uniform or optimized, got {rule!r}")
-    sim = SimSpec(rule=rule, n_cap=_ranged_int(entries, "sim.n_cap", 8, 1, 10))
-    seed = _ranged_int(entries, "seed", 0, 0, 2**31 - 1)
-
-    scenario = Scenario(
-        source_preset=preset,
-        source_matrix=source_matrix,
-        channel_kind=kind,
-        channel_param=param,
-        channel_matrix=channel_matrix,
-        grids=grids,
-        tolerances=tolerances,
-        sim=sim,
-        seed=seed,
-    )
-    try:
-        scenario.source_joint()
-        scenario.channel_kernel()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return scenario
+    top, parts = {}, {section: {} for section in _SECTIONS}
+    for key, token in entries.items():
+        section, _, name = key.partition(".")
+        into, name = (parts[section], name) if section in parts else (top, key.replace(".", "_"))
+        into[name] = _parse(key, token)
+    return Scenario(**top, **{section: part(**parts[section]) for section, part in _SECTIONS.items()})
 
 
 def load_scenario(path: str) -> Scenario:
@@ -288,29 +274,13 @@ def load_scenario(path: str) -> Scenario:
     return parse_config(text)
 
 
-def _matrix_text(rows: tuple[tuple[float, ...], ...]) -> str:
-    return " ; ".join(" ".join(repr(float(v)) for v in row) for row in rows)
-
-
 def emit_config(s: Scenario) -> str:
-    """Canonical config text; parse_config(emit_config(s)) == s exactly."""
+    """Canonical config text; parse_config(emit_config(s)) == s for every Scenario."""
     lines = []
-    if s.source_preset is not None:
-        lines.append(f"source.preset = {s.source_preset}")
-    else:
-        lines.append(f"source.matrix = {_matrix_text(s.source_matrix)}")
-    lines.append(f"channel.kind = {s.channel_kind}")
-    if s.channel_param is not None:
-        lines.append(f"channel.param = {float(s.channel_param)!r}")
-    if s.channel_matrix is not None:
-        lines.append(f"channel.matrix = {_matrix_text(s.channel_matrix)}")
-    lines.append(f"grids.rate_step = {float(s.grids.rate_step)!r}")
-    lines.append(f"grids.simplex_step = {float(s.grids.simplex_step)!r}")
-    lines.append(f"grids.refinement_levels = {s.grids.refinement_levels}")
-    lines.append(f"tolerances.matching = {float(s.tolerances.matching)!r}")
-    lines.append(f"sim.rule = {s.sim.rule}")
-    lines.append(f"sim.n_cap = {s.sim.n_cap}")
-    lines.append(f"seed = {s.seed}")
+    for key, (typ, _) in CONFIG_KEYS.items():
+        val = _value(s, key)
+        if val is not None:
+            lines.append(f"{key} = {_token(typ, val)}")
     return "\n".join(lines) + "\n"
 
 
@@ -500,7 +470,7 @@ def simulate_table(
 # canned figure reproductions on the worked-example pair
 
 
-def reproduce_fig1(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None = None) -> str:
+def reproduce_fig1(rate_step: float = GridSpec.rate_step, *, evaluator: NestedEvaluator | None = None) -> str:
     """Curve table for the worked-example pair with the summary rates noted.
     Its channel curves read one evaluator, ``evaluator`` when passed."""
     sc = worked_example()
@@ -515,7 +485,7 @@ def reproduce_fig1(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None
     return "\n".join(header) + "\n" + curve_table(sc, rate_step, evaluator=ev)
 
 
-def reproduce_fig2(rate_step: float = 1e-3, *, evaluator: NestedEvaluator | None = None) -> str:
+def reproduce_fig2(rate_step: float = GridSpec.rate_step, *, evaluator: NestedEvaluator | None = None) -> str:
     """Curve table for the worked-example pair annotated with the bound minima,
     the matching verdict, and the separate-coding comparison. Its channel
     curves read one evaluator, ``evaluator`` when passed."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siexp import channel_exponents, cli, source_si_exponents
+from siexp import channel_exponents, cli, scenario, source_si_exponents
 from siexp.errors import ConfigError, EvaluatorMismatchError, PremiseViolationError
 from siexp.joint_bounds import NestedEvaluator
 from siexp.probkit import Distribution
@@ -171,6 +171,49 @@ def test_scenario_refuses_an_incomplete_channel(channel, text):
     assert str(built.value) == str(parsed.value)
 
 
+def _worked(**fields):
+    return lambda: dataclasses.replace(worked_example(), **fields)
+
+
+@pytest.mark.parametrize(
+    "build,text",
+    [
+        # a scenario with no source once built, and report failed on it with
+        # "joint distribution must be 2-dimensional"
+        (lambda: Scenario(channel_kind="bsc", channel_param=0.025), WORKED_CFG.split("\n", 1)[1]),
+        # once built, and source_joint() raised KeyError
+        (_worked(source_preset="nope"), WORKED_CFG.replace("worked_example", "nope")),
+        # once built, and emit_config dropped the matrix
+        (_worked(source_matrix=((0.5, 0.5),)), WORKED_CFG + "source.matrix = 0.5 0.5\n"),
+        (_worked(channel_param=0.7), WORKED_CFG.replace("0.025", "0.7")),
+        (_worked(grids=GridSpec(rate_step=0.0)), WORKED_CFG + "grids.rate_step = 0.0\n"),
+        (_worked(grids=GridSpec(simplex_step=0.6)), WORKED_CFG + "grids.simplex_step = 0.6\n"),
+        (_worked(grids=GridSpec(refinement_levels=5)), WORKED_CFG + "grids.refinement_levels = 5\n"),
+        (_worked(tolerances=Tolerances(matching=math.inf)), WORKED_CFG + "tolerances.matching = inf\n"),
+        (_worked(sim=SimSpec(n_cap=0)), WORKED_CFG + "sim.n_cap = 0\n"),
+        (_worked(sim=SimSpec(rule="best")), WORKED_CFG + "sim.rule = best\n"),
+        (_worked(seed=2**31), WORKED_CFG + f"seed = {2**31}\n"),
+        (_worked(seed=True), WORKED_CFG + "seed = True\n"),
+        (_worked(seed=1.5), WORKED_CFG + "seed = 1.5\n"),
+        (_worked(source_preset=None, source_matrix=((0.5, 0.4),)),
+         WORKED_CFG.replace("preset = worked_example", "matrix = 0.5 0.4")),
+        (_worked(source_preset=None, source_matrix=((0.5, 0.25), (0.25,))),
+         WORKED_CFG.replace("preset = worked_example", "matrix = 0.5 0.25 ; 0.25")),
+        (_worked(source_preset=None, source_matrix=((1.0,), ())),
+         WORKED_CFG.replace("preset = worked_example", "matrix = 1.0 ;")),
+    ],
+    ids=["no-source", "unknown-preset", "two-sources", "bsc-0.7", "rate-step-0", "simplex-step-0.6",
+         "refinement-5", "matching-inf", "n-cap-0", "rule-best", "seed-2^31", "seed-true", "seed-1.5",
+         "mass-0.9", "unequal-rows", "empty-row"],
+)
+def test_scenario_refuses_what_parse_config_refuses(build, text):
+    with pytest.raises(ConfigError) as built:
+        build()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    assert str(built.value) == str(parsed.value)
+
+
 def _law_rows(rows, cols, joint=False):
     """Rows of positive integer weights made a joint law or a row-stochastic matrix."""
     def normalize(m):
@@ -201,6 +244,59 @@ _sources = st.one_of(
        st.integers(0, 2**31 - 1))
 def test_emit_parse_round_trips_every_valid_scenario(source, channel, grids, tolerances, sim, seed):
     sc = Scenario(**source, **channel, grids=grids, tolerances=tolerances, sim=sim, seed=seed)
+    assert parse_config(emit_config(sc)) == sc
+
+
+# values of each field's own type, in and out of its range: numbers of every
+# numeric type, not finite or inexact as floats; words; ragged, empty,
+# unnormalized or list matrices
+_NUMBERS = st.one_of(
+    st.floats(-1.0, 2.0),
+    st.sampled_from([0, 0.0, 0.5, 1.0, 4, 10, 2**31 - 1, 2**31, -1, math.nan, math.inf]),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.fractions(0, 1, max_denominator=6),
+    st.floats(0.0, 1.0).map(np.float64),
+    st.integers(0, 12).map(np.int64),
+)
+_WORDS = st.sampled_from(
+    [None, "worked_example", "nope", "bsc", "bec", "matrix", "laplace", "uniform", "optimized", "best", ""]
+)
+_MATRICES = st.one_of(
+    st.none(),
+    _law_rows(2, 2),
+    st.lists(st.lists(st.floats(-0.5, 1.5), max_size=3).map(tuple), min_size=1, max_size=3).map(tuple),
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2), min_size=1, max_size=2),
+)
+_WILD = {
+    "source_preset": _WORDS,
+    "source_matrix": _MATRICES,
+    "channel_kind": _WORDS,
+    "channel_param": st.one_of(st.none(), _NUMBERS),
+    "channel_matrix": _MATRICES,
+    "grids.rate_step": _NUMBERS,
+    "grids.simplex_step": _NUMBERS,
+    "grids.refinement_levels": _NUMBERS,
+    "tolerances.matching": _NUMBERS,
+    "sim.rule": _WORDS,
+    "sim.n_cap": _NUMBERS,
+    "seed": _NUMBERS,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sources, _channels, st.data())
+def test_every_scenario_that_builds_round_trips(source, channel, data):
+    values = {**source, **channel}
+    for name in data.draw(st.lists(st.sampled_from(sorted(_WILD)), max_size=2, unique=True)):
+        values[name] = data.draw(_WILD[name], label=name)
+    kwargs = {name: v for name, v in values.items() if "." not in name}
+    for section, part in (("grids", GridSpec), ("tolerances", Tolerances), ("sim", SimSpec)):
+        kwargs[section] = part(**{n.split(".")[1]: v for n, v in values.items() if n.startswith(section + ".")})
+    try:
+        sc = Scenario(**kwargs)
+    except ConfigError:
+        return
     assert parse_config(emit_config(sc)) == sc
 
 
@@ -522,6 +618,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["curves", "--config", cfg, "--rate-step", "0.7"]) == 2
     assert cli.main(["simulate", "--config", cfg, "--n", "0"]) == 2
     assert cli.main(["simulate", "--config", cfg, "--seeds", "0"]) == 2
+
+
+def test_cli_rate_step_bound_is_the_config_tables(capsys, monkeypatch):
+    assert cli.main(["reproduce-fig1", "--rate-step", "0.7"]) == 2
+    assert "--rate-step must lie in (0, 0.5], got 0.7" in capsys.readouterr().err
+    monkeypatch.setitem(scenario.CONFIG_KEYS, "grids.rate_step", (float, (0.0, 0.25)))
+    assert cli.main(["reproduce-fig1", "--rate-step", "0.3"]) == 2
+    assert "--rate-step must lie in (0, 0.25], got 0.3" in capsys.readouterr().err
 
 
 def test_cli_budget_error_exit_3(tmp_path, capsys):
