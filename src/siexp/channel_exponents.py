@@ -103,16 +103,16 @@ def _power_sum_on_lattice(rhos: np.ndarray, m: np.ndarray, weights: np.ndarray) 
     once, 0 at rho = 0: -E_0 with the input law as weights and the channel as
     m, E_s with unit weights and the joint law as m.
 
-    The lattice sits on the last, contiguous axis. The inner sum is one gemv
-    over the (|I|, |J| n) powers and the outer sum adds the |J| rows in
-    sequence. Where the weighted powers are exact (unit weights, or the
-    uniform binary input) a lattice of two or more points has the floats of
-    the lattice-first forms that tests/test_channel_exponents.py keeps.
+    The lattice sits on the last, contiguous axis and both sums add rows in
+    sequence (a gemv's float hung on the other points), so any subset of a
+    lattice, one point too, has the whole lattice's floats. Where the weighted
+    powers are exact (unit weights, or a uniform input on 2 or 4 letters) they
+    are the floats of the lattice-first forms in tests/test_channel_exponents.py.
     """
-    mpow = np.power(m[:, :, None], 1.0 / (1.0 + rhos))
-    inner = (weights @ mpow.reshape(len(weights), -1)).reshape(mpow.shape[1:])
+    mpow = _power(m[:, :, None], 1.0 / (1.0 + rhos))
+    inner = sum(weight * row for weight, row in zip(weights, mpow))
     with np.errstate(divide="ignore"):
-        vals = np.log2(np.power(inner, 1.0 + rhos).sum(axis=0))
+        vals = np.log2(sum(_power(inner, 1.0 + rhos)))
     vals[rhos == 0.0] = 0.0
     return vals
 
@@ -165,8 +165,8 @@ def _power(base, exponent):
     """base ** exponent over the points on the last axis, the exponent spelled
     out for a batch of one point: numpy takes an exponent constant along its
     inner loop as a scalar, and 0.5 then as a square root, which rounds apart."""
-    if base.shape[-1] == 1:
-        exponent = np.broadcast_to(exponent, np.broadcast_shapes(base.shape, exponent.shape)).copy()
+    if (shape := np.broadcast_shapes(base.shape, exponent.shape))[-1] == 1:
+        exponent = np.broadcast_to(exponent, shape).copy()
     return np.power(base, exponent)
 
 

@@ -106,11 +106,11 @@ def build_codebooks(
     once per seed.
 
     rule='uniform' uses the balanced input composition for every source type;
-    rule='optimized' picks, per source type, the input law maximizing the
-    nested lower-bound payoff and rounds it to integer counts by largest
-    remainders (the real-valued target is kept in the metadata). The
-    compositions depend only on (p, W, n, rule): they are solved once, over
-    one nested evaluator, and every seed draws its codewords from them.
+    rule='optimized' rounds E_0*'s law at each source type's best rho, which
+    maximizes the nested lower-bound payoff (`best_input_for_marginal`), to
+    integer counts by largest remainders, keeping the real-valued target in
+    the metadata. The compositions depend only on (p, W, n, rule): they are
+    solved once, over one nested evaluator, and every seed draws from them.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")

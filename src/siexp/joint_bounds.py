@@ -10,22 +10,20 @@ min). When the channel's optimal input is rate-independent the nesting
 collapses onto the flat bounds; `game_solve` measures how far the max/min
 interchange is from exact on a given instance.
 
-The nested bounds, the game and `best_input_for_marginal` read one payoff
-table per Q_A from a `NestedEvaluator`, which solves each channel and source
-curve once, and the flat bounds and separate coding read its
+The nested bounds and the game read one payoff table per Q_A from a
+`NestedEvaluator`, which solves each channel and source curve once;
+`best_input_for_marginal` reads its E_0* lattice, one fixed-input Lagrangian
+and one payoff row per Q_A, and the flat bounds and separate coding read its
 input-optimized and source lattices. Build one for (p, W, rate step) and
 pass it as `evaluator=` to share its curves across calls; without it every
 call solves its own, and nothing is kept between calls.
 
-Every curve here, channel, source, fixed-marginal or input-optimized, comes
-from one rho-lattice type of `channel_exponents`: it solves E(rho) on the
-unit lattice at once and on the tail lattice (rho >= 1) on first use, and
-reads a curve off it as the Legendre envelope max_rho [E(rho) - rho R]. A
-sphere-packing curve is first known by its random-coding values, which
-equal it wherever the unit-interval envelope peaks below rho = 1 and bound it
-from below, float for float, elsewhere. A curve's tail lattice is solved only
-when a reduction over the payoff table could pick one of the entries it
-bounds, so the reductions return what the fully solved table gives.
+Every curve here is the Legendre envelope max_rho [E(rho) - rho R] of one
+rho-lattice type of `channel_exponents`. A sphere-packing curve is first known
+by its random-coding values, a lower bound float for float, and its tail
+lattice (rho >= 1) is solved only when a reduction over the payoff table
+could pick an entry it bounds, so the reductions return what the fully
+solved table gives.
 
 Rate-grid conventions: flat bounds scan the open interval (0, log2|A|); the
 nested grids include R = 0 so a degenerate (point-mass) Q_A contributes its
@@ -41,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel_exponents
 from .channel_exponents import (
+    _CC_RHO_UNIT,
     _Curve,
     _curves,
     _fixed_input_lattice,
@@ -59,6 +59,7 @@ from .probkit import (
     Distribution,
     JointDistribution,
     conditional_entropy,
+    entropy_bits,
 )
 from .source_si_exponents import _fixed_marginal_curves, _source_curves, _source_lattice
 
@@ -275,6 +276,7 @@ class NestedEvaluator:
         self.rates = rate_grid(rate_step, math.log2(p.shape[0]), include_zero=True)
         self._channel: dict[bytes, tuple[_Curve, _Curve]] = {}
         self._source: dict[bytes, _Curve] = {}
+        self._source_lagrangian: dict[bytes, np.ndarray] = {}
 
     def check(self, w: ConditionalDistribution, rate_step: float, p=None) -> None:
         """Refuse a call for another channel or rate step, or for another
@@ -335,6 +337,20 @@ class NestedEvaluator:
         yet kept, their unit lattices together."""
         todo = {q.tobytes(): Distribution(q) for q in qa_grid if q.tobytes() not in self._source}
         self._source.update(zip(todo, _fixed_marginal_curves(self.rates, self.p, todo.values())))
+
+    @functools.cached_property
+    def _e0_star(self) -> tuple[np.ndarray, np.ndarray]:
+        """E_0* and its maximizing laws on the fixed-input unit lattice."""
+        return channel_exponents._e0_star_on_lattice(_CC_RHO_UNIT, self.w.matrix)[:2]
+
+    def best_input(self, qa_arr: np.ndarray) -> np.ndarray:
+        """The law of :func:`best_input_for_marginal`, G^src kept per Q_A."""
+        self.source(qa_arr)  # refuses a Q_A of the wrong size
+        if (key := qa_arr.tobytes()) not in self._source_lagrangian:
+            kernel = self.p.conditional_rows().matrix
+            self._source_lagrangian[key] = channel_exponents._cc_e0_on_lattice(_CC_RHO_UNIT, qa_arr, kernel)[0]
+        e0_star, laws = self._e0_star
+        return laws[np.argmax(e0_star + self._source_lagrangian[key] - _CC_RHO_UNIT * entropy_bits(qa_arr))]
 
     def payoff(self, qa_arr: np.ndarray, sx_grid: np.ndarray, which: int) -> _Payoff:
         """Payoff source(Q_A) + channel(S_X)[which] over the rows of sx_grid,
@@ -535,29 +551,25 @@ def best_input_for_marginal(
     w: ConditionalDistribution,
     q_a: Distribution,
     rate_step: float = 0.01,
-    sx_step: float = 0.05,
-    refinement_levels: int = 1,
     *,
     evaluator: NestedEvaluator | None = None,
 ) -> tuple[Distribution, float]:
-    """Input law maximizing the nested lower-bound payoff for one fixed Q_A.
+    """Input law maximizing the nested lower-bound payoff for one fixed Q_A,
+    which the optimized codebook rule rounds to counts, and its value: the
+    min over the evaluator's rate grid of that law's payoff row.
 
-    This is what the simulator's optimized composition rule evaluates per
-    source type before rounding to integer counts. `evaluator` is shared as
-    in :func:`theorem1_bounds`.
-    """
+    Sion's minimax theorem turns min_R [source(Q_A, R) + E_r(R, S)] into
+    D(Q_A||P_A) + max_{rho in [0, 1]} [G_S(rho) + G^src(rho) - rho H(Q_A)],
+    with G_S and G^src the fixed-input Lagrangians of W at S and of P(B|A) at
+    Q_A, and max_S G_S = E_0* (Csiszar 1995): E_0*'s law at the first rho*
+    of the fixed-input unit lattice maximizing E_0* + G^src - rho H(Q_A)
+    attains the max over S. Ties go to the law E_0*'s solver reaches from the
+    uniform law, which is that law at rho* = 0, where every law ties.
+    `evaluator` is shared as in :func:`theorem1_bounds`."""
     ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
-    sx_grid = simplex_grid(w.input_size, sx_step)
-    val, s_idx, _ = _max_min(ev.payoff(q_a.probs, sx_grid, 0), ev.rates)
-    s_best = sx_grid[s_idx]
-    span = sx_step
-    for _ in range(refinement_levels):
-        fine = _fine_window(s_best, span)
-        fine_val, fine_idx, _ = _max_min(ev.payoff(q_a.probs, fine, 0), ev.rates)
-        if fine_val > val:
-            val, s_best = fine_val, fine[fine_idx]
-        span /= 5.0
-    return Distribution(s_best), val
+    law = ev.best_input(q_a.probs)
+    val, _, _ = _max_min(ev.payoff(q_a.probs, law[None], 0), ev.rates)
+    return Distribution(law), val
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +602,6 @@ def matching_check(
         gap = upper - lower
         matched = abs(gap) <= matching_tol
 
-    rc: float | None
     try:
         rc = critical_rate(w, result.rate_step, evaluator=evaluator).rate
     except EvaluatorMismatchError:
@@ -638,16 +649,8 @@ def separate_exponent(
     idx = int(np.argmax(vals))
     value = float(vals[idx])
     if value <= 0.0:
-        return SeparateCodingResult(
-            value=0.0, r_bar=None, channel_value=0.0, source_value=0.0, rate_step=rate_step
-        )
-    return SeparateCodingResult(
-        value=value,
-        r_bar=float(rates[idx]),
-        channel_value=float(er[idx]),
-        source_value=float(el[idx]),
-        rate_step=rate_step,
-    )
+        return SeparateCodingResult(0.0, None, 0.0, 0.0, rate_step)
+    return SeparateCodingResult(value, float(rates[idx]), float(er[idx]), float(el[idx]), rate_step)
 
 
 def separate_vs_joint(
@@ -667,10 +670,7 @@ def separate_vs_joint(
     ev = NestedEvaluator.checked_or_new(evaluator, p, w, rate_step)
     flat = both_si_bounds(p, w, rate_step, evaluator=ev)
     sep = separate_exponent(p, w, rate_step, evaluator=ev)
-    if math.isinf(flat.lower):
-        margin = math.inf
-    else:
-        margin = flat.lower - sep.value
+    margin = math.inf if math.isinf(flat.lower) else flat.lower - sep.value
     r_star, r_bar = flat.r_star_lower, sep.r_bar
     if r_star is None or r_bar is None:
         case = "degenerate"

@@ -558,6 +558,33 @@ def test_e0_star_lattice_certificate(w):
         np.testing.assert_allclose(e0, np.maximum(-np.log2(f), 0.0), rtol=0.0, atol=1e-13)
 
 
+IDENTITY_CHANNELS = {
+    "bsc": bsc(0.025).matrix,
+    "asym": np.array(((0.9, 0.1), (0.2, 0.8))),
+    "wide": np.array(((0.7, 0.1, 0.2), (0.1, 0.7, 0.2), (0.2, 0.2, 0.6), (0.3, 0.3, 0.4))),
+    **{f"seeded-{k}x{m}": np.random.default_rng(seed).dirichlet(np.ones(m), size=k)
+       for k, m, seed in ((3, 3, 21), (4, 2, 22))},
+}
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_CHANNELS))
+def test_fixed_input_lagrangian_peaks_at_e0_star(name):
+    # max over S of G_S(rho) = min_V D(V||W|S) + rho I(S;V) is E_0*(rho)
+    # (Csiszar 1995): no law of a fine grid exceeds it, and E_0*'s own law
+    # reaches it, up to E_0*'s certified gap and _CC_TOL
+    w, rhos = IDENTITY_CHANNELS[name], np.array([0.1, 0.5, 1.0])
+    e0, laws, gap = _e0_star_on_lattice(rhos, w)
+    # a relative gap g on F = 2^-E_0 puts E_0* at most log2(1 / (1 - g)) above
+    tol = -np.log2(1.0 - np.maximum(gap, 0.0)) + _CC_TOL
+    grid = simplex_grid(len(w), 0.005 if len(w) == 2 else 0.02)
+    for support in np.unique(grid > 0, axis=0):
+        group = grid[np.all((grid > 0) == support, axis=1)]
+        g = _cc_e0_on_lattice(np.tile(rhos, len(group)), np.repeat(group, len(rhos), axis=0), w, False)[0]
+        assert np.all(g.reshape(-1, len(rhos)) <= e0 + tol)
+    own = [_cc_e0_on_lattice(rhos[i : i + 1], laws[i], w, True)[0][0] for i in range(len(rhos))]
+    assert np.all(np.abs(np.array(own) - e0) <= tol)
+
+
 def test_lattice_solvers_raise_when_unconverged():
     w = np.array(ASYM_TWO)
     with pytest.raises(RuntimeError):
@@ -1238,29 +1265,43 @@ def test_e0_lattice_keeps_the_lattice_first_floats_on_binary_inputs(lattice):
 @pytest.mark.parametrize("k", [3, 4])
 def test_e0_lattice_moves_by_rounding_past_binary_inputs(k):
     # the old inner sum was a gemv over (n |Y|, |X|) rows, which adds three or
-    # four terms in another order than the kernel's gemv over the (|X|, |Y| n)
-    # powers: one-point lattices keep their floats, the others move by at most
-    # 2.9 (1 + rho) eps relative (2.2e-14 absolute), measured over 60 seeded
-    # symmetric channels on 3 and 4 inputs; the bound allows 4
+    # four terms in another order than the kernel's sum in sequence over the
+    # inputs: lattices of every size, one point included, move by at most
+    # 2.9 (1 + rho) eps relative, measured over 60 seeded symmetric channels
+    # on 3 and 4 inputs; the bound allows 4
     s, eps = np.full(k, 1.0 / k), np.finfo(float).eps
     for w in _symmetric_channels(k).values():
-        for name, rhos in KERNEL_LATTICES.items():
+        for rhos in KERNEL_LATTICES.values():
             got, want = _e0_on_lattice(rhos, s, w), _lattice_first_e0(rhos, s, w)
-            if name.startswith("one"):
-                _assert_same_floats([got], [want])
             assert np.all(np.abs(got - want) <= 4.0 * (1.0 + rhos) * eps * np.maximum(want, 1.0))
 
 
 @pytest.mark.parametrize("joint", list(_kernel_joints()))
 def test_es_lattice_keeps_the_lattice_first_floats(joint):
-    pm, eps = _kernel_joints()[joint], np.finfo(float).eps
-    for name, rhos in KERNEL_LATTICES.items():
-        got, want = _es_on_lattice(rhos, pm), _lattice_first_es(rhos, pm)
-        if name.startswith("one") and pm.shape[0] == 4:
-            # a one-point gemv over four unit weights adds out of sequence
-            assert np.all(np.abs(got - want) <= 4.0 * (1.0 + rhos) * eps * np.abs(want))
-        else:
-            _assert_same_floats([got], [want])
+    # one-point lattices too: a one-point gemv over four unit weights added
+    # out of sequence
+    pm = _kernel_joints()[joint]
+    for rhos in KERNEL_LATTICES.values():
+        _assert_same_floats([_es_on_lattice(rhos, pm)], [_lattice_first_es(rhos, pm)])
+
+
+_KERNEL_RHOS = np.concatenate([_RHO_UNIT, _RHO_TAIL[1:]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from([1, 2, 3, 4, 5]), st.sampled_from([1, 2, 3, 4, 9])).flatmap(
+    lambda km: st.tuples(_stochastic(1, km[0]).map(lambda m: m[0]), _stochastic(*km),
+                         st.sets(st.integers(0, len(_KERNEL_RHOS) - 1), min_size=1, max_size=40))
+))
+def test_e0_and_es_lattice_subsets_keep_the_whole_lattice_floats(case):
+    # E_0 at any input law, and E_s: at rho = 1 a batch of one once took a
+    # square root, and the gemv's float hung on the point's place in its call
+    s, w, picked = case
+    idx = np.array(sorted(picked))
+    for lattice in (lambda r: _e0_on_lattice(r, s, w), lambda r: _es_on_lattice(r, w / w.sum())):
+        whole = lattice(_KERNEL_RHOS)
+        for part in (idx, idx[:1], idx[-1:], np.array([len(_RHO_UNIT) - 1])):
+            _assert_same_floats([lattice(_KERNEL_RHOS[part])], [whole[part]])
 
 
 def test_scalar_gallager_functions_are_one_point_kernel_calls():

@@ -28,7 +28,13 @@ from siexp.joint_bounds import (
     theorem1_bounds,
 )
 from siexp.numerics import simplex_grid
-from siexp.probkit import ConditionalDistribution, Distribution, JointDistribution, conditional_entropy
+from siexp.probkit import (
+    ConditionalDistribution,
+    Distribution,
+    JointDistribution,
+    conditional_entropy,
+    entropy_bits,
+)
 from siexp.scenario import report, worked_example
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
@@ -173,7 +179,7 @@ def test_lazy_tails_give_the_fully_solved_results(case, monkeypatch):
             theorem1_bounds(p, w, *grids, evaluator=ev),
             game_solve(p, w, "random", *grids, evaluator=ev),
             game_solve(p, w, "sphere", *grids, evaluator=ev),
-            best_input_for_marginal(p, w, q_a, rate_step, sx_step, evaluator=ev),
+            best_input_for_marginal(p, w, q_a, rate_step, evaluator=ev),
         ]
 
     lazy_ev = NestedEvaluator(p, w, rate_step)
@@ -584,6 +590,75 @@ def test_best_input_for_marginal_consistent_with_nested_lower():
     np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=0.03)
 
 
+def _grid_search_input(ev, qa_arr, sx_grid):
+    """Reference for `best_input_for_marginal`: the S_X grid search it
+    replaced, without its refinement window. The first law of sx_grid with
+    the largest min over the rate grid of the payoff, and that min."""
+    val, s_idx, _ = joint_bounds._max_min(ev.payoff(qa_arr, sx_grid, 0), ev.rates)
+    return sx_grid[s_idx], val
+
+
+def _pair(joint, channel):
+    return lambda: (JointDistribution(np.array(joint)), ConditionalDistribution(np.array(channel)))
+
+
+def _reliable_pair(seed, a, b, k, m):
+    """A seeded a x b source over a k x m channel, H(A|B) below capacity."""
+    def draw():
+        rng = np.random.default_rng(seed)
+        while True:
+            p = JointDistribution(rng.dirichlet(np.full(a * b, 0.5)).reshape(a, b))
+            w = ConditionalDistribution(rng.dirichlet(np.full(m, 0.5), size=k))
+            if conditional_entropy(p) < capacity(w) - 0.05:
+                return p, w
+    return draw
+
+
+TERNARY_JOINT = ((0.30, 0.00), (0.10, 0.20), (0.15, 0.25))
+DOMINANCE_PAIRS = {
+    "worked-bsc": _pair(WORKED_JOINT, ((0.975, 0.025), (0.025, 0.975))),
+    "worked-asym": _pair(WORKED_JOINT, ASYM_CHANNEL),
+    "worked-wide": _pair(WORKED_JOINT, WIDE_CHANNEL),
+    "worked-ternary-input": _pair(WORKED_JOINT, ((0.9, 0.1), (0.5, 0.5), (0.15, 0.85))),
+    "ternary-asym": _pair(TERNARY_JOINT, ASYM_CHANNEL),
+    **{f"seeded-{a}x{b}-{k}x{m}": _reliable_pair(100 + i, a, b, k, m)
+       for i, (a, b, k, m) in enumerate([(2, 2, 2, 3), (3, 2, 2, 2), (2, 3, 3, 2), (3, 3, 3, 3)])},
+}
+
+
+@pytest.mark.parametrize("case", list(DOMINANCE_PAIRS))
+def test_best_input_dominates_every_fine_grid_law(case):
+    p, w = DOMINANCE_PAIRS[case]()
+    fine = simplex_grid(w.input_size, 0.005 if w.input_size == 2 else 0.02)
+    # Only laws that may come near the returned one get whole rows. G_S is
+    # concave in rho with slope I(S; W) at 0, so on [rho_k, rho_k + 1/n] it
+    # stays below G_S(rho_k) + (the slope of the secant into rho_k) (rho -
+    # rho_k); the solver's gaps bound how far its G_S lie above the true ones.
+    n = 20
+    rhos, g, gap = np.linspace(0.0, 1.0, n + 1), np.empty((len(fine), n + 1)), 0.0
+    for support in np.unique(fine > 0.0, axis=0):
+        on = np.all((fine > 0.0) == support, axis=1)
+        laws = np.repeat(fine[on], n + 1, axis=0)
+        vals, _, gaps = channel_exponents._cc_e0_on_lattice(np.tile(rhos, on.sum()), laws, w.matrix, False)
+        g[on], gap = vals.reshape(-1, n + 1), max(gap, gaps.max())
+    assert gap < 5e-7
+    info = entropy_bits(fine @ w.matrix, axis=1) - fine @ entropy_bits(w.matrix, axis=1)
+    rise = np.maximum(np.column_stack([info / n, np.diff(g[:, :-1], axis=1)]), 0.0)
+    qa_grid = simplex_grid(p.shape[0], 0.25)
+    for rate_step in (0.01, 0.001):
+        ev = NestedEvaluator(p, w, rate_step)
+        for qa_arr in qa_grid[np.all(qa_grid > 0.0, axis=1)]:
+            law, val = best_input_for_marginal(p, w, Distribution(qa_arr), rate_step, evaluator=ev)
+            # every row's min is at most its entry at the returned row's minimizing rate
+            r_idx = np.flatnonzero(ev.payoff(qa_arr, law.probs[None], 0).table[0] == val)[0]
+            r_hat, source = ev.rates[r_idx], ev.source(qa_arr).resolve()[r_idx]
+            peaks = g - rhos * r_hat
+            peaks[:, :-1] += np.maximum(rise - r_hat / n, 0.0)
+            near = source + np.maximum(peaks.max(axis=1), 0.0) >= val - 1e-6
+            _, oracle = _grid_search_input(ev, qa_arr, fine[near])
+            assert oracle <= val + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # unreliable regime
 
@@ -609,5 +684,5 @@ def test_nested_ties_keep_the_first_input_law_and_smallest_rate():
     assert (nested.lower, nested.s_x_star, nested.r_star_lower) == (0.0, first_law, 0.1)
     game = game_solve(p, noisy, "random", 0.1, 0.1, 0.1, evaluator=ev)
     assert (game.maxmin_value, game.s_x_star, game.rate_star) == (0.0, first_law, 0.1)
-    best = best_input_for_marginal(p, noisy, Distribution.uniform(2), 0.1, 0.1, evaluator=ev)
-    assert best == (first_law, 0.0)
+    best = best_input_for_marginal(p, noisy, Distribution.uniform(2), 0.1, evaluator=ev)
+    assert best == (Distribution.uniform(2), 0.0)
