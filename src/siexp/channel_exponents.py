@@ -204,12 +204,20 @@ def _cc_upper(rhos, s, w):
     where this bound reads G(q_1) as the sweeps do, or descends from q_2; a
     Newton value lies within _CC_TOL * max(|G|, 1) of min G <= G(q_2). The bound
     adds that and 32 (1 + rho) eps max(|G|, 1) for either evaluation's rounding."""
+    if len(rhos) == 1:  # a batch of two, as in _cc_e0_on_lattice
+        return _cc_upper(np.r_[rhos, rhos], s, w)[:1]
     rhos, _, sw, wpow, q = _cc_start(rhos, s, w)
     g0, q = _cc_terms(q, wpow, rhos, sw)
     g1, q = _cc_terms(q, wpow, rhos, sw)
     g = np.where(np.abs(g1 - g0) < _CC_TOL, g1, _cc_value(q, wpow, rhos, sw)[0])
     slack = (_CC_TOL + 32.0 * np.finfo(float).eps * (1.0 + rhos)) * np.maximum(np.abs(g), 1.0)
     return np.where(rhos > 0.0, np.maximum(g + slack, 0.0), 0.0)
+
+
+def _two(idx):
+    """Point indices, a lone one twice: numpy sums the contiguous axis of a one-point
+    batch's (|X|, 1) arrays pairwise, from 8 terms on, not in sequence as for more points."""
+    return np.repeat(idx, 2) if len(idx) == 1 else idx
 
 
 def _bordered_solve(h, a, b):
@@ -258,6 +266,9 @@ def _cc_e0_on_lattice(
     above that bound. Points still moving after ``max_iter`` sweeps raise
     instead of returning an unconverged upper bound.
     """
+    if len(rhos) == 1:  # solved as a batch of two copies, see _two
+        two = _cc_e0_on_lattice(np.r_[rhos, rhos], s if s.ndim == 1 else np.r_[s, s], w, newton, max_iter)
+        return tuple(a[:1] for a in two)
     rhos, sv, sw, wpow, q = _cc_start(rhos, s, w)
     newton = np.broadcast_to(rhos >= 1.0 if newton is None else newton, rhos.shape)
     if s.ndim > 1 and newton.any():
@@ -270,7 +281,7 @@ def _cc_e0_on_lattice(
     # Outputs the input law cannot reach stay out.
     reach = q[:, 0] > 0.0
     nq, nw = q[reach], wpow if reach.all() else np.compress(reach, wpow, axis=1)
-    active = np.flatnonzero(newton & (rhos > 0.0))
+    active = _two(np.flatnonzero(newton & (rhos > 0.0)))
     steps = min(_CC_NEWTON_STEPS, max_iter)
     for it in range(steps + 1):
         r, wa, qa = rhos[active], np.take(nw, active, axis=2), np.take(nq, active, axis=1)
@@ -280,8 +291,9 @@ def _cc_e0_on_lattice(
         vals[active], gap[active] = g, _cc_gap(qa, q_next, r)
         # a point whose q_next loses an output mass leaves Newton for the sweeps
         keep = (gap[active] > _CC_TOL * np.maximum(np.abs(g), 1.0)) & np.all(q_next > 0.0, axis=0)
+        keep = _two(np.flatnonzero(keep))
         active, r, g, q_next, kernel, wa, qa = (
-            np.compress(keep, a, axis=-1) for a in (active, r, g, q_next, kernel, wa, qa))
+            np.take(a, keep, axis=-1) for a in (active, r, g, q_next, kernel, wa, qa))
         if active.size == 0 or it == steps:
             break
         ks = kernel * (sc := 1.0 / np.sqrt(q_next))
@@ -297,13 +309,13 @@ def _cc_e0_on_lattice(
             q_t = np.take(qa, todo, axis=1) * np.exp(t[todo] * np.take(delta, todo, axis=1))
             g_t = _cc_value(q_t / q_t.sum(axis=0), np.take(wa, todo, axis=2), r[todo], sv[:, None])[0]
             ok = (g_t <= g[todo] + t[todo] * slope[todo] + floor[todo]) & np.all(q_t > 0.0, axis=0)
-            if (todo := todo[~ok]).size == 0:
+            if (todo := _two(todo[~ok])).size == 0:
                 break
             t[todo] *= 0.5
         t[todo] = 0.0
         qa = qa * np.exp(t * delta)
         nq[:, active] = qa / qa.sum(axis=0)
-        active = active[t > 0.0]
+        active = _two(active[t > 0.0])
     done = newton & (gap <= _CC_TOL * np.maximum(np.abs(vals), 1.0))
     q[np.ix_(reach, done)] = nq[:, done]
     # alternating minimization for the other points, from the start; the
@@ -316,16 +328,17 @@ def _cc_e0_on_lattice(
         if left == 0:
             break
         if 2 * left < idx.size or left == 1 < idx.size:
+            keep = _two(np.flatnonzero(open_))
             idx, qs, ws, rs, ss, prev, open_ = [
-                np.compress(open_, a, axis=-1) for a in (idx, qs, ws, rs, ss, prev, open_)
-            ]
+                np.take(a, keep, axis=-1) for a in (idx, qs, ws, rs, ss, prev, open_)]
         new_vals, qs = _cc_terms(qs, ws, rs, ss)
         settled = open_ & (np.abs(new_vals - prev) < _CC_TOL)
         vals[idx[settled]], q[:, idx[settled]] = new_vals[settled], qs[:, settled]
         prev, open_ = new_vals, open_ & ~settled
     if open_.any():
         raise RuntimeError("fixed-input Lagrangian did not settle on the rho lattice")
-    q_next = _cc_terms(q[:, swept], np.compress(swept, wpow, axis=2), rhos[swept], sw[:, swept])[1]
+    swept = _two(np.flatnonzero(swept))
+    q_next = _cc_terms(q[:, swept], np.take(wpow, swept, axis=2), rhos[swept], sw[:, swept])[1]
     gap[swept] = _cc_gap(q[np.ix_(reach, swept)], q_next[reach], rhos[swept])
     vals[rhos == 0.0] = 0.0
     return np.maximum(vals, 0.0), q.T, gap

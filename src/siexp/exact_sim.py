@@ -260,25 +260,25 @@ def map_decode(
 
 
 def _pair_type_counts(s1: np.ndarray, s2: np.ndarray, k1: int, k2: int) -> np.ndarray:
-    """(len(s1), len(s2), k1*k2) joint-type counts for every sequence pair."""
-    n1, n = s1.shape
-    n2 = s2.shape[0]
-    codes = (s1[:, None, :] * k2 + s2[None, :, :]).reshape(-1, n)
-    offsets = np.arange(codes.shape[0], dtype=np.int64)[:, None] * (k1 * k2)
-    flat = np.bincount((codes + offsets).ravel(), minlength=codes.shape[0] * k1 * k2)
-    return flat.reshape(n1, n2, k1 * k2)
+    """(len(s1), len(s2), k1*k2) joint-type counts for every sequence pair, in
+    the smallest unsigned dtype that holds n, one letter position at a time."""
+    counts = np.zeros((len(s1), len(s2), k1 * k2), dtype=np.min_scalar_type(s1.shape[1]))
+    for i in range(s1.shape[1]):
+        counts += (s1[:, None, i, None] * k2 + s2[None, :, i, None]) == np.arange(k1 * k2)
+    return counts
 
 
 def _pair_tables(s1: np.ndarray, matrix: np.ndarray, entropy: str | None):
     """log2 of the product law ``matrix``^n for every pair of an ``s1`` row and
     a sequence over the columns of ``matrix`` and, when ``entropy`` is "cond"
     or "mi", the pair's empirical H(1|2) or I(1;2) in bits. Built in blocks of
-    ``s1`` rows, so no letter-pair count table covers every pair at once."""
+    ``s1`` rows whose float temporaries, one float per pair and letter pair,
+    take ``_SWEEP_BLOCK_CELLS`` bytes, so no table of counts covers every pair."""
     (k1, k2), n = matrix.shape, s1.shape[1]
     s2 = _all_sequences(k2, n)
     with np.errstate(divide="ignore"):
         logm = np.log2(matrix).reshape(-1)
-    rows = max(1, _SWEEP_BLOCK_CELLS // (len(s2) * max(n, k1 * k2)))
+    rows = max(1, _SWEEP_BLOCK_CELLS // (8 * len(s2) * k1 * k2))
     logjoint = np.empty((len(s1), len(s2)))
     h = np.empty(logjoint.shape) if entropy else None
     for r0 in range(0, len(s1), rows):
@@ -380,44 +380,42 @@ def _word_table(rows: np.ndarray, mi: np.ndarray, cond_h: np.ndarray):
     their own at the sides that have any, and per (candidate, side) the
     row whose near flag decides it: its word's if it alone is on the least,
     its own, or -1 when it never decodes (one of several on the least, or
-    more than delta off it)."""
+    more than delta off it). Built one word's candidates at a time."""
     words, word = np.unique(rows, return_inverse=True)
-    order = np.argsort(word)  # the candidates grouped by word
-    starts = np.searchsorted(word[order], np.arange(len(words)))
-    least = np.minimum.reduceat(cond_h[order], starts, axis=0)
-    gap = least[word]
-    np.subtract(cond_h, gap, out=gap)  # exactly 0 where h is its word's least
-    on = gap == 0
-    alone = np.add.reduceat(on[order], starts, axis=0, dtype=np.intp) == 1
-    rep = np.where(on & alone[word], word[:, None], -1)
-    x_tab = mi[words]
+    x_tab, rep = mi[words], np.full(cond_h.shape, -1, dtype=np.int32)
+    least, close = np.empty((cond_h.shape[1], len(words))), np.empty(cond_h.shape, dtype=bool)
     delta = _TIE_TOL + 8 * np.finfo(float).eps * (np.abs(x_tab).max() + np.abs(cond_h).max())
-    close = (gap > 0) & (gap <= delta)
+    for k, group in enumerate(np.split(np.argsort(word), np.cumsum(np.bincount(word))[:-1])):
+        gap = cond_h[group]  # the candidates of word k
+        least[:, k] = gap.min(axis=0)
+        gap -= least[:, k]  # exactly 0 where h is its word's least
+        on = gap == 0
+        rep[group] = np.where(on & (np.count_nonzero(on, axis=0) == 1), k, -1)
+        close[group] = (gap > 0) & (gap <= delta)
     sides, cands = np.nonzero(close.T)  # by side, then candidate
     rep[cands, sides] = len(words) + np.arange(len(sides)) - np.searchsorted(sides, sides)
-    own_rows = {}
-    for group in np.split(np.arange(len(sides)), np.flatnonzero(np.diff(sides)) + 1):
-        if len(group):
-            b = int(sides[group[0]])
-            own_rows[b] = (word[cands[group]], cond_h[cands[group], b])
-    return x_tab, np.ascontiguousarray(least.T), own_rows, rep
+    own_rows = {int(b := sides[g[0]]): (word[cands[g]], cond_h[cands[g], b])
+                for g in np.split(np.arange(len(sides)), np.flatnonzero(np.diff(sides)) + 1) if len(g)}
+    return x_tab, least, own_rows, rep
 
 
-def _sweep(decoder: str, n: int, tables, wxy, pab, plan, scratch) -> SimulationResult:
+def _sweep(decoder: str, n: int, tables, r, wxy, pab, plan, scratch) -> SimulationResult:
     """One codebook's exact result, walking the side sequences in the blocks
     of ``plan``, so the buffers of ``scratch`` never hold every state.
 
-    ``tables`` are MAP's (log2 W^n(y|x(a)), log2 P^n(a, b)), or MMI's
-    :func:`_word_table`. MAP scores each side b only over its candidates of
-    finite log-mass (the others score -inf and never come near a finite top);
-    MMI, blind to the distribution, scores the codewords of every candidate
-    and reads each candidate's near flag off its row. Either builds the error
-    mask and its product with W^n only on the rows with mass. The rows'
-    products are scattered into zeros before the block's dot with P^n(a, b),
-    so the sum takes the same terms in the same order as over every cell: the
-    dropped ones are exact zeros."""
+    ``tables`` are MAP's (log2 W^n(y|x), log2 P^n(a, b)), or MMI's
+    :func:`_word_table`; source sequence a reads row ``r[a]`` of the shared
+    codeword tables (``wxy`` = W^n(y|x) and MAP's), never copied whole. MAP
+    scores each side b only over its candidates of finite log-mass (the
+    others score -inf and never come near a finite top); MMI, blind to the
+    distribution, scores the codewords of every candidate and reads each
+    candidate's near flag off its row. Either builds the error mask and its
+    product with W^n only on the rows with mass. The rows' products are
+    scattered into zeros before the block's dot with P^n(a, b), so the sum
+    takes the same terms in the same order as over every cell: the dropped
+    ones are exact zeros."""
     op, tol, finite_only = _SCORES[decoder]
-    na_n, ny_n = wxy.shape
+    na_n, ny_n = len(r), wxy.shape[1]
     score, near_buf, err_buf, mask_buf, prod_buf, dots_buf = scratch
     if finite_only:
         x_tab, ab_tab = tables
@@ -434,8 +432,8 @@ def _sweep(decoder: str, n: int, tables, wxy, pab, plan, scratch) -> SimulationR
             mask.fill(0.0)
         for j, b, own, n_own, pos in sides:
             if finite_only:  # each candidate of finite mass is a word of its own
-                s = op(x_tab[own], ab_tab[own, b, None], out=_view(score, n_own, ny_n))
-                mask[pos, j] = _error_mask(s, tol, _view(near_buf, n_own, ny_n))
+                s = x_tab.take(r[own], axis=0, out=_view(score, n_own, ny_n))
+                mask[pos, j] = _error_mask(op(s, ab_tab[own, b, None], out=s), tol, _view(near_buf, *s.shape))
                 continue
             s = op(x_tab, least[b, :, None], out=words)
             if b in own_rows:  # rows of their own follow the words'
@@ -447,7 +445,7 @@ def _sweep(decoder: str, n: int, tables, wxy, pab, plan, scratch) -> SimulationR
             out = _view(err_buf, n_own, ny_n)  # each candidate takes its row's flag
             err = near_rows.take(rep[own, b], axis=0, out=out, mode="wrap")
             mask[pos, j] = _failures(err, tie)
-        prod = np.matmul(mask, wxy[sources, :, None], out=_view(prod_buf, n_src, k, 1))[:, :, 0]
+        prod = np.matmul(mask, wxy[r[sources], :, None], out=_view(prod_buf, n_src, k, 1))[:, :, 0]
         dots = prod
         if n_src < na_n:
             dots = _view(dots_buf, na_n, k)
@@ -490,14 +488,8 @@ def exact_error_probabilities(
     rows = min(nb**n, max(1, _SWEEP_BLOCK_CELLS // (na * ny) ** n))
     plan = _sweep_plan(logjoint_ab, rows)
     cells = (na * ny) ** n
-    scratch = (
-        np.empty(cells),
-        np.empty(cells + ny**n, dtype=bool),
-        np.empty(cells, dtype=bool),
-        np.empty(cells * rows),
-        np.empty(na**n * rows),
-        np.empty(na**n * rows),
-    )
+    scratch = (np.empty(cells), np.empty(cells + ny**n, dtype=bool), np.empty(cells, dtype=bool),
+               np.empty(cells * rows), np.empty(na**n * rows), np.empty(na**n * rows))
     # return_inverse keeps numpy's unique from importing numpy.ma mid-pass
     words = np.unique(np.vstack([cb.codewords for cb in codebooks]), axis=0, return_inverse=True)[0]
     for run in [codebooks] if len(words) <= na**n else [[cb] for cb in codebooks]:
@@ -506,8 +498,8 @@ def exact_error_probabilities(
         for r in rows_of:
             res = {}
             for d in decoders:
-                tables = (logjoint_xy[r], logjoint_ab) if d == "map" else _word_table(r, mi, cond_h)
-                res[d] = _sweep(d, n, tables, wxy[r], pab, plan, scratch)
+                tables = (logjoint_xy, logjoint_ab) if d == "map" else _word_table(r, mi, cond_h)
+                res[d] = _sweep(d, n, tables, r, wxy, pab, plan, scratch)
             results.append(res)
     return results
 
@@ -524,6 +516,15 @@ def exact_error_probability(
     return exact_error_probabilities([codebook], p, w, (decoder,), state_budget)[0][decoder]
 
 
+def _choice_bytes(rng: np.random.Generator, p: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
+    """``rng.choice(p.size, shape, p=p.ravel())`` as bytes, by its own steps but
+    ``rows`` rows of draws at a time: the same letters and the same next draw."""
+    cdf, out = (c := p.cumsum()) / c[-1], np.empty(shape, dtype=np.uint8)
+    for r0 in range(0, len(out), rows):
+        out[r0 : r0 + rows] = cdf.searchsorted(rng.random(out[r0 : r0 + rows].shape), side="right")
+    return out
+
+
 def monte_carlo_error_probability(
     codebook: Codebook,
     p: JointDistribution,
@@ -537,13 +538,15 @@ def monte_carlo_error_probability(
 
     The decoder tables count the letter pairs of every (source, side) and
     (codeword, output) sequence pair, |A|^n * max(|B|^n * |A||B|, |Y|^n *
-    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``. The counts are
-    taken in blocks, and so are the samples' sequences derived and scored,
-    after every sample is drawn; a block scores each distinct (side, output)
-    pair it holds once."""
+    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``. The samples are
+    drawn a block at a time with ``Generator.choice``'s steps, their (source,
+    side) letters kept at a byte each; then each block draws its outputs and
+    scores each distinct (side, output) pair it holds once."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
-    if samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
+    if (samples := int(samples)) < 1:
         raise ValueError("samples must be at least 1")
     n = codebook.n
     na, nb = p.shape
@@ -554,26 +557,22 @@ def monte_carlo_error_probability(
             f"Monte Carlo decoder tables need {table_cells} entries, budget is "
             f"{DEFAULT_STATE_BUDGET}; reduce the blocklength"
         )
-    rng = np.random.default_rng(seed)
-    pairs = rng.choice(na * nb, size=(samples, n), p=p.matrix.reshape(-1))
-    u = rng.random((samples, n))
-    cum = np.cumsum(w.matrix, axis=1)
-    cum[:, -1] = 1.0
+    rng, cols = np.random.default_rng(seed), max(1, _SWEEP_BLOCK_CELLS // na**n)
+    pairs, cum = _choice_bytes(rng, p.matrix, (samples, n), cols), np.cumsum(w.matrix, axis=1)
 
     mmi = decoder == "mmi"
     logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
     (logjoint_xy, mi), (rows,) = _codeword_tables([codebook], w, mmi)
     x_tab, ab_tab = (mi[rows], cond_h) if mmi else (logjoint_xy[rows], logjoint_ab)
     op, tol, _ = _SCORES[decoder]
-    cols = max(1, _SWEEP_BLOCK_CELLS // na**n)
     errors = 0
     for s0 in range(0, samples, cols):
-        j = slice(s0, s0 + cols)
-        a, b = np.divmod(pairs[j], nb)
+        a, b = np.divmod(pairs[s0 : s0 + cols], nb)
         a_idx = _lex_index(a, na)
         x = codebook.codewords[a_idx]
-        y_idx = _lex_index((u[j, :, None] > cum[x]).sum(axis=2), ny)
-        seen, obs = np.unique(_lex_index(b, nb) * ny**n + y_idx, return_inverse=True)
+        u = rng.random(x.shape)  # y is the number of the row's cumulative sums below u
+        y = sum((u > cum[:, k][x] for k in range(ny - 1)), np.zeros_like(x))
+        seen, obs = np.unique(_lex_index(b, nb) * ny**n + _lex_index(y, ny), return_inverse=True)
         err = _error_mask(op(x_tab[:, seen % ny**n], ab_tab[:, seen // ny**n]), tol)
         errors += int(np.count_nonzero(err[a_idx, obs]))
     pe = errors / samples
@@ -591,10 +590,7 @@ def monte_carlo_error_probability(
 def codeword_compositions_ok(codebook: Codebook) -> bool:
     """Every codeword carries exactly the composition assigned to its source type."""
     na = codebook.source_size
-    for idx in range(codebook.codewords.shape[0]):
-        a_seq = np.unravel_index(idx, (na,) * codebook.n)
-        t = _sequence_type(np.array(a_seq), na)
-        comp = _sequence_type(codebook.codewords[idx], codebook.input_size)
-        if comp != codebook.compositions[t]:
-            return False
-    return True
+    return all(
+        _sequence_type(x, codebook.input_size) == codebook.compositions[_sequence_type(a, na)]
+        for a, x in zip(_all_sequences(na, codebook.n), codebook.codewords)
+    )

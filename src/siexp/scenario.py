@@ -28,7 +28,6 @@ scenario: numbers are printed with 9 significant digits, infinities as
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,10 +455,12 @@ def simulate_table(
                 f"{seed},{d},{format_number(res.error_probability)},"
                 f"{format_number(res.empirical_exponent)}"
             )
+    # statistics.median's float, without importing statistics (and fractions, decimal, random)
+    median = lambda v: ((s := sorted(v))[(len(s) - 1) // 2] + s[len(s) // 2]) / 2
     for d in decoders:
         pes = [r.error_probability for r in results[d]]
         exps = [r.empirical_exponent for r in results[d]]
-        for label, agg in (("min", min), ("median", statistics.median), ("max", max)):
+        for label, agg in (("min", min), ("median", median), ("max", max)):
             lines.append(
                 f"{label},{d},{format_number(agg(pes))},{format_number(agg(exps))}"
             )

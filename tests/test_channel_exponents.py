@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siexp import channel_exponents, cli
@@ -1117,19 +1117,39 @@ def test_cc_lattice_subsets_and_stacks_keep_the_whole_lattice_floats(case):
             assert np.array_equal(got, np.r_[whole[0][idx], whole[1][jdx]][order])
 
 
+def _subset_cases(rhos):
+    # (input law, channel, lattice points) on up to 9 inputs and 9 outputs:
+    # numpy sums a contiguous axis of 8 or more terms pairwise, not in sequence
+    return st.tuples(st.sampled_from([2, 3, 4, 9]), st.sampled_from([1, 2, 3, 4, 9])).flatmap(
+        lambda km: st.tuples(_stochastic(1, km[0]).map(lambda m: m[0]), _stochastic(*km),
+                             st.sets(st.integers(0, len(rhos) - 1), min_size=1, max_size=40))
+    )
+
+
+def _assert_subsets_keep_the_whole_lattice_floats(rhos, newton, case):
+    s, w, picked = case
+    whole = _cc_e0_on_lattice(rhos, s, w, newton)
+    upper = _cc_upper(rhos, s, w)
+    for idx in [np.array(sorted(picked))] + [np.array([k]) for k in sorted(picked)[:3]]:
+        _assert_same_floats(_cc_e0_on_lattice(rhos[idx], s, w, newton), [part[idx] for part in whole])
+        _assert_same_floats([_cc_upper(rhos[idx], s, w)], [upper[idx]])
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, 3, 4])).flatmap(
-    lambda km: st.tuples(_stochastic(1, km[0]).map(lambda m: m[0]), _stochastic(*km),
-                         st.sets(st.integers(0, len(_CC_RHO_UNIT) - 1), min_size=1, max_size=40))
-))
+@given(_subset_cases(_CC_RHO_UNIT))
+# rho = 0 is not swept, so the other point was once swept alone
+@example((np.array([1.0, 0.0]), np.array([[0.0] * 5 + [4 / 9, 2 / 9, 1 / 3, 0.0], [0.0] * 8 + [1.0]]), {0, 1}))
 def test_cc_unit_lattice_subsets_keep_the_whole_lattice_floats(case):
     # the swept sums over inputs run in sequence, not in an order numpy picks:
-    # einsum once summed the inputs of a one-output, one-point batch as a dot
-    s, w, picked = case
-    whole = _cc_e0_on_lattice(_CC_RHO_UNIT, s, w, False)
-    for idx in [np.array(sorted(picked))] + [np.array([k]) for k in sorted(picked)[:3]]:
-        got = _cc_e0_on_lattice(_CC_RHO_UNIT[idx], s, w, False)
-        _assert_same_floats(got, [part[idx] for part in whole])
+    # einsum once summed the inputs of a one-output, one-point batch as a dot,
+    # and a one-point batch's (|X|, 1) arrays summed 9 inputs pairwise
+    _assert_subsets_keep_the_whole_lattice_floats(_CC_RHO_UNIT, False, case)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_subset_cases(_CC_RHO_TAIL))
+def test_cc_newton_tail_subsets_keep_the_whole_lattice_floats(case):
+    _assert_subsets_keep_the_whole_lattice_floats(_CC_RHO_TAIL, True, case)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siexp import exact_sim
 from siexp.channel_exponents import bsc
@@ -103,9 +105,16 @@ def test_optimized_codebook_structure():
         assert sum(cb.compositions[t]) == 4
 
 
-@pytest.mark.parametrize("rule", ["uniform", "optimized"])
-def test_batch_codebooks_equal_one_seed_builds(rule):
-    p, w = ternary_pair()
+# the optimized ternary compositions are all balanced, so the optimized ternary
+# case repeats the uniform one; at n = 3 the wide pair's 4 types take 3
+@pytest.mark.parametrize(
+    "rule,pair", [("uniform", ternary_pair), ("optimized", ternary_pair), ("optimized", wide_pair)],
+    ids=["uniform", "optimized", "optimized-wide"],
+)
+def test_batch_codebooks_equal_one_seed_builds(rule, pair):
+    p, w = pair()
+    if pair is wide_pair:
+        assert len(set(build_codebook(3, p, w, rule).compositions.values())) == 3
     seeds = (0, 3, 7)
     batch = build_codebooks(3, p, w, rule, seeds)
     for seed, cb in zip(seeds, batch):
@@ -225,11 +234,21 @@ def test_reference_decoders_match_exact_sweep(decoder):
     assert fast == pytest.approx(brute, abs=1e-12)
 
 
-# at n = 2 every MMI score ties (Pe = 1); n = 3 gives MMI untied decodes
-@pytest.mark.parametrize("n,rule", [(2, "uniform"), (2, "optimized"), (3, "optimized")])
+# at n = 2 every MMI score ties (Pe = 1); n = 3 gives MMI untied decodes. The
+# wide pair's optimized codebooks at n = 3 use three compositions, one of them
+# on the third input
+@pytest.mark.parametrize(
+    "n,rule,pair",
+    [
+        pytest.param(2, "uniform", ternary_pair, id="2-uniform"),
+        pytest.param(2, "optimized", ternary_pair, id="2-optimized"),
+        pytest.param(3, "optimized", ternary_pair, id="3-optimized"),
+        pytest.param(3, "optimized", wide_pair, id="3-optimized-wide"),
+    ],
+)
 @pytest.mark.parametrize("decoder", ["mmi", "map"])
-def test_reference_decoders_match_exact_sweep_ternary_source(decoder, n, rule):
-    p, w = ternary_pair()
+def test_reference_decoders_match_exact_sweep_ternary_source(decoder, n, rule, pair):
+    p, w = pair()
     cb = build_codebook(n, p, w, rule, seed=1)
     brute = _brute_force_pe(cb, p, w, decoder)
     fast = exact_error_probability(cb, p, w, decoder).error_probability
@@ -306,13 +325,25 @@ def test_exact_map_sweep_memory_is_bounded_by_blocks():
     assert _traced_peak(lambda: exact_error_probability(cb, p, w, "map")) <= 48 * 2**20
 
 
+@pytest.mark.parametrize("samples,mib", [(100_000, 3), (1_000_000, 8)])
 @pytest.mark.parametrize("decoder", ["mmi", "map"])
-def test_monte_carlo_sample_memory_is_bounded_by_blocks(decoder):
-    # deriving every sample's sequences at once peaked at about 24 MiB here
+def test_monte_carlo_sample_memory_is_bounded_by_blocks(decoder, samples, mib):
+    # deriving every sample's sequences at once peaked at about 24 MiB at 10^5
+    # samples; drawing every sample at once, as int64 letters and float64
+    # uniforms, at 6.9 MiB there and 61.9 MiB at 10^6. Streamed, a sample
+    # keeps its n = 4 letters at a byte each: 1.2 and 4.6 MiB
     p, w = worked_pair()
     cb = build_codebook(4, p, w, "uniform", seed=0)
-    peak = _traced_peak(lambda: monte_carlo_error_probability(cb, p, w, decoder, 100_000, 11))
-    assert peak <= 16 * 2**20
+    peak = _traced_peak(lambda: monte_carlo_error_probability(cb, p, w, decoder, samples, 11))
+    assert peak <= mib * 2**20
+
+
+def test_simulate_table_memory_is_bounded():
+    # n = 8 over 8 seeds: 5.8 MiB with a copy of W^n and of log2 W^n per
+    # codebook and MMI's word table gathered over every (source, side) cell;
+    # 4.6 MiB reading the shared tables through each codebook's rows
+    peak = _traced_peak(lambda: simulate_table(worked_example(), n=8, decoders=("mmi", "map"), seed_count=8))
+    assert peak <= 5.2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +507,85 @@ def test_monte_carlo_count_does_not_depend_on_blocks(decoder, monkeypatch):
     assert blocked == whole
 
 
+def _todays_monte_carlo_errors(cb, p, w, decoder, samples, seed):
+    """The error count of the estimator that drew every sample first: all the
+    (source, side) letters by ``rng.choice``, then all the output uniforms,
+    and found each block's output letters by a (block, n, |Y|) gather-and-sum."""
+    n, (na, nb), (nx, ny) = cb.n, p.shape, w.shape
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(na * nb, size=(samples, n), p=p.matrix.reshape(-1))
+    u = rng.random((samples, n))
+    cum = np.cumsum(w.matrix, axis=1)
+    cum[:, -1] = 1.0
+    mmi = decoder == "mmi"
+    logjoint_ab, cond_h = exact_sim._pair_tables(exact_sim._all_sequences(na, n), p.matrix, "cond" if mmi else None)
+    (logjoint_xy, mi), (rows,) = exact_sim._codeword_tables([cb], w, mmi)
+    x_tab, ab_tab = (mi[rows], cond_h) if mmi else (logjoint_xy[rows], logjoint_ab)
+    op, tol, _ = exact_sim._SCORES[decoder]
+    cols = max(1, exact_sim._SWEEP_BLOCK_CELLS // na**n)
+    errors = 0
+    for s0 in range(0, samples, cols):
+        j = slice(s0, s0 + cols)
+        a, b = np.divmod(pairs[j], nb)
+        a_idx = exact_sim._lex_index(a, na)
+        x = cb.codewords[a_idx]
+        y_idx = exact_sim._lex_index((u[j, :, None] > cum[x]).sum(axis=2), ny)
+        seen, obs = np.unique(exact_sim._lex_index(b, nb) * ny**n + y_idx, return_inverse=True)
+        err = exact_sim._error_mask(op(x_tab[:, seen % ny**n], ab_tab[:, seen // ny**n]), tol)
+        errors += int(np.count_nonzero(err[a_idx, obs]))
+    return errors
+
+
+def _laws(rows, cols):
+    """Row-stochastic (rows, cols) arrays with zero cells, as one joint law
+    when ``rows`` is None."""
+    shape = (rows or 2, cols)
+    cells = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.5, 1.0]), min_size=math.prod(shape),
+                     max_size=math.prod(shape)).map(lambda v: np.array(v).reshape(shape))
+    if rows is None:
+        return cells.filter(lambda m: m.sum() > 0).map(lambda m: m / m.sum())
+    return cells.filter(lambda m: np.all(m.sum(axis=1) > 0)).map(lambda m: m / m.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(lambda nb: _laws(None, nb)),
+    st.integers(2, 4).flatmap(lambda ny: _laws(2, ny)),
+    st.integers(1, 4),
+    st.sampled_from(["mmi", "map"]),
+    st.integers(1, 2_500),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1, 7, 100]),
+)
+def test_streamed_monte_carlo_counts_equal_todays(joint, channel, n, decoder, samples, seed, cells):
+    # laws with zero cells, |Y| from 2 to 4, sample counts that blocks of 2^n
+    # * (1, 7 or 100) or the default blocks do not divide
+    p, w = JointDistribution(joint), ConditionalDistribution(channel)
+    cb = build_codebook(n, p, w, "uniform", seed % 7)
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(exact_sim, "_SWEEP_BLOCK_CELLS", cells * 2**n)
+        mc = monte_carlo_error_probability(cb, p, w, decoder, samples, seed)
+        assert mc.error_probability == _todays_monte_carlo_errors(cb, p, w, decoder, samples, seed) / samples
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(lambda nb: _laws(None, nb)),
+    st.tuples(st.integers(1, 300), st.integers(1, 6)),
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+)
+def test_blockwise_letters_are_generator_choice_letters(joint, shape, rows, seed):
+    # the letters and the draw after them, whatever the block
+    rng = np.random.default_rng(seed)
+    got = exact_sim._choice_bytes(rng, joint, shape, rows)
+    ref = np.random.default_rng(seed)
+    want = ref.choice(joint.size, size=shape, p=joint.reshape(-1))
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert rng.random(3).tolist() == ref.random(3).tolist()
+
+
 # ---------------------------------------------------------------------------
 # budgets and validation
 
@@ -510,6 +620,23 @@ def test_monte_carlo_checks_budget_and_samples_before_allocating():
     p2, w2 = worked_pair()
     with pytest.raises(ValueError):
         monte_carlo_error_probability(build_codebook(2, p2, w2), p2, w2, samples=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, 1e3, True, np.float64(10), "10", None])
+def test_monte_carlo_refuses_samples_that_are_not_integers(samples):
+    # each of these once failed inside numpy's draw, after the tables were built
+    p, w = worked_pair()
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        monte_carlo_error_probability(build_codebook(2, p, w), p, w, samples=samples)
+
+
+def test_monte_carlo_accepts_numpy_integer_samples():
+    p, w = worked_pair()
+    cb = build_codebook(3, p, w)
+    want = monte_carlo_error_probability(cb, p, w, "map", samples=1_000, seed=4)
+    for samples in (np.int64(1_000), np.uint16(1_000)):
+        got = monte_carlo_error_probability(cb, p, w, "map", samples=samples, seed=4)
+        assert got == want and type(got.samples) is int and type(got.error_probability) is float
 
 
 def test_empirical_exponent_definition():
@@ -596,7 +723,8 @@ def _whole_decoder_tables(cb, p, w):
     return mi, h_ab - h_b, logjoint_ab, logjoint_xy
 
 
-@pytest.mark.parametrize("pair", [worked_pair, ternary_pair])
+# the wide pair's optimized codebooks are unbalanced at n = 3, 5 and 6
+@pytest.mark.parametrize("pair", [worked_pair, ternary_pair, wide_pair])
 @pytest.mark.parametrize("rule", ["uniform", "optimized"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_shared_tables_match_per_codebook_tables_bit_for_bit(n, rule, pair):
