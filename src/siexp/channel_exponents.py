@@ -79,7 +79,18 @@ _RATE_BLOCK = 128
 # table entries per rate that :func:`_lattice_argmax` reads, 2 W + 3 for its
 # window W = 2; a lattice with no more points per rate is solved whole
 _ENTRIES = 7
-_STACK_CELLS = 2**13  # points x |X| x |Y| per stacked fixed-input solve, a 2 x 2 unit lattice
+# lattice points x |X| x |Y| per block of the E_0, E_s and fixed-input lattice
+# solves (see _blocked): 2,048 points of a 2 x 2 channel, a whole 2 x 2
+# fixed-input lattice
+_BLOCK_CELLS = 2**13
+# an E_0* block holds _E0_STAR_POINTS points, the unit lattice in two blocks,
+# or _E0_STAR_CELLS cells, |X| (|X| + |Y|) per point for the channel's powers
+# and the Newton step's KKT system, where that is fewer points: each block
+# repeats the sweeps' fixed cost, their np.power calls, some 60 other numpy
+# calls and the line searches' Newton steps, which blocks of _BLOCK_CELLS would
+# repeat 5 times on a 2 x 2 channel and 79 times on an 8 x 8 one
+_E0_STAR_POINTS = 5001
+_E0_STAR_CELLS = 2**18
 
 
 def bsc(eps: float) -> ConditionalDistribution:
@@ -98,6 +109,22 @@ def bec(eps: float) -> ConditionalDistribution:
     )
 
 
+def _blocked(solve, n: int, step: int):
+    """``solve(idx)`` over the n points of a rho lattice in consecutive blocks
+    of ``step`` points (at least one), a lone point as two copies (see
+    :func:`_two`); the results, an array or a tuple of arrays with the points
+    on the first axis, joined. A solver whose points' floats do not depend on
+    their batch gives the whole lattice's floats, and its transient memory is
+    that of one block."""
+    step, parts = max(1, step), []
+    for lo in range(0, max(n, 1), step):
+        idx = np.arange(lo, min(lo + step, n))
+        out = solve(_two(idx))
+        parts.append([a[: len(idx)] for a in (out if isinstance(out, tuple) else (out,))])
+    joined = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
+    return tuple(joined) if isinstance(out, tuple) else joined[0]
+
+
 def _power_sum_on_lattice(rhos: np.ndarray, m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """log2 sum_j (sum_i weights_i m_ij^(1/(1+rho)))^(1+rho) for every rho at
     once, 0 at rho = 0: -E_0 with the input law as weights and the channel as
@@ -105,16 +132,23 @@ def _power_sum_on_lattice(rhos: np.ndarray, m: np.ndarray, weights: np.ndarray) 
 
     The lattice sits on the last, contiguous axis and both sums add rows in
     sequence (a gemv's float hung on the other points), so any subset of a
-    lattice, one point too, has the whole lattice's floats. Where the weighted
+    lattice, one point too, has the whole lattice's floats; it is solved in
+    blocks of at most ``_BLOCK_CELLS`` point-matrix cells. Where the weighted
     powers are exact (unit weights, or a uniform input on 2 or 4 letters) they
     are the floats of the lattice-first forms in tests/test_channel_exponents.py.
     """
-    mpow = _power(m[:, :, None], 1.0 / (1.0 + rhos))
-    inner = sum(weight * row for weight, row in zip(weights, mpow))
-    with np.errstate(divide="ignore"):
-        vals = np.log2(sum(_power(inner, 1.0 + rhos)))
-    vals[rhos == 0.0] = 0.0
-    return vals
+    rhos = np.asarray(rhos, dtype=float)
+
+    def solve(idx):
+        r = rhos[idx]
+        mpow = np.power(m[:, :, None], 1.0 / (1.0 + r))
+        inner = _mix(weights, mpow)
+        with np.errstate(divide="ignore"):
+            vals = np.log2(sum(np.power(inner, 1.0 + r)))
+        vals[r == 0.0] = 0.0
+        return vals
+
+    return _blocked(solve, len(rhos), _BLOCK_CELLS // m.size)
 
 
 def gallager_e0(rho: float, s: Distribution, w: ConditionalDistribution) -> float:
@@ -155,19 +189,10 @@ def _cc_value(q, wpow, rhos, sl):
     channel (|X|, |Y|, n), its row sums and the input weights sl (|X|, n or
     1), summed in sequence. A live input none of whose outputs q reaches (its row
     sum underflows to 0) makes G(q) infinite."""
-    tilted = wpow * _power(q, rhos / (1.0 + rhos))
+    tilted = wpow * np.power(q, rhos / (1.0 + rhos))
     row = tilted.sum(axis=1)
     with np.errstate(divide="ignore"):
         return -(1.0 + rhos) * (sl * np.log2(row)).sum(axis=0), tilted, row
-
-
-def _power(base, exponent):
-    """base ** exponent over the points on the last axis, the exponent spelled
-    out for a batch of one point: numpy takes an exponent constant along its
-    inner loop as a scalar, and 0.5 then as a square root, which rounds apart."""
-    if (shape := np.broadcast_shapes(base.shape, exponent.shape))[-1] == 1:
-        exponent = np.broadcast_to(exponent, shape).copy()
-    return np.power(base, exponent)
 
 
 def _cc_terms(q, wpow, rhos, sl):
@@ -185,17 +210,14 @@ def _cc_gap(q, q_next, rhos):
 
 def _cc_start(rhos, s, w):
     """The first input law, the live inputs' weights per point (|X|, n), the
-    channel powers (|X|, |Y|, n) and the start q_0 = S W (|Y|, n), one product
-    per run of equal laws, for :func:`_cc_e0_on_lattice` and :func:`_cc_upper`."""
-    rhos, n, live = np.asarray(rhos, dtype=float), len(rhos), (s if s.ndim == 1 else s[0]) > 0
+    channel powers (|X|, |Y|, n) and the start q_0 = S W (|Y|, n), summed in
+    sequence over the inputs for one law and for per-point laws alike, for
+    :func:`_cc_e0_on_lattice` and :func:`_cc_upper`."""
+    live = (s if s.ndim == 1 else s[0]) > 0
     wl, sn = w[live], np.atleast_2d(s)[:, live]
-    if s.ndim == 1:
-        q0 = np.repeat((sn[0] @ wl)[:, None], n, axis=1)
-    else:
-        new_law = np.r_[True, np.any(sn[1:] != sn[:-1], axis=1)]
-        q0 = np.array([sn[i] @ wl for i in np.flatnonzero(new_law)]).T[:, np.cumsum(new_law) - 1]
-    sw = np.ascontiguousarray(np.broadcast_to(sn.T, (len(wl), n)))
-    return rhos, sn[0], sw, _power(wl[:, :, None], 1.0 / (1.0 + rhos)), q0
+    sw = np.ascontiguousarray(np.broadcast_to(sn.T, (len(wl), len(rhos))))
+    q0 = (sw[:, None] * wl[:, :, None]).sum(axis=0)
+    return sn[0], sw, np.power(wl[:, :, None], 1.0 / (1.0 + rhos)), q0
 
 
 def _cc_upper(rhos, s, w):
@@ -203,20 +225,26 @@ def _cc_upper(rhos, s, w):
     two alternating updates q_0 -> q_1 -> q_2. A swept point settles at q_1,
     where this bound reads G(q_1) as the sweeps do, or descends from q_2; a
     Newton value lies within _CC_TOL * max(|G|, 1) of min G <= G(q_2). The bound
-    adds that and 32 (1 + rho) eps max(|G|, 1) for either evaluation's rounding."""
-    if len(rhos) == 1:  # a batch of two, as in _cc_e0_on_lattice
-        return _cc_upper(np.r_[rhos, rhos], s, w)[:1]
-    rhos, _, sw, wpow, q = _cc_start(rhos, s, w)
-    g0, q = _cc_terms(q, wpow, rhos, sw)
-    g1, q = _cc_terms(q, wpow, rhos, sw)
-    g = np.where(np.abs(g1 - g0) < _CC_TOL, g1, _cc_value(q, wpow, rhos, sw)[0])
-    slack = (_CC_TOL + 32.0 * np.finfo(float).eps * (1.0 + rhos)) * np.maximum(np.abs(g), 1.0)
-    return np.where(rhos > 0.0, np.maximum(g + slack, 0.0), 0.0)
+    adds that and 32 (1 + rho) eps max(|G|, 1) for either evaluation's rounding.
+    Solved in blocks of at most ``_BLOCK_CELLS`` point-channel cells."""
+    rhos = np.asarray(rhos, dtype=float)
+
+    def solve(idx):
+        r = rhos[idx]
+        _, sw, wpow, q = _cc_start(r, s, w)
+        g0, q = _cc_terms(q, wpow, r, sw)
+        g1, q = _cc_terms(q, wpow, r, sw)
+        g = np.where(np.abs(g1 - g0) < _CC_TOL, g1, _cc_value(q, wpow, r, sw)[0])
+        slack = (_CC_TOL + 32.0 * np.finfo(float).eps * (1.0 + r)) * np.maximum(np.abs(g), 1.0)
+        return np.where(r > 0.0, np.maximum(g + slack, 0.0), 0.0)
+
+    return _blocked(solve, len(rhos), _BLOCK_CELLS // w.size)
 
 
 def _two(idx):
     """Point indices, a lone one twice: numpy sums the contiguous axis of a one-point
-    batch's (|X|, 1) arrays pairwise, from 8 terms on, not in sequence as for more points."""
+    batch's (|X|, 1) arrays pairwise, from 8 terms on, not in sequence as for more points,
+    and takes an exponent constant along its inner loop as a scalar, 0.5 as a square root."""
     return np.repeat(idx, 2) if len(idx) == 1 else idx
 
 
@@ -259,20 +287,25 @@ def _cc_e0_on_lattice(
     ``s`` is one input law, or one law per point (n, |X|) for inputs of one
     support solved together without Newton steps. Every per-point array holds
     the lattice on its last, contiguous axis and sums over inputs in sequence,
-    so a point's floats are those it gets alone, in any subset or stack.
+    so a point's floats are those it gets alone, in any subset or stack; the
+    lattice is solved in blocks of at most ``_BLOCK_CELLS`` point-channel cells.
 
     Returns (values, output laws q of shape (n, |Y|), gaps in bits); swept
     points report the law after their last sweep and its true gap, mostly
     above that bound. Points still moving after ``max_iter`` sweeps raise
     instead of returning an unconverged upper bound.
     """
-    if len(rhos) == 1:  # solved as a batch of two copies, see _two
-        two = _cc_e0_on_lattice(np.r_[rhos, rhos], s if s.ndim == 1 else np.r_[s, s], w, newton, max_iter)
-        return tuple(a[:1] for a in two)
-    rhos, sv, sw, wpow, q = _cc_start(rhos, s, w)
+    rhos = np.asarray(rhos, dtype=float)
     newton = np.broadcast_to(rhos >= 1.0 if newton is None else newton, rhos.shape)
     if s.ndim > 1 and newton.any():
         raise ValueError("Newton steps take one input law")
+    solve = lambda idx: _cc_block(rhos[idx], s if s.ndim == 1 else s[idx], w, newton[idx], max_iter)
+    return _blocked(solve, len(rhos), _BLOCK_CELLS // w.size)
+
+
+def _cc_block(rhos, s, w, newton, max_iter):
+    """:func:`_cc_e0_on_lattice` on one block of at least two points."""
+    sv, sw, wpow, q = _cc_start(rhos, s, w)
     vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
     # Newton steps on the simplex, for the relative step delta = d / q scaled by
     # 1/sqrt(q_next): the KKT system's Hessian block is then I + rho K' diag(s) K
@@ -537,7 +570,7 @@ class _Curve:
 def _stacked(items) -> None:
     """Solve each fixed-input (lattice, idx) into ``lattice.vals`` at the unit
     points idx not yet solved, lattices of one channel and input support in
-    calls of at most ``_STACK_CELLS`` point-channel cells."""
+    one call, which solves at most ``_BLOCK_CELLS`` point-channel cells at once."""
     groups: dict[tuple, list] = {}
     for lat, idx in items:
         if (idx := idx[np.isnan(lat.vals[idx])]).size:
@@ -547,9 +580,7 @@ def _stacked(items) -> None:
         w, sizes = group[0][0].law[1], [len(idx) for _, idx in group]
         rhos = np.concatenate([lat.rho_unit[idx] for lat, idx in group])
         laws = np.repeat([lat.law[0] for lat, _ in group], sizes, axis=0)
-        step = max(1, _STACK_CELLS // w.size)
-        vals = np.concatenate([_cc_e0_on_lattice(rhos[lo : lo + step], laws[lo : lo + step], w, False)[0]
-                               for lo in range(0, len(rhos), step)])
+        vals = _cc_e0_on_lattice(rhos, laws, w, False)[0]
         for (lat, idx), v in zip(group, np.split(vals, np.cumsum(sizes)[:-1])):
             lat.vals[idx] = v
 
@@ -700,24 +731,25 @@ def primal_exponent_curves(
 
 
 def _line_min(alpha, d, r, hi):
-    """argmin over t in [0, hi] of the convex phi(t) = sum_y (alpha + t d)_y^(1+r), row by
-    row: hi where phi'(hi) <= 0, else 0 where phi'(0) >= 0, else Newton steps on phi' from 0
-    (midpoints where a step would leave the sign bracket [lo, top]) until |phi'| is within its
-    rounding 8 |Y| eps sum_y |terms|, the bracket is 4 eps top wide or 100 steps are taken, on
-    all rows in place. The caller's Frank-Wolfe gap, not this search, certifies each point."""
-    eps, rho, d, t, top, n = np.finfo(float).eps, r[:, 0], d.T, hi.copy(), hi.copy(), len(hi)
+    """argmin over t in [0, hi] of the convex phi(t) = sum_y (alpha + t d)_y^(1+r), point by
+    point for alpha and d of shape (|Y|, points): hi where phi'(hi) <= 0, else 0 where
+    phi'(0) >= 0, else Newton steps on phi' from 0 (midpoints where a step would leave the
+    sign bracket [lo, top]) until |phi'| is within its rounding 8 |Y| eps sum_y |terms|, the
+    bracket is 4 eps top wide or 100 steps are taken, on all points in place. The caller's
+    Frank-Wolfe gap, not this search, certifies each point."""
+    eps, t, top, n = np.finfo(float).eps, hi.copy(), hi.copy(), len(hi)
     base, p, g, curv, lo = np.empty(d.shape), np.empty(d.shape), np.zeros(n), np.zeros(n), np.zeros(n)
 
-    def settled(t):  # phi' / (1+r) into g, phi'' / (1+r) into curv; True where a row may stop
-        np.maximum(np.add(alpha.T, np.multiply(d, t, out=base), out=base), 0.0, out=base)
-        np.multiply(np.power(base, rho, out=p), d, out=p).sum(axis=0, out=g)
+    def settled(t):  # phi' / (1+r) into g, phi'' / (1+r) into curv; True where a point may stop
+        np.maximum(np.add(alpha, np.multiply(d, t, out=base), out=base), 0.0, out=base)
+        np.multiply(np.power(base, r, out=p), d, out=p).sum(axis=0, out=g)
         np.copyto(lo, t, where=g < 0.0)
         np.copyto(top, t, where=g > 0.0)
         stop = lo >= np.multiply(top, 1.0 - 4.0 * eps, out=curv)
         np.multiply(np.abs(p, out=p).sum(axis=0, out=curv), 8 * len(d) * eps, out=curv)
         stop |= (g <= curv) & (g >= np.negative(curv, out=curv))
         np.divide(np.abs(np.multiply(p, d, out=p), out=p), base, out=p, where=base > 0.0)
-        np.multiply(p.sum(axis=0, out=curv), rho, out=curv)
+        np.multiply(p.sum(axis=0, out=curv), r, out=curv)
         return stop
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf or nan steps bisect
@@ -753,57 +785,88 @@ def _e0_star_on_lattice(
     floor k (1+rho)^2 eps * F of evaluating it from alpha^rho, which is larger
     only near the top of the tail. Returns (E_0*, maximizing laws, relative
     gaps); unsettled points after ``max_iter`` sweeps raise.
+
+    Every per-point array holds the lattice on its last axis, and every sum
+    over inputs or outputs adds them in sequence, so any subset of a lattice,
+    one point too, has the whole lattice's floats. The lattice is solved in
+    blocks of ``_E0_STAR_POINTS`` points, or of at most ``_E0_STAR_CELLS``
+    cells, |X| (|X| + |Y|) per point, where that is fewer points.
     """
     rhos = np.asarray(rhos, dtype=float)
-    k = w.shape[0]
+    step = min(_E0_STAR_POINTS, _E0_STAR_CELLS // (len(w) * (len(w) + w.shape[1])))
+    return _blocked(lambda idx: _e0_star_block(rhos[idx], w, max_iter), len(rhos), step)
+
+
+def _e0_star_block(rhos, w, max_iter):
+    """:func:`_e0_star_on_lattice` on one block of at least two points."""
+    k, n = len(w), len(rhos)
     tol = np.maximum(1e-12, k * (1.0 + rhos) ** 2 * np.finfo(float).eps)
-    s = np.full((len(rhos), k), 1.0 / k)
-    f = np.ones(len(rhos))
-    gap = np.zeros(len(rhos))
-    active = np.flatnonzero(rhos > 0.0)
-    wa = np.power(w[None, :, :], (1.0 / (1.0 + rhos[active]))[:, None, None])
+    s, f, gap = np.full((k, n), 1.0 / k), np.ones(n), np.zeros(n)
+    active = _two(np.flatnonzero(rhos > 0.0))
+    wa = np.power(w[:, :, None], 1.0 / (1.0 + rhos[active]))  # (k, |Y|, points)
     for _ in range(max_iter):
-        r, sa = rhos[active, None], s[active]
-        alpha = np.einsum("nx,nxy->ny", sa, wa)
-        c = np.einsum("nxy,ny->nx", wa, np.power(alpha, r))
-        f[active] = (sa * c).sum(axis=1)
-        gap[active] = (1.0 + r[:, 0]) * (f[active] - c.min(axis=1)) / f[active]
-        keep = gap[active] > tol[active]
-        active, r, wa, sa, alpha, c = (a[keep] for a in (active, r, wa, sa, alpha, c))
+        r, sa = rhos[active], s[:, active]
+        alpha, c = _e0_star_terms(sa, wa, r)
+        f[active] = (sa * c).sum(axis=0)
+        gap[active] = (1.0 + r) * (f[active] - c.min(axis=0)) / f[active]
+        keep = _two(np.flatnonzero(gap[active] > tol[active]))
+        active, r, sa, alpha, c, wa = (np.take(a, keep, axis=-1) for a in (active, r, sa, alpha, c, wa))
         if active.size == 0:
             break
-        rows = np.arange(active.size)
-        i = np.argmax(np.where(sa > 0.0, c, -np.inf), axis=1)
-        j = np.argmin(c, axis=1)
-        t = _line_min(alpha, wa[rows, j] - wa[rows, i], r, sa[rows, i])
-        sa[rows, i] -= t
-        sa[rows, j] += t
+        i = np.argmax(np.where(sa > 0.0, c, -np.inf), axis=0)
+        j = np.argmin(c, axis=0)
+        pick = lambda x: np.take_along_axis(wa, x[None, None], axis=0)[0]
+        t = _line_min(alpha, pick(j) - pick(i), r, np.take_along_axis(sa, i[None], axis=0)[0])
+        cols = np.arange(active.size)
+        sa[i, cols] -= t
+        sa[j, cols] += t
         if k > 2:
-            # inputs holding at most 1e-12 stay with the pairwise step: the
-            # curvature grows like alpha^(rho-1) as their outputs empty, and
-            # the Newton step would stall against them
-            on = sa > 1e-12
-            alpha = np.einsum("nx,nxy->ny", sa, wa)
-            c = np.einsum("nxy,ny->nx", wa, np.power(alpha, r))
-            curv = r * np.power(np.where(alpha > 0.0, alpha, 1.0), r - 1.0)
-            h = np.einsum("nxy,ny,nzy->nxz", wa, curv, wa)
-            h += 1e-12 * h * np.eye(k)  # keeps faces with duplicate rows solvable
-            kkt = np.zeros((active.size, k + 1, k + 1))
-            kkt[:, :k, :k] = np.where(on[:, :, None] & on[:, None, :], h, np.eye(k))
-            kkt[:, :k, k] = kkt[:, k, :k] = on
-            rhs = np.concatenate([-np.where(on, c, 0.0), np.zeros((active.size, 1))], axis=1)
-            d = np.linalg.solve(kkt, rhs[:, :, None])[:, :k, 0]
-            # back onto the sum-zero plane: along c's common mode a rounding
-            # residue in sum(d) would swamp the line search's slope
-            d = np.where(on, d - (d * on).sum(axis=1, keepdims=True) / on.sum(axis=1)[:, None], 0.0)
-            stop = np.where(d < 0.0, sa / np.where(d < 0.0, -d, 1.0), 4.0).min(axis=1)
-            t = _line_min(alpha, np.einsum("nx,nxy->ny", d, wa), r, np.minimum(stop, 4.0))
-            sa = np.maximum(sa + t[:, None] * d, 0.0)
-            sa /= sa.sum(axis=1, keepdims=True)
-        s[active] = sa
+            sa = _e0_star_newton(sa, wa, r)
+        s[:, active] = sa
     else:
         raise RuntimeError("input optimization did not certify its gap on the rho lattice")
-    return np.maximum(-np.log2(f), 0.0), s, gap
+    return np.maximum(-np.log2(f), 0.0), s.T, gap
+
+
+def _mix(weights, rows):
+    """sum_i weights_i rows_i, added in sequence."""
+    return sum(weight * row for weight, row in zip(weights, rows))
+
+
+def _e0_star_terms(sa, wa, r):
+    """alpha = sa @ W^(1/(1+rho)) (|Y|, points) and the gradient's
+    c_x = sum_y W(y|x)^(1/(1+rho)) alpha_y^rho (|X|, points), summed in sequence."""
+    alpha = _mix(sa, wa)
+    return alpha, _mix(np.power(alpha, r), wa.transpose(1, 0, 2))
+
+
+def _e0_star_newton(sa, wa, r):
+    """The laws sa (|X|, points) after a Newton step of F within the face of
+    their support, and its line search. Inputs holding at most 1e-12 stay with
+    the pairwise step: the curvature grows like alpha^(rho-1) as their outputs
+    empty, and the Newton step would stall against them."""
+    k, ny, n = wa.shape
+    on = sa > 1e-12
+    alpha, c = _e0_star_terms(sa, wa, r)
+    curv = r * np.power(np.where(alpha > 0.0, alpha, 1.0), r - 1.0)
+    # the KKT matrix, points last: the Hessian's |Y| terms added in sequence
+    kkt, term = np.zeros((k + 1, k + 1, n)), np.empty((k, k, n))
+    for y in range(ny):
+        kkt[:k, :k] += np.multiply(np.multiply(wa[:, None, y], wa[None, :, y], out=term), curv[y], out=term)
+    for x in range(k):  # keeps faces with duplicate rows solvable
+        kkt[x, x] += 1e-12 * kkt[x, x]
+    np.copyto(kkt[:k, :k], np.eye(k)[:, :, None], where=~(on[:, None] & on[None, :]))
+    kkt[:k, k] = kkt[k, :k] = on
+    rhs = np.zeros((n, k + 1, 1))
+    rhs[:, :k, 0] = -np.where(on, c, 0.0).T
+    d = np.linalg.solve(kkt.transpose(2, 0, 1), rhs)[:, :k, 0].T
+    # back onto the sum-zero plane: along c's common mode a rounding residue
+    # in sum(d) would swamp the line search's slope
+    d = np.where(on, d - (d * on).sum(axis=0) / on.sum(axis=0), 0.0)
+    stop = np.where(d < 0.0, sa / np.where(d < 0.0, -d, 1.0), 4.0).min(axis=0)
+    t = _line_min(alpha, _mix(d, wa), r, np.minimum(stop, 4.0))
+    sa = np.maximum(sa + t * d, 0.0)
+    return sa / sa.sum(axis=0)
 
 
 def _e0_star_lattice(w: ConditionalDistribution) -> _Lattice:

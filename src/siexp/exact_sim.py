@@ -538,10 +538,13 @@ def monte_carlo_error_probability(
 
     The decoder tables count the letter pairs of every (source, side) and
     (codeword, output) sequence pair, |A|^n * max(|B|^n * |A||B|, |Y|^n *
-    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``. The samples are
-    drawn a block at a time with ``Generator.choice``'s steps, their (source,
-    side) letters kept at a byte each; then each block draws its outputs and
-    scores each distinct (side, output) pair it holds once."""
+    |X||Y|) counts, which must fit ``DEFAULT_STATE_BUDGET``; the samples keep
+    their n (source, side) letters at a byte each, which must fit the bytes
+    of that many float64 entries, 8 ``DEFAULT_STATE_BUDGET``. Both are checked
+    before anything is drawn. The samples are drawn a block at a time with ``Generator.choice``'s
+    steps; then each block draws its outputs and scores each distinct (side,
+    output) pair it holds once, reading its codebook's rows of the codeword
+    table for the outputs it holds only."""
     if decoder not in ("mmi", "map"):
         raise ValueError("decoder must be 'mmi' or 'map'")
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
@@ -557,13 +560,18 @@ def monte_carlo_error_probability(
             f"Monte Carlo decoder tables need {table_cells} entries, budget is "
             f"{DEFAULT_STATE_BUDGET}; reduce the blocklength"
         )
+    if samples * n > 8 * DEFAULT_STATE_BUDGET:
+        raise BudgetError(
+            f"{samples} samples of {n} letter pairs take {samples * n} bytes, budget is "
+            f"{8 * DEFAULT_STATE_BUDGET} bytes; reduce the samples"
+        )
     rng, cols = np.random.default_rng(seed), max(1, _SWEEP_BLOCK_CELLS // na**n)
     pairs, cum = _choice_bytes(rng, p.matrix, (samples, n), cols), np.cumsum(w.matrix, axis=1)
 
     mmi = decoder == "mmi"
     logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
     (logjoint_xy, mi), (rows,) = _codeword_tables([codebook], w, mmi)
-    x_tab, ab_tab = (mi[rows], cond_h) if mmi else (logjoint_xy[rows], logjoint_ab)
+    x_tab, ab_tab = (mi, cond_h) if mmi else (logjoint_xy, logjoint_ab)
     op, tol, _ = _SCORES[decoder]
     errors = 0
     for s0 in range(0, samples, cols):
@@ -573,7 +581,7 @@ def monte_carlo_error_probability(
         u = rng.random(x.shape)  # y is the number of the row's cumulative sums below u
         y = sum((u > cum[:, k][x] for k in range(ny - 1)), np.zeros_like(x))
         seen, obs = np.unique(_lex_index(b, nb) * ny**n + _lex_index(y, ny), return_inverse=True)
-        err = _error_mask(op(x_tab[:, seen % ny**n], ab_tab[:, seen // ny**n]), tol)
+        err = _error_mask(op(x_tab[np.ix_(rows, seen % ny**n)], ab_tab[:, seen // ny**n]), tol)
         errors += int(np.count_nonzero(err[a_idx, obs]))
     pe = errors / samples
     return SimulationResult(

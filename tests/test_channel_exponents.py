@@ -6,6 +6,7 @@ digits): closed forms where available, otherwise high-precision ternary
 search on the one-dimensional convex/concave subproblems.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -620,9 +621,10 @@ LINE_EDGE_ROWS = [
 
 
 def test_line_search_is_as_good_as_the_bisection_oracle(monkeypatch):
+    # the solver passes (|Y|, points) arrays and a 1-D rho; the rows here are points
     calls, real = [], channel_exponents._line_min
-    monkeypatch.setattr(channel_exponents, "_line_min",
-                        lambda *args: calls.append([a.copy() for a in args]) or real(*args))
+    monkeypatch.setattr(channel_exponents, "_line_min", lambda alpha, d, r, hi: calls.append(
+        [alpha.T.copy(), d.T.copy(), r[:, None].copy(), hi.copy()]) or real(alpha, d, r, hi))
     for w in CERTIFIED_KERNELS + [np.array(ASYM_TWO)]:
         for rhos in (_RHO_UNIT, _RHO_TAIL):
             _e0_star_on_lattice(rhos, w)
@@ -636,7 +638,7 @@ def test_line_search_is_as_good_as_the_bisection_oracle(monkeypatch):
     calls.append([edges[0], edges[1], edges[2][:, None], edges[3]])
     eps = np.finfo(float).eps
     for alpha, d, r, hi in calls:
-        t, want = real(alpha, d, r, hi), _bisect_line_min(alpha, d, r, hi)
+        t, want = real(alpha.T, d.T, r[:, 0], hi), _bisect_line_min(alpha, d, r, hi)
         assert np.all((0.0 <= t) & (t <= hi))
         phi = lambda t: (np.maximum(alpha + t[:, None] * d, 0.0) ** (1.0 + r)).sum(axis=1)
         # phi rounds by about (1 + r) eps phi; the worst row came within 1.5 of that
@@ -853,9 +855,10 @@ def _lattice_first_reference(rhos, s, w, newton=None, newton_steps=30, tol=1e-13
     live = s > 0
     sl, wl = s[live], w[live]
     wpow = np.power(wl[None, :, :], (1.0 / (1.0 + rhos))[:, None, None])
-    q = np.broadcast_to(sl @ wl, (len(rhos), w.shape[1])).copy()
+    q0 = _in_sequence([sl[x] * wl[x] for x in range(len(sl))])
+    q = np.broadcast_to(q0, (len(rhos), w.shape[1])).copy()
     vals, gap = np.full(len(rhos), np.inf), np.zeros(len(rhos))
-    reach = sl @ wl > 0.0
+    reach = q0 > 0.0
     nq, nw = q[:, reach], wpow[:, :, reach]
     newton = np.broadcast_to(rhos >= 1.0 if newton is None else newton, rhos.shape)
     active = np.flatnonzero(newton)
@@ -925,6 +928,11 @@ def _bit_identity_cases():
         np.array([16.0, 16.0, 1.0]) / 33.0,
         np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
     )
+    # a law whose start q_0 = S W once rounded apart as one law (a gemv) and
+    # as a row of per-point laws (a strided dot): 0.360276859033007 against
+    # 0.3602768590330071 at the second output
+    law = np.random.default_rng(0).random((10, 4))[9]
+    cases["start-4x3"] = (law / law.sum(), np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.4, 0.3, 0.3]]))
     return cases
 
 
@@ -1086,7 +1094,7 @@ def test_bordered_solve_is_as_accurate_as_the_dense_solve(m, n, inputs, rho_max,
 # fixed-input Lagrangian: sub-lattice and stacked solves
 
 
-SUBSET_CASES = ["2x2", "3x4", "4x4", "asym-0.30", "source-0.45", "mass-1e-30", "vanishing-output"]
+SUBSET_CASES = ["2x2", "3x4", "4x4", "asym-0.30", "source-0.45", "mass-1e-30", "vanishing-output", "start-4x3"]
 
 
 @pytest.mark.parametrize("case", SUBSET_CASES)
@@ -1097,7 +1105,14 @@ def test_cc_lattice_subsets_and_stacks_keep_the_whole_lattice_floats(case):
     other = np.where(s > 0, rng.dirichlet(np.ones(len(s))) + 0.1, 0.0)
     other /= other.sum()
     for rhos, newton in ((_CC_RHO_UNIT, False), (_CC_RHO_TAIL, True)):
-        whole = [_cc_e0_on_lattice(rhos, law, w, newton)[0] for law in (s, other)]
+        solved = [_cc_e0_on_lattice(rhos, law, w, newton) for law in (s, other)]
+        whole = [part[0] for part in solved]
+        if not newton:
+            # both laws' whole lattices in one stack, one law per point: on
+            # start-4x3 the stack's q_0 once rounded apart at rho = 0.4895 only
+            laws = np.repeat([s, other], len(rhos), axis=0)
+            got = _cc_e0_on_lattice(np.r_[rhos, rhos], laws, w, False)
+            _assert_same_floats(got, [np.r_[a, b] for a, b in zip(*solved)])
         # each end alone: at rho = 1 a batch of one once took a square root
         for idx in ([0], [len(rhos) - 1]):
             assert np.array_equal(_cc_e0_on_lattice(rhos[idx], s, w, newton)[0], whole[0][idx])
@@ -1133,6 +1148,15 @@ def _assert_subsets_keep_the_whole_lattice_floats(rhos, newton, case):
     for idx in [np.array(sorted(picked))] + [np.array([k]) for k in sorted(picked)[:3]]:
         _assert_same_floats(_cc_e0_on_lattice(rhos[idx], s, w, newton), [part[idx] for part in whole])
         _assert_same_floats([_cc_upper(rhos[idx], s, w)], [upper[idx]])
+    if not newton:
+        # stacked with a second law on the same support, one law per point
+        other = np.where(s > 0, np.arange(1.0, len(s) + 1.0), 0.0)
+        other /= other.sum()
+        idx = np.array(sorted(picked))
+        laws = np.repeat([s, other], len(idx), axis=0)
+        got = _cc_e0_on_lattice(np.r_[rhos[idx], rhos[idx]], laws, w, False)[0]
+        want = np.r_[whole[0][idx], _cc_e0_on_lattice(rhos, other, w, False)[0][idx]]
+        _assert_same_floats([got], [want])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1322,6 +1346,48 @@ def test_e0_and_es_lattice_subsets_keep_the_whole_lattice_floats(case):
         whole = lattice(_KERNEL_RHOS)
         for part in (idx, idx[:1], idx[-1:], np.array([len(_RHO_UNIT) - 1])):
             _assert_same_floats([lattice(_KERNEL_RHOS[part])], [whole[part]])
+
+
+_BLOCK_LATTICES = {"unit": _RHO_UNIT, "tail": _RHO_TAIL, "cc-unit": _CC_RHO_UNIT}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from([2, 3, 5, 8]), st.sampled_from([1, 2, 4, 8])).flatmap(
+    # (input law, channel with zero entries, lattice, points, points per block
+    # of a split of those points and of a split of the whole lattice)
+    lambda km: st.tuples(_stochastic(1, km[0]).map(lambda m: m[0]), _stochastic(*km),
+                         st.sampled_from(list(_BLOCK_LATTICES)),
+                         st.sets(st.integers(0, 10_000), min_size=1, max_size=30),
+                         st.integers(1, 7), st.integers(50, 3000))
+))
+def test_every_split_into_blocks_keeps_the_whole_lattice_floats(case):
+    # E_0*, E_0 and E_s: one-point blocks (solved as two copies) and ragged
+    # blocks give the whole lattice's values, laws and gaps
+    s, w, name, picked, small, large = case
+    rhos = _BLOCK_LATTICES[name]
+    idx = np.unique(np.array(sorted(picked)) * (len(rhos) - 1) // 10_000)
+    solvers = (lambda r: _e0_star_on_lattice(r, w), lambda r: (_e0_on_lattice(r, s, w),),
+               lambda r: (_es_on_lattice(r, w / w.sum()),))
+    for solve in solvers:
+        whole = solve(rhos)
+        with pytest.MonkeyPatch.context() as mp:
+            for points, part in ((small, idx), (large, slice(None))):
+                mp.setattr(channel_exponents, "_BLOCK_CELLS", points * w.size)
+                mp.setattr(channel_exponents, "_E0_STAR_POINTS", points)
+                _assert_same_floats(solve(rhos[part]), [values[part] for values in whole])
+
+
+def test_e0_star_memory_is_bounded_by_blocks():
+    # solved whole, with the lattice first, an 8 x 8 kernel over the unit
+    # lattice peaked at 31 MiB; a block holds at most _E0_STAR_CELLS cells
+    w = np.random.default_rng(0).dirichlet(np.ones(8), size=8)
+    tracemalloc.start()
+    try:
+        _e0_star_on_lattice(_RHO_UNIT, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_scalar_gallager_functions_are_one_point_kernel_calls():

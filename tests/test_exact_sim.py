@@ -622,6 +622,21 @@ def test_monte_carlo_checks_budget_and_samples_before_allocating():
         monte_carlo_error_probability(build_codebook(2, p2, w2), p2, w2, samples=0)
 
 
+def test_monte_carlo_budgets_the_sample_letters_before_drawing():
+    # a sample keeps n letter-pair bytes, budgeted as the bytes of as many
+    # float64 table entries: one sample past that at n = 4 would have held
+    # 128 MiB of letters, and is refused before any is drawn
+    p, w = worked_pair()
+    cb = build_codebook(4, p, w, "uniform", seed=0)
+    samples = 8 * exact_sim.DEFAULT_STATE_BUDGET // 4 + 1
+
+    def refused():
+        with pytest.raises(BudgetError, match="samples"):
+            monte_carlo_error_probability(cb, p, w, samples=samples)
+
+    assert _traced_peak(refused) <= 2**16
+
+
 @pytest.mark.parametrize("samples", [2.5, 1e3, True, np.float64(10), "10", None])
 def test_monte_carlo_refuses_samples_that_are_not_integers(samples):
     # each of these once failed inside numpy's draw, after the tables were built
