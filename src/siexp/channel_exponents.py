@@ -171,8 +171,6 @@ class ChannelExponentResult:
     rate: float
     value: float
     method: str
-    rho: float | None = None
-    minimizer: ConditionalDistribution | None = None
     diverged: bool = False
 
 
@@ -415,15 +413,6 @@ def _primal_tables(s: Distribution, w: ConditionalDistribution, step: float):
     return grid, d, i
 
 
-def _result_from_primal(rate, value, idx, grid):
-    return ChannelExponentResult(
-        rate=rate,
-        value=float(value),
-        method="primal_grid",
-        minimizer=ConditionalDistribution(grid[idx]) if np.isfinite(value) else None,
-    )
-
-
 def random_coding_exponent(
     r: float,
     s: Distribution,
@@ -441,13 +430,12 @@ def random_coding_exponent(
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if method == "gallager_dual":
-        val, rho, _ = concave_dual_max(lambda rho: gallager_e0(rho, s, w) - rho * r)
-        return ChannelExponentResult(rate=r, value=val, method=method, rho=rho)
+        val, _, _ = concave_dual_max(lambda rho: gallager_e0(rho, s, w) - rho * r)
+        return ChannelExponentResult(rate=r, value=val, method=method)
     if method == "primal_grid":
-        grid, d, i = _primal_tables(s, w, grid_step)
+        _, d, i = _primal_tables(s, w, grid_step)
         vals = d + np.maximum(i - r, 0.0)
-        idx = int(np.argmin(vals))
-        return _result_from_primal(r, vals[idx], idx, grid)
+        return ChannelExponentResult(rate=r, value=float(vals.min()), method=method)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -467,16 +455,15 @@ def sphere_packing_exponent(
         raise ValueError("rate must be nonnegative: the constraint set would be empty")
     if method == "gallager_dual":
         g = lambda rho: gallager_e0(rho, s, w) - rho * r
-        val, rho, diverged = concave_dual_max(g, tail=True)
-        return ChannelExponentResult(rate=r, value=val, method=method, rho=rho, diverged=diverged)
+        val, _, diverged = concave_dual_max(g, tail=True)
+        return ChannelExponentResult(rate=r, value=val, method=method, diverged=diverged)
     if method == "primal_grid":
-        grid, d, i = _primal_tables(s, w, grid_step)
+        _, d, i = _primal_tables(s, w, grid_step)
         feasible = i <= r + 1e-12
         if not np.any(feasible):
             return ChannelExponentResult(rate=r, value=math.inf, method=method, diverged=True)
         vals = np.where(feasible, d, np.inf)
-        idx = int(np.argmin(vals))
-        return _result_from_primal(r, vals[idx], idx, grid)
+        return ChannelExponentResult(rate=r, value=float(vals.min()), method=method)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -718,7 +705,8 @@ def dual_exponent_curves(rates: np.ndarray, s: Distribution, w: ConditionalDistr
 def primal_exponent_curves(
     rates: np.ndarray, s: Distribution, w: ConditionalDistribution, grid_step: float = 0.01
 ):
-    """Grid-oracle counterpart of :func:`dual_exponent_curves`."""
+    """Grid-oracle counterpart of :func:`dual_exponent_curves`, the oracle of
+    `test_ternary_primal_curves_bound_the_dual_curves`."""
     rates = np.asarray(rates, dtype=float)
     _, d, i = _primal_tables(s, w, grid_step)
     # min d + max(0, i - R) and min d over i <= R are the increasing forms
@@ -961,7 +949,6 @@ def capacity(w: ConditionalDistribution, tol: float = 1e-9, max_iter: int = 2000
 @dataclass(frozen=True)
 class CriticalRateResult:
     rate: float
-    grid_step: float
     earlier_coincidences: tuple[float, ...] = ()
 
 
@@ -1002,9 +989,7 @@ def critical_rate(
     while start > 0 and agree[start - 1]:
         start -= 1
     earlier = tuple(float(r) for r in rates[:start][agree[:start]])
-    return CriticalRateResult(
-        rate=float(rates[start]), grid_step=rate_step, earlier_coincidences=earlier
-    )
+    return CriticalRateResult(rate=float(rates[start]), earlier_coincidences=earlier)
 
 
 # ---------------------------------------------------------------------------

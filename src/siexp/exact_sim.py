@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .joint_bounds import NestedEvaluator, best_input_for_marginal
+from .joint_bounds import NestedEvaluator
 from .numerics import largest_remainder_counts
 from .probkit import ConditionalDistribution, Distribution, JointDistribution, entropy_bits
 
@@ -107,7 +107,7 @@ def build_codebooks(
 
     rule='uniform' uses the balanced input composition for every source type;
     rule='optimized' rounds E_0*'s law at each source type's best rho, which
-    maximizes the nested lower-bound payoff (`best_input_for_marginal`), to
+    maximizes the nested lower-bound payoff (`best_input_for_marginal`'s law), to
     integer counts by largest remainders, keeping the real-valued target in
     the metadata. The compositions depend only on (p, W, n, rule): they are
     solved once, over one nested evaluator, and every seed draws from them.
@@ -138,7 +138,7 @@ def build_codebooks(
         target = Distribution.uniform(nx)  # rounds to the balanced composition
         if rule == "optimized":
             q_a = Distribution(np.array(t, dtype=float) / n)
-            target, _ = best_input_for_marginal(p, w, q_a, ev.rate_step, evaluator=ev)
+            target = Distribution(ev.best_input(q_a.probs))
             targets[t] = tuple(float(v) for v in target.probs)
         compositions[t] = tuple(int(c) for c in largest_remainder_counts(target.probs, n))
 
@@ -456,6 +456,17 @@ def _sweep(decoder: str, n: int, tables, r, wxy, pab, plan, scratch) -> Simulati
     return SimulationResult(n, decoder, pe, _empirical_exponent(pe, n), "exact")
 
 
+def _check_state_count(n: int, p: JointDistribution, w: ConditionalDistribution, state_budget: int) -> None:
+    """Refuse an exact sweep over more (source, side, output) states than
+    ``state_budget``, before any codebook or table is built."""
+    states = (p.shape[0] * p.shape[1] * w.output_size) ** n
+    if states > state_budget:
+        raise BudgetError(
+            f"exact sweep needs {states} states, budget is {state_budget}; "
+            "reduce the blocklength or raise the budget explicitly"
+        )
+
+
 def exact_error_probabilities(
     codebooks: list[Codebook],
     p: JointDistribution,
@@ -476,12 +487,7 @@ def exact_error_probabilities(
     if len(ns) != 1 or any((cb.source_size, cb.input_size) != (na, nx) for cb in codebooks):
         raise ValueError("codebooks must share one blocklength and the laws' alphabets")
     (n,) = ns
-    states = (na * nb * ny) ** n
-    if states > state_budget:
-        raise BudgetError(
-            f"exact sweep needs {states} states, budget is {state_budget}; "
-            "reduce the blocklength or raise the budget explicitly"
-        )
+    _check_state_count(n, p, w, state_budget)
     mmi = "mmi" in decoders
     logjoint_ab, cond_h = _pair_tables(_all_sequences(na, n), p.matrix, "cond" if mmi else None)
     pab, results = np.exp2(logjoint_ab), []

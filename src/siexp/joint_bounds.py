@@ -32,7 +32,6 @@ smallest achieving rate.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -77,8 +76,6 @@ class JointBoundResult:
     kind: str
     q_a_star: Distribution | None = None
     s_x_star: Distribution | None = None
-    matched: bool = False
-    complete_characterization: bool = False
     reliability_flag: str | None = None
 
 
@@ -91,7 +88,6 @@ class MatchingDiagnostics:
     critical_rate: float | None
     exponent: float | None
     encoder_si_equivalent: bool
-    result: JointBoundResult
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,8 @@ class NestedEvaluator:
 
     def best_input(self, qa_arr: np.ndarray) -> np.ndarray:
         """The law of :func:`best_input_for_marginal`, G^src kept per Q_A."""
-        self.source(qa_arr)  # refuses a Q_A of the wrong size
+        if len(qa_arr) != self.p.shape[0]:
+            raise ValueError("marginal alphabet does not match the joint law")
         if (key := qa_arr.tobytes()) not in self._source_lagrangian:
             kernel = self.p.conditional_rows().matrix
             self._source_lagrangian[key] = channel_exponents._cc_e0_on_lattice(_CC_RHO_UNIT, qa_arr, kernel)[0]
@@ -617,7 +614,6 @@ def matching_check(
         and result.r_star_lower >= rc - result.rate_step - 1e-12
     )
     exponent = lower if (matched and math.isfinite(lower)) else (math.inf if matched else None)
-    updated = dataclasses.replace(result, matched=matched, complete_characterization=complete)
     return MatchingDiagnostics(
         matched=matched,
         complete_characterization=complete,
@@ -626,7 +622,6 @@ def matching_check(
         critical_rate=rc,
         exponent=exponent,
         encoder_si_equivalent=complete,
-        result=updated,
     )
 
 

@@ -2,9 +2,8 @@
 
 Every other module consumes these types. Validation happens once, at
 construction: entries must be nonnegative and finite, and any mass that is
-within ``SUM_TOLERANCE`` of 1 is renormalized so downstream code can rely on
-sums being exact to ``SIMPLEX_TOLERANCE``. All entropies and divergences are
-in bits. Infinity (``math.inf``) is the authoritative value for divergences
+within ``SUM_TOLERANCE`` of 1 is renormalized. All entropies and divergences
+are in bits. Infinity (``math.inf``) is the authoritative value for divergences
 with support violations; nothing in this package uses a large-float sentinel.
 """
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SUM_TOLERANCE = 1e-9
-SIMPLEX_TOLERANCE = 1e-12
 
 
 def _validated_array(values, ndim: int, what: str) -> np.ndarray:

@@ -40,7 +40,7 @@ from .channel_exponents import (
     is_gallager_symmetric,
 )
 from .errors import ConfigError
-from .exact_sim import build_codebooks, exact_error_probabilities
+from .exact_sim import DEFAULT_STATE_BUDGET, _check_state_count, build_codebooks, exact_error_probabilities
 from .joint_bounds import (
     NestedEvaluator,
     both_si_bounds,
@@ -305,7 +305,8 @@ def _fmt_bool(v: bool) -> str:
 
 
 def parse_curve_table(text: str) -> dict[str, np.ndarray]:
-    """Read a curve table back into column arrays; '#' lines are skipped."""
+    """Read a curve table back into column arrays; '#' lines are skipped.
+    Acceptance gate 1 reads the printed curves through it."""
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     header = rows[0].split(",")
     data = np.array([[float(tok) for tok in ln.split(",")] for ln in rows[1:]])
@@ -447,6 +448,7 @@ def simulate_table(
     ]
     results: dict[str, list] = {d: [] for d in decoders}
     seeds = range(scenario.seed, scenario.seed + seed_count)
+    _check_state_count(n, p, w, DEFAULT_STATE_BUDGET)
     codebooks = build_codebooks(n, p, w, scenario.sim.rule, seeds, scenario.sim.n_cap)
     for seed, by_decoder in zip(seeds, exact_error_probabilities(codebooks, p, w, decoders)):
         for d, res in by_decoder.items():

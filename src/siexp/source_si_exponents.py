@@ -50,10 +50,7 @@ class SourceExponentResult:
     rate: float
     value: float
     method: str
-    rho: float | None = None
-    minimizer: JointDistribution | None = None
     diverged: bool = False
-    infeasible: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ def _at_or_above_lossless_rate(r, p: JointDistribution):
 
 
 def _joint_tables(p: JointDistribution, step: float):
-    """All grid joints Q with D(Q||P) and the conditional entropy H_Q(A|B)."""
+    """D(Q||P) and the conditional entropy H_Q(A|B) of every grid joint Q."""
     na, nb = p.shape
     flat = simplex_grid(na * nb, step)
     d = kl_bits(flat, p.matrix.reshape(-1)[None, :], axis=1)
@@ -94,7 +91,7 @@ def _joint_tables(p: JointDistribution, step: float):
     col_mass = flat.reshape(-1, na, nb).sum(axis=1)
     h_cond = joint_h - entropy_bits(col_mass, axis=1)
     np.maximum(h_cond, 0.0, out=h_cond)
-    return flat, d, h_cond
+    return d, h_cond
 
 
 def e_lower(
@@ -107,18 +104,12 @@ def e_lower(
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if method == "gallager_dual":
-        val, rho, _ = concave_dual_max(lambda rho: rho * r - source_gallager_function(rho, p))
-        return SourceExponentResult(rate=r, value=val, method=method, rho=rho)
+        val, _, _ = concave_dual_max(lambda rho: rho * r - source_gallager_function(rho, p))
+        return SourceExponentResult(rate=r, value=val, method=method)
     if method == "primal_grid":
-        flat, d, h_cond = _joint_tables(p, grid_step)
+        d, h_cond = _joint_tables(p, grid_step)
         vals = d + np.maximum(r - h_cond, 0.0)
-        idx = int(np.argmin(vals))
-        return SourceExponentResult(
-            rate=r,
-            value=float(vals[idx]),
-            method=method,
-            minimizer=JointDistribution(flat[idx].reshape(p.shape)),
-        )
+        return SourceExponentResult(rate=r, value=float(vals.min()), method=method)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -137,37 +128,12 @@ def e_upper(
     if _at_or_above_lossless_rate(r, p):
         return SourceExponentResult(rate=r, value=math.inf, method=method, diverged=True)
     if method == "gallager_dual":
-        return e_upper_dual(r, p)
-
-    flat, d, h_cond = _joint_tables(p, grid_step)
-    feasible = h_cond >= r - 1e-12
-    if not np.any(feasible):
-        return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
-    vals = np.where(feasible, d, np.inf)
-    idx = int(np.argmin(vals))
-    return SourceExponentResult(
-        rate=r,
-        value=float(vals[idx]),
-        method=method,
-        minimizer=JointDistribution(flat[idx].reshape(p.shape)),
-    )
-
-
-def e_upper_dual(r: float, p: JointDistribution) -> SourceExponentResult:
-    """Gallager-dual route for the constrained-form exponent."""
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
-    if _at_or_above_lossless_rate(r, p):
-        return SourceExponentResult(rate=r, value=math.inf, method="gallager_dual", diverged=True)
-    g = lambda rho: rho * r - source_gallager_function(rho, p)
-    val, rho, diverged = concave_dual_max(g, tail=True)
-    return SourceExponentResult(
-        rate=r,
-        value=math.inf if diverged else val,
-        method="gallager_dual",
-        rho=rho,
-        diverged=diverged,
-    )
+        g = lambda rho: rho * r - source_gallager_function(rho, p)
+        val, _, diverged = concave_dual_max(g, tail=True)
+        return SourceExponentResult(rate=r, value=val, method=method, diverged=diverged)
+    d, h_cond = _joint_tables(p, grid_step)
+    vals = np.where(h_cond >= r - 1e-12, d, np.inf)
+    return SourceExponentResult(rate=r, value=float(vals.min()), method=method)
 
 
 def _source_lattice(p: JointDistribution) -> _Lattice:
@@ -197,9 +163,10 @@ def source_dual_curves(rates: np.ndarray, p: JointDistribution):
 
 
 def source_primal_curves(rates: np.ndarray, p: JointDistribution, grid_step: float = 0.01):
-    """Grid-oracle counterpart of :func:`source_dual_curves`."""
+    """Grid-oracle counterpart of :func:`source_dual_curves`. No test reads it as
+    an oracle; `test_source_primal_curves_match_per_rate` checks it per rate."""
     rates = np.asarray(rates, dtype=float)
-    _, d, h_cond = _joint_tables(p, grid_step)
+    d, h_cond = _joint_tables(p, grid_step)
     el = hinge_min_increasing(h_cond, d, rates)
     eu = min_where_constraint_at_least(h_cond, d, rates)
     eu[_at_or_above_lossless_rate(rates, p)] = np.inf
@@ -214,7 +181,7 @@ def _fixed_marginal_joints(q_a: Distribution, kernels: np.ndarray):
     """The joint laws q_a(a) V(b|a) of a kernel grid, flattened, and H(A|B) of each."""
     joints = q_a.probs[None, :, None] * kernels
     flat = joints.reshape(len(kernels), -1)
-    return joints, flat, entropy_bits(flat, axis=1) - entropy_bits(joints.sum(axis=1), axis=1)
+    return flat, entropy_bits(flat, axis=1) - entropy_bits(joints.sum(axis=1), axis=1)
 
 
 def e_upper_fixed_marginal(
@@ -232,6 +199,7 @@ def e_upper_fixed_marginal(
     Because the input stays fixed, the exact fixed-input Lagrangian is used
     rather than the E_0 form, which is only a lower bound off its maximizing
     input and would break the ordering against the unconstrained exponent.
+    It is the per-rate oracle of `test_fixed_marginal_dual_curve_matches_per_rate`.
     """
     if method not in ("primal_grid", "gallager_dual"):
         raise ValueError(f"unknown method {method!r}")
@@ -247,31 +215,17 @@ def e_upper_fixed_marginal(
         d_marg = float(kl_bits(q_a.probs, p.matrix.sum(axis=1)))
         budget = float(entropy_bits(q_a.probs)) - r
         if math.isinf(d_marg) or budget < -1e-12:
-            return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
+            return SourceExponentResult(rate=r, value=math.inf, method=method)
         w = p.conditional_rows()
         g = lambda rho: constant_composition_e0(rho, q_a, w) - rho * max(0.0, budget)
-        val, rho, diverged = concave_dual_max(g, tail=True)
-        return SourceExponentResult(
-            rate=r,
-            value=math.inf if diverged else d_marg + val,
-            method=method,
-            rho=rho,
-            diverged=diverged,
-        )
+        val, _, diverged = concave_dual_max(g, tail=True)
+        return SourceExponentResult(rate=r, value=d_marg + val, method=method, diverged=diverged)
 
-    joints, flat, h_cond = _fixed_marginal_joints(q_a, conditional_grid(na, nb, grid_step))
+    flat, h_cond = _fixed_marginal_joints(q_a, conditional_grid(na, nb, grid_step))
     d = kl_bits(flat, p.matrix.reshape(-1)[None, :], axis=1)
+    # inf when no grid joint is feasible, or none lies within the support of P
     vals = np.where(h_cond >= r - 1e-12, d, np.inf)
-    idx = int(np.argmin(vals))
-    # no feasible grid joint, or none within the support of P
-    if not math.isfinite(vals[idx]):
-        return SourceExponentResult(rate=r, value=math.inf, method=method, infeasible=True)
-    return SourceExponentResult(
-        rate=r,
-        value=float(vals[idx]),
-        method=method,
-        minimizer=JointDistribution(joints[idx]),
-    )
+    return SourceExponentResult(rate=r, value=float(vals.min()), method=method)
 
 
 def _fixed_marginal_curves(rates: np.ndarray, p: JointDistribution, laws) -> list[_Curve]:
@@ -311,7 +265,8 @@ def independent_si_exponent(
     """Exponent when the side information is independent of the source, which
     reduces to compressing A alone: min D(Q||P_A) over H(Q) >= r. A side
     letter independent of A carries nothing, so this is :func:`e_upper` of
-    P_A as a joint law with one column."""
+    P_A as a joint law with one column. It is the oracle of
+    `test_curve_table_independent_source_matches_marginal_only_exponent`."""
     return e_upper(r, JointDistribution(p_a.probs[:, None]), method, grid_step)
 
 
@@ -330,7 +285,8 @@ def duality_check(
 
     Both sides enumerate the same kernel grid; only the constraint is
     phrased differently (conditional entropy >= r versus mutual information
-    <= H(q_a) - r), so any gap is pure grid-boundary noise.
+    <= H(q_a) - r), so any gap is pure grid-boundary noise. Acceptance gate 4
+    reads it as the oracle for the fixed-marginal source exponent.
     """
     if q_a.size != p_b_given_a.input_size:
         raise ValueError("marginal alphabet does not match the kernel")
@@ -339,7 +295,7 @@ def duality_check(
         raise ValueError(f"rate must lie in [0, H(q_a)] = [0, {h_qa}], got {r}")
 
     kernels, cond_kl, _ = _primal_tables(q_a, p_b_given_a, grid_step)
-    h_cond = _fixed_marginal_joints(q_a, kernels)[2]
+    h_cond = _fixed_marginal_joints(q_a, kernels)[1]
     lhs = float(np.where(h_cond >= r - 1e-12, cond_kl, np.inf).min())
 
     channel_rate = max(0.0, h_qa - r)

@@ -42,11 +42,12 @@ from siexp.channel_exponents import (
     uniform_input_is_optimal_premise,
 )
 from siexp.joint_bounds import both_si_bounds
-from siexp.numerics import rate_grid, simplex_grid
+from siexp.numerics import golden_section_max, rate_grid, simplex_grid
 from siexp.probkit import (
     ConditionalDistribution,
     Distribution,
     JointDistribution,
+    kl_bits,
     mutual_information,
 )
 from siexp.source_si_exponents import _es_on_lattice, source_dual_curves, source_gallager_function
@@ -282,6 +283,46 @@ def test_capacity_converges_on_nearly_identical_rows():
     w2 = ConditionalDistribution(np.array([[0.90492666, 0.09507334], [0.9068675, 0.0931325]]))
     c2 = capacity(w2)
     assert 0.0 <= c2 < 1e-4
+
+
+def _three_input_capacity(w):
+    """max_S I(S; W) over three inputs by nested golden sections: I is
+    concave in S, so its max over the fiber S_0 = a is concave in a."""
+    info = lambda a, t: mutual_information(Distribution(np.array([a, (1 - a) * t, (1 - a) * (1 - t)])), w)
+    return golden_section_max(lambda a: golden_section_max(lambda t: info(a, t), 0.0, 1.0)[1], 0.0, 1.0)[1]
+
+
+def test_capacity_stall_and_budget_exits_stay_within_their_gap():
+    # rows 1e-4 apart: the certified gap max_x D(W_x||SW) - I(S; W) stays
+    # near 1.1e-8 for thousands of iterations, above the 1e-9 floor, so only
+    # the stall check (every 512 iterations, from the second window on) or
+    # the iteration budget ends the loop
+    w = ConditionalDistribution(np.array([[0.3, 0.3, 0.4], [0.3001, 0.3, 0.3999], [0.2999, 0.3001, 0.4]]))
+    ref = _three_input_capacity(w)
+    c = kl_bits(w.matrix, w.matrix.mean(axis=0)[None], axis=1)
+    gap0 = float(c.max() - c.mean())  # at the uniform start, where the gap is largest here
+    assert 1e-9 < gap0 < 1e-6
+    stalled = capacity(w)
+    assert stalled == capacity(w, max_iter=1024)  # the stall check at iteration 1,024
+    best_mid = capacity(w, max_iter=600)  # the budget ends before the second window
+    assert best_mid != stalled
+    for value in (stalled, best_mid):
+        assert abs(value - ref) <= 0.5 * gap0
+    # rows 1e-2 apart start from a gap of 1.1e-4, which 50 iterations do not
+    # bring under 1e-6
+    far = ConditionalDistribution(np.array([[0.3, 0.3, 0.4], [0.31, 0.3, 0.39], [0.29, 0.31, 0.4]]))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        capacity(far, max_iter=50)
+    assert abs(capacity(far) - _three_input_capacity(far)) <= 1e-9
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
+def test_capacity_tolerance_bounds_the_shortfall(tol):
+    # the converged exit returns the lower estimate I(S; W) once the gap is
+    # within tol of the upper one, so it falls short of capacity by at most that
+    w = ConditionalDistribution(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    ref, coarse = capacity(w), capacity(w, tol=tol)
+    assert 0.0 < ref - coarse <= tol * ref
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from siexp import exact_sim
 from siexp.channel_exponents import bsc
 from siexp.errors import BudgetError
+from siexp.joint_bounds import NestedEvaluator
 from siexp.exact_sim import (
     Codebook,
     build_codebook,
@@ -32,7 +33,7 @@ from siexp.exact_sim import (
     monte_carlo_error_probability,
 )
 from siexp.probkit import ConditionalDistribution, JointDistribution
-from siexp.scenario import SimSpec, format_number, simulate_table, worked_example
+from siexp.scenario import Scenario, SimSpec, format_number, simulate_table, worked_example
 
 WORKED_JOINT = ((0.50, 0.00), (0.05, 0.45))
 # |A| = 3 with a zero entry, over an asymmetric binary channel
@@ -804,13 +805,13 @@ def test_simulate_table_builds_the_tables_once(decoders, monkeypatch):
 
 def test_simulate_table_solves_the_compositions_once(monkeypatch):
     solved = []
-    real = exact_sim.best_input_for_marginal
+    real = NestedEvaluator.best_input
 
-    def spy(p, w, q_a, *args, evaluator):
-        solved.append((tuple(q_a.probs), evaluator))
-        return real(p, w, q_a, *args, evaluator=evaluator)
+    def spy(evaluator, qa_arr):
+        solved.append((tuple(qa_arr), evaluator))
+        return real(evaluator, qa_arr)
 
-    monkeypatch.setattr(exact_sim, "best_input_for_marginal", spy)
+    monkeypatch.setattr(NestedEvaluator, "best_input", spy)
     sc = dataclasses.replace(worked_example(), sim=SimSpec(rule="optimized"), seed=3)
     text = simulate_table(sc, n=5, decoders=("mmi", "map"), seed_count=4)
     # the six binary source types at n = 5, each solved once for all 4 seeds,
@@ -819,6 +820,41 @@ def test_simulate_table_solves_the_compositions_once(monkeypatch):
     assert len({id(ev) for _, ev in solved}) == 1
     monkeypatch.undo()
     assert text == _per_seed_table(sc, 5, ("mmi", "map"), 4)
+
+
+def test_optimized_codebooks_solve_no_payoff_or_source_curve(monkeypatch):
+    # the rule reads only each source type's law, which E_0*'s lattice and the
+    # type's fixed-input Lagrangian give; payoff rows and source curves would
+    # only price that law
+    def refuse(*args):
+        raise AssertionError("the optimized rule solved a payoff row or a source curve")
+
+    monkeypatch.setattr(NestedEvaluator, "payoff", refuse)
+    monkeypatch.setattr(NestedEvaluator, "solve_sources", refuse)
+    for p, w in (worked_pair(), ternary_pair(), wide_pair()):
+        cbs = build_codebooks(4, p, w, "optimized", (0, 1))
+        assert all(codeword_compositions_ok(cb) for cb in cbs)
+
+
+def test_refused_simulate_builds_no_codebook(monkeypatch):
+    # 27^8 (source, side, output) states on 3-letter alphabets at n = 8: the
+    # budget refuses the sweep before any codebook (15.8 MiB of them at n = 9)
+    # is drawn
+    built = []
+    monkeypatch.setattr("siexp.scenario.build_codebooks", lambda *args: built.append(args))
+    sc = Scenario(
+        source_matrix=((0.1, 0.1, 0.05), (0.1, 0.1, 0.05), (0.2, 0.2, 0.1)),
+        channel_kind="matrix",
+        channel_matrix=((0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.1, 0.1, 0.8)),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="states"):
+            simulate_table(sc, n=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [] and peak < 64 * 2**10
 
 
 @pytest.mark.parametrize("n,seeds,shared", [(3, 2, True), (6, 8, False)])

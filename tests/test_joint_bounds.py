@@ -512,7 +512,6 @@ def test_matching_check_worked():
     assert diag.exponent == pytest.approx(FLAT_VALUE, abs=1e-12)
     assert diag.critical_rate == pytest.approx(0.421, abs=1e-12)
     assert diag.r_star == pytest.approx(FLAT_R_STAR, abs=1e-12)
-    assert diag.result.matched and diag.result.complete_characterization
 
 
 def test_matching_check_detects_gap():

@@ -22,7 +22,6 @@ from siexp.source_si_exponents import (
     duality_check,
     e_lower,
     e_upper,
-    e_upper_dual,
     e_upper_fixed_marginal,
     fixed_marginal_dual_curve,
     independent_si_exponent,
@@ -84,15 +83,15 @@ def test_e_lower_zero_at_and_below_conditional_entropy():
 
 
 def test_e_upper_dual_frozen():
-    res = e_upper_dual(0.48, worked())
+    res = e_upper(0.48, worked(), method="gallager_dual")
     assert res.value == pytest.approx(EU_048_WORKED, abs=1e-10)
     assert not res.diverged
 
 
 def test_e_upper_infinite_at_log_alphabet():
     p = worked()
-    assert e_upper_dual(1.0, p).value == math.inf
-    assert e_upper_dual(1.0, p).diverged
+    assert e_upper(1.0, p, method="gallager_dual").value == math.inf
+    assert e_upper(1.0, p, method="gallager_dual").diverged
     assert e_upper(1.0, p).value == math.inf
     assert independent_si_exponent(1.0, Distribution.uniform(2)).value == math.inf
 
@@ -113,7 +112,7 @@ def test_unknown_method_is_refused_at_every_rate(r):
 def test_e_upper_primal_vs_dual_sandwich():
     p = worked()
     for r in (0.3, 0.48, 0.6):
-        dual = e_upper_dual(r, p).value
+        dual = e_upper(r, p, method="gallager_dual").value
         primal = e_upper(r, p, grid_step=0.005).value
         assert primal >= dual - 1e-9  # grid restricts the minimization
         assert primal - dual <= 5e-3
@@ -123,7 +122,7 @@ def test_e_upper_dominates_e_lower():
     p = worked()
     for r in (0.3, 0.45, 0.6, 0.8):
         lo = e_lower(r, p, method="gallager_dual").value
-        hi = e_upper_dual(r, p).value
+        hi = e_upper(r, p, method="gallager_dual").value
         assert hi >= lo - 1e-12
 
 
@@ -134,7 +133,7 @@ def test_primal_vs_dual_on_random_joints():
         p = JointDistribution(m / m.sum())
         hc = conditional_entropy(p)
         r = float(hc + (1.0 - hc) * rng.uniform(0.2, 0.8))
-        dual = e_upper_dual(r, p).value
+        dual = e_upper(r, p, method="gallager_dual").value
         primal = e_upper(r, p, grid_step=0.005).value
         assert primal >= dual - 1e-9
         assert primal - dual <= 5e-3
@@ -154,7 +153,7 @@ def test_primal_vs_dual_past_binary_alphabets():
         hc = conditional_entropy(p)
         r = hc + (math.log2(shape[0]) - hc) * float(rng.uniform(0.2, 0.8))
         for primal, dual in (
-            (e_upper, e_upper_dual(r, p).value),
+            (e_upper, e_upper(r, p, method="gallager_dual").value),
             (e_lower, e_lower(r, p, method="gallager_dual").value),
         ):
             gaps = [primal(r, p, "primal_grid", g).value - dual for g in (0.05, 0.025)]
@@ -182,7 +181,7 @@ def test_source_dual_curves_consistency():
     assert eu[-1] == math.inf
     # spot agreement with the per-rate calls
     i = int(np.argmin(np.abs(rates - 0.48)))
-    assert eu[i] == pytest.approx(e_upper_dual(float(rates[i]), p).value, abs=1e-9)
+    assert eu[i] == pytest.approx(e_upper(float(rates[i]), p, method="gallager_dual").value, abs=1e-9)
     assert el[i] == pytest.approx(
         e_lower(float(rates[i]), p, method="gallager_dual").value, abs=1e-9
     )
@@ -221,7 +220,7 @@ def test_e_upper_fixed_marginal_dominates_unconstrained():
         q_a = Distribution(np.array([qa0, 1.0 - qa0]))
         r = float(rng.uniform(0.3, 0.7))
         pinned = e_upper_fixed_marginal(r, p, q_a, method="gallager_dual").value
-        free = e_upper_dual(r, p).value
+        free = e_upper(r, p, method="gallager_dual").value
         assert pinned >= free - 1e-9
 
 
@@ -288,7 +287,7 @@ def test_independent_si_matches_product_joint():
     product = JointDistribution(np.outer(p_a.probs, b_marg.probs))
     for r in (0.4, 0.7, 0.9):
         alone = independent_si_exponent(r, p_a, method="gallager_dual").value
-        joint = e_upper_dual(r, product).value
+        joint = e_upper(r, product, method="gallager_dual").value
         assert alone == pytest.approx(joint, abs=1e-8)
     with pytest.raises(ValueError):
         independent_si_exponent(-0.1, p_a)
